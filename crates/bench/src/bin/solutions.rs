@@ -17,7 +17,7 @@
 use sickle_bench::runner::HarnessConfig;
 use sickle_bench::{write_bench_json, RunRecord, SuiteResults, Technique};
 use sickle_benchmarks::all_benchmarks;
-use sickle_core::{Budget, Session, SynthRequest};
+use sickle_core::{Budget, SearchStats, Session, SynthRequest, Unit};
 
 fn main() {
     let hc = HarnessConfig::from_env();
@@ -80,58 +80,16 @@ fn main() {
         // Pool size and hit/miss counters are cumulative session totals.
         let cs = session.analysis_stats();
         eprintln!(
-            "{:2} wall={:.3}s analyze={:.3}s concrete={:.3}s (mat={:.3}s pre={:.3}s match={:.3}s) \
-             expand={:.3}s join={:.3}s join_rows={} pool={} hits={} misses={} \
-             cache(ev={} dem={} reeval={} reeval_ms={:.1})",
+            "{:2} {} pool={} hits={} misses={}",
             b.id,
-            res.stats.elapsed.as_secs_f64(),
-            res.stats.time_analyze.as_secs_f64(),
-            res.stats.time_concrete.as_secs_f64(),
-            res.stats.time_materialize.as_secs_f64(),
-            res.stats.time_prefilter.as_secs_f64(),
-            res.stats.time_match.as_secs_f64(),
-            res.stats.time_expand.as_secs_f64(),
-            res.stats.time_join.as_secs_f64(),
-            res.stats.join_rows,
+            stats_line(&res.stats),
             session.pool().size(),
             cs.hits,
-            cs.misses,
-            res.stats.cache_evictions,
-            res.stats.cache_demotions,
-            res.stats.cache_reevals,
-            res.stats.cache_reeval_time.as_secs_f64() * 1e3
+            cs.misses
         );
-        let rank = res
-            .solutions
-            .iter()
-            .position(|q| b.is_correct(q))
-            .map(|i| i + 1);
-        results.records.push(RunRecord {
-            id: b.id,
-            name: b.name.to_string(),
-            category: b.category,
-            technique: Technique::Provenance,
-            solved: rank.is_some(),
-            elapsed: res.stats.elapsed,
-            time_analyze: res.stats.time_analyze,
-            time_eval: res.stats.time_concrete,
-            time_materialize: res.stats.time_materialize,
-            time_prefilter: res.stats.time_prefilter,
-            time_match: res.stats.time_match,
-            time_expand: res.stats.time_expand,
-            time_join: res.stats.time_join,
-            join_rows: res.stats.join_rows,
-            visited: res.stats.visited,
-            pruned: res.stats.pruned,
-            cache_evictions: res.stats.cache_evictions,
-            cache_demotions: res.stats.cache_demotions,
-            cache_reevals: res.stats.cache_reevals,
-            cache_reeval_time: res.stats.cache_reeval_time,
-            mem_bytes: res.stats.mem_bytes,
-            reused_verdicts: res.stats.reused_verdicts,
-            invalidated_verdicts: res.stats.invalidated_verdicts,
-            rank,
-        });
+        results
+            .records
+            .push(RunRecord::new(&b, Technique::Provenance, &res));
     }
     // Report the configuration this bin actually ran with: its own
     // visited budget and no wall-clock cutoff (recorded as 0).
@@ -145,4 +103,18 @@ fn main() {
         Ok(None) => {}
         Err(e) => eprintln!("warning: could not write bench JSON: {e}"),
     }
+}
+
+/// Renders every counter of `stats` as `key=value` pairs (times in
+/// seconds), for one-line logs.
+fn stats_line(stats: &SearchStats) -> String {
+    let mut out = String::new();
+    stats.visit(|c, v| {
+        let sep = if out.is_empty() { "" } else { " " };
+        match c.unit {
+            Unit::Time => out.push_str(&format!("{sep}{}={v:.3}", c.key)),
+            Unit::Count | Unit::Bytes => out.push_str(&format!("{sep}{}={v}", c.key)),
+        }
+    });
+    out
 }

@@ -6,8 +6,11 @@ use std::time::Duration;
 use sickle_baselines::{TypeAnalyzer, ValueAnalyzer};
 use sickle_benchmarks::{all_benchmarks, Benchmark, Category};
 use sickle_core::{
-    Analyzer, AnalyzerChoice, Budget, CachePolicy, Session, SickleError, SynthRequest,
+    Analyzer, AnalyzerChoice, Budget, CachePolicy, Query, SearchStats, Session, SickleError,
+    SynthRequest, SynthResult, Unit,
 };
+
+use crate::json::Json;
 
 /// The compared techniques (paper names).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,53 +68,60 @@ pub struct RunRecord {
     pub technique: Technique,
     /// Whether the correct query was recovered within budget.
     pub solved: bool,
-    /// Wall-clock time until the correct query (or until budget).
-    pub elapsed: Duration,
-    /// Time spent in the analyzer (abstract evaluation + Def. 3 checks).
-    pub time_analyze: Duration,
-    /// Time spent evaluating concrete candidates and checking Def. 1 —
-    /// the sum of the three acceptance-stage components below.
-    pub time_eval: Duration,
-    /// Acceptance stage 1: concrete candidate materialization (values,
-    /// demo-dims fast reject, star channel).
-    pub time_materialize: Duration,
-    /// Acceptance stage 2: reference-containment prefilter over lazily
-    /// converted cell sets.
-    pub time_prefilter: Duration,
-    /// Acceptance stage 3: candidate-seeded Def. 1 expression matching.
-    pub time_match: Duration,
-    /// Time spent expanding holes (domain inference + tree building).
-    pub time_expand: Duration,
-    /// Time spent inside the engine's filtered-join kernels (hash build +
-    /// probe, or the non-equi cross-loop fallback).
-    pub time_join: Duration,
-    /// Output rows produced by those join kernels.
-    pub join_rows: usize,
-    /// Queries (partial + concrete) visited.
-    pub visited: usize,
-    /// Partial queries pruned.
-    pub pruned: usize,
-    /// Engine-cache entries dropped by eviction sweeps.
-    pub cache_evictions: usize,
-    /// Engine-cache entries demoted (star-channel spill).
-    pub cache_demotions: usize,
-    /// Engine-cache re-evaluations of previously evicted queries.
-    pub cache_reevals: usize,
-    /// Time spent on those re-evaluations.
-    pub cache_reeval_time: Duration,
-    /// Approximate peak bytes attributed to the run: pooled interned sets
-    /// and analysis memos plus live engine-cache footprint at finish.
-    pub mem_bytes: usize,
-    /// Def. 3 verdicts served from the session-wide analysis cache
-    /// instead of recomputed (hits over the whole run; higher on warm
-    /// sessions and warm edits).
-    pub reused_verdicts: usize,
-    /// Memo entries invalidated on behalf of this run by a warm edit
-    /// superseding its prior demo; zero on cold solves.
-    pub invalidated_verdicts: usize,
     /// 1-based rank of the correct query among returned solutions, when
     /// solved (consistent-but-incorrect queries found earlier push it down).
     pub rank: Option<usize>,
+    /// The run's search counters; `stats.elapsed` is the wall-clock until
+    /// the correct query (or until budget).
+    pub stats: SearchStats,
+}
+
+impl RunRecord {
+    /// The record of one run of `b`: ranks the correct query among the
+    /// result's solutions.
+    pub fn new(b: &Benchmark, technique: Technique, result: &SynthResult) -> RunRecord {
+        let rank = correct_rank(b, &result.solutions);
+        RunRecord {
+            id: b.id,
+            name: b.name.to_string(),
+            category: b.category,
+            technique,
+            solved: rank.is_some(),
+            rank,
+            stats: result.stats,
+        }
+    }
+
+    /// Rebuilds the record of a provenance run of `b` from its wire
+    /// response ([`crate::finish_response`]): `solved`, `rank` and every
+    /// counter of the `stats` object.
+    pub fn from_response(b: &Benchmark, response: &Json) -> RunRecord {
+        let stats = response.get("stats");
+        RunRecord {
+            id: b.id,
+            name: b.name.to_string(),
+            category: b.category,
+            technique: Technique::Provenance,
+            solved: response
+                .get("solved")
+                .and_then(Json::as_bool)
+                .unwrap_or(false),
+            rank: response
+                .get("rank")
+                .and_then(Json::as_f64)
+                .map(|n| n as usize)
+                .filter(|&n| n >= 1),
+            stats: SearchStats::from_fields(|k| stats?.get(k)?.as_f64()),
+        }
+    }
+}
+
+/// The 1-based rank of `b`'s correct query among `solutions`, if present.
+pub fn correct_rank(b: &Benchmark, solutions: &[Query]) -> Option<usize> {
+    solutions
+        .iter()
+        .position(|q| b.is_correct(q))
+        .map(|i| i + 1)
 }
 
 /// Harness configuration, read from the environment.
@@ -255,37 +265,7 @@ pub fn run_one_in(
 ) -> Result<RunRecord, SickleError> {
     let request = benchmark_request(b, technique, hc)?;
     let result = session.solve_with(&request, |q| b.is_correct(q))?;
-    let rank = result
-        .solutions
-        .iter()
-        .position(|q| b.is_correct(q))
-        .map(|i| i + 1);
-    Ok(RunRecord {
-        id: b.id,
-        name: b.name.to_string(),
-        category: b.category,
-        technique,
-        solved: rank.is_some(),
-        elapsed: result.stats.elapsed,
-        time_analyze: result.stats.time_analyze,
-        time_eval: result.stats.time_concrete,
-        time_materialize: result.stats.time_materialize,
-        time_prefilter: result.stats.time_prefilter,
-        time_match: result.stats.time_match,
-        time_expand: result.stats.time_expand,
-        time_join: result.stats.time_join,
-        join_rows: result.stats.join_rows,
-        visited: result.stats.visited,
-        pruned: result.stats.pruned,
-        cache_evictions: result.stats.cache_evictions,
-        cache_demotions: result.stats.cache_demotions,
-        cache_reevals: result.stats.cache_reevals,
-        cache_reeval_time: result.stats.cache_reeval_time,
-        mem_bytes: result.stats.mem_bytes,
-        reused_verdicts: result.stats.reused_verdicts,
-        invalidated_verdicts: result.stats.invalidated_verdicts,
-        rank,
-    })
+    Ok(RunRecord::new(b, technique, &result))
 }
 
 /// All records for a suite run.
@@ -351,8 +331,8 @@ pub fn run_suite(techniques: &[Technique], hc: &HarnessConfig) -> SuiteResults {
                 t.label(),
                 b.name,
                 if rec.solved { "solved " } else { "TIMEOUT" },
-                rec.elapsed.as_secs_f64(),
-                rec.visited
+                rec.stats.elapsed.as_secs_f64(),
+                rec.stats.visited
             );
             results.records.push(rec);
         }
@@ -391,39 +371,23 @@ pub fn suite_results_json(res: &SuiteResults, hc: &HarnessConfig) -> String {
     for (i, r) in res.records.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"id\": {}, \"name\": \"{}\", \"category\": \"{}\", \"technique\": \"{}\", \
-             \"solved\": {}, \"rank\": {}, \"wall_s\": {:.6}, \"time_analyze_s\": {:.6}, \
-             \"time_eval_s\": {:.6}, \"time_materialize_s\": {:.6}, \"time_prefilter_s\": {:.6}, \
-             \"time_match_s\": {:.6}, \"time_expand_s\": {:.6}, \"time_join_s\": {:.6}, \
-             \"join_rows\": {}, \"visited\": {}, \"pruned\": {}, \
-             \"cache_evictions\": {}, \"cache_demotions\": {}, \"cache_reevals\": {}, \
-             \"cache_reeval_s\": {:.6}, \"reused_verdicts\": {}, \
-             \"invalidated_verdicts\": {}, \"mem_bytes\": {}}}{}\n",
+             \"solved\": {}, \"rank\": {}",
             r.id,
             json_escape(&r.name),
             r.category.label(),
             r.technique.label(),
             r.solved,
             r.rank.map_or("null".to_string(), |n| n.to_string()),
-            r.elapsed.as_secs_f64(),
-            r.time_analyze.as_secs_f64(),
-            r.time_eval.as_secs_f64(),
-            r.time_materialize.as_secs_f64(),
-            r.time_prefilter.as_secs_f64(),
-            r.time_match.as_secs_f64(),
-            r.time_expand.as_secs_f64(),
-            r.time_join.as_secs_f64(),
-            r.join_rows,
-            r.visited,
-            r.pruned,
-            r.cache_evictions,
-            r.cache_demotions,
-            r.cache_reevals,
-            r.cache_reeval_time.as_secs_f64(),
-            r.reused_verdicts,
-            r.invalidated_verdicts,
-            r.mem_bytes,
-            if i + 1 == res.records.len() { "" } else { "," }
         ));
+        r.stats.visit(|c, v| match c.unit {
+            Unit::Time => out.push_str(&format!(", \"{}\": {v:.6}", c.key)),
+            Unit::Count | Unit::Bytes => out.push_str(&format!(", \"{}\": {v}", c.key)),
+        });
+        out.push_str(if i + 1 == res.records.len() {
+            "}\n"
+        } else {
+            "},\n"
+        });
     }
     out.push_str("  ]\n}\n");
     out
@@ -474,7 +438,7 @@ pub fn render_fig12(res: &SuiteResults) -> String {
                 let n = res
                     .of_cat(t, hard)
                     .iter()
-                    .filter(|r| r.solved && r.elapsed.as_secs_f64() <= lim)
+                    .filter(|r| r.solved && r.stats.elapsed.as_secs_f64() <= lim)
                     .count();
                 out.push_str(&format!("{n:>12}"));
             }
@@ -503,7 +467,11 @@ pub fn render_fig13(res: &SuiteResults) -> String {
             "technique", "min", "q1", "median", "q3", "max", "mean"
         ));
         for t in Technique::ALL {
-            let counts: Vec<usize> = res.of_cat(t, hard).iter().map(|r| r.visited).collect();
+            let counts: Vec<usize> = res
+                .of_cat(t, hard)
+                .iter()
+                .map(|r| r.stats.visited)
+                .collect();
             let mean = if counts.is_empty() {
                 0.0
             } else {
@@ -536,12 +504,16 @@ pub fn render_obs1(res: &SuiteResults) -> String {
         let mean_t = if solved.is_empty() {
             f64::NAN
         } else {
-            solved.iter().map(|r| r.elapsed.as_secs_f64()).sum::<f64>() / solved.len() as f64
+            solved
+                .iter()
+                .map(|r| r.stats.elapsed.as_secs_f64())
+                .sum::<f64>()
+                / solved.len() as f64
         };
         let mean_v = if solved.is_empty() {
             0.0
         } else {
-            solved.iter().map(|r| r.visited as f64).sum::<f64>() / solved.len() as f64
+            solved.iter().map(|r| r.stats.visited as f64).sum::<f64>() / solved.len() as f64
         };
         out.push_str(&format!(
             "{:>10} {:>7} {:>11} {:>11} {:>13.2} {:>13.0}\n",
@@ -560,9 +532,9 @@ pub fn render_obs1(res: &SuiteResults) -> String {
         let mut visit_ratio = Vec::new();
         for rec in res.of(Technique::Provenance).filter(|r| r.solved) {
             if let Some(o) = res.of(other).find(|r| r.id == rec.id && r.solved) {
-                let s = o.elapsed.as_secs_f64() / rec.elapsed.as_secs_f64().max(1e-4);
+                let s = o.stats.elapsed.as_secs_f64() / rec.stats.elapsed.as_secs_f64().max(1e-4);
                 speedups.push(s);
-                visit_ratio.push(o.visited as f64 / rec.visited.max(1) as f64);
+                visit_ratio.push(o.stats.visited as f64 / rec.stats.visited.max(1) as f64);
             }
         }
         if !speedups.is_empty() {
@@ -585,11 +557,11 @@ pub fn render_obs1(res: &SuiteResults) -> String {
             .iter()
             .filter(|&&t| t != Technique::Provenance)
             .filter_map(|&t| res.of(t).find(|r| r.id == rec.id))
-            .map(|r| r.visited)
+            .map(|r| r.stats.visited)
             .max();
         if let Some(v) = best_other {
             if v > 0 {
-                reductions.push(1.0 - rec.visited as f64 / v as f64);
+                reductions.push(1.0 - rec.stats.visited as f64 / v as f64);
             }
         }
     }
@@ -660,25 +632,28 @@ mod tests {
                     category: sickle_benchmarks::Category::ForumEasy,
                     technique: Technique::Provenance,
                     solved: true,
-                    elapsed: Duration::from_millis(125),
-                    time_analyze: Duration::from_millis(50),
-                    time_eval: Duration::from_millis(25),
-                    time_materialize: Duration::from_millis(15),
-                    time_prefilter: Duration::from_millis(4),
-                    time_match: Duration::from_millis(6),
-                    time_expand: Duration::from_millis(5),
-                    time_join: Duration::from_millis(3),
-                    join_rows: 1234,
-                    visited: 42,
-                    pruned: 7,
-                    cache_evictions: 12,
-                    cache_demotions: 3,
-                    cache_reevals: 5,
-                    cache_reeval_time: Duration::from_millis(2),
-                    mem_bytes: 123_456,
-                    reused_verdicts: 17,
-                    invalidated_verdicts: 4,
                     rank: Some(1),
+                    stats: SearchStats {
+                        elapsed: Duration::from_millis(125),
+                        time_analyze: Duration::from_millis(50),
+                        time_concrete: Duration::from_millis(25),
+                        time_materialize: Duration::from_millis(15),
+                        time_prefilter: Duration::from_millis(4),
+                        time_match: Duration::from_millis(6),
+                        time_expand: Duration::from_millis(5),
+                        time_join: Duration::from_millis(3),
+                        join_rows: 1234,
+                        visited: 42,
+                        pruned: 7,
+                        cache_evictions: 12,
+                        cache_demotions: 3,
+                        cache_reevals: 5,
+                        cache_reeval_time: Duration::from_millis(2),
+                        mem_bytes: 123_456,
+                        reused_verdicts: 17,
+                        invalidated_verdicts: 4,
+                        ..SearchStats::default()
+                    },
                 },
                 RunRecord {
                     id: 2,
@@ -686,25 +661,12 @@ mod tests {
                     category: sickle_benchmarks::Category::TpcDs,
                     technique: Technique::TypeAbs,
                     solved: false,
-                    elapsed: Duration::from_secs(1),
-                    time_analyze: Duration::ZERO,
-                    time_eval: Duration::ZERO,
-                    time_materialize: Duration::ZERO,
-                    time_prefilter: Duration::ZERO,
-                    time_match: Duration::ZERO,
-                    time_expand: Duration::ZERO,
-                    time_join: Duration::ZERO,
-                    join_rows: 0,
-                    visited: 10,
-                    pruned: 0,
-                    cache_evictions: 0,
-                    cache_demotions: 0,
-                    cache_reevals: 0,
-                    cache_reeval_time: Duration::ZERO,
-                    mem_bytes: 0,
-                    reused_verdicts: 0,
-                    invalidated_verdicts: 0,
                     rank: None,
+                    stats: SearchStats {
+                        elapsed: Duration::from_secs(1),
+                        visited: 10,
+                        ..SearchStats::default()
+                    },
                 },
             ],
         };
@@ -743,6 +705,68 @@ mod tests {
     }
 
     #[test]
+    fn every_counter_round_trips_through_wire_record_and_bench_json() {
+        // Distinct nonzero values: the i-th counter reads i (i seconds for
+        // times — exact through the wire's f64 and the record's six
+        // decimals).
+        let mut i = 0.0;
+        let stats = SearchStats::from_fields(|_| {
+            i += 1.0;
+            Some(i)
+        });
+        let mut result = SynthResult::default();
+        result.stats = stats;
+        let b = &all_benchmarks()[0];
+
+        // Response line → shard record reader.
+        let line = crate::wire::response_ok(&Json::Null, &result).render();
+        let record = RunRecord::from_response(b, &Json::parse(&line).unwrap());
+        assert_eq!(record.stats, stats, "{line}");
+
+        // Record → `BENCH_synthesis.json` → counters.
+        let hc = HarnessConfig {
+            timeout: Duration::from_secs(1),
+            max_visited: 10,
+            seed: 2022,
+            only: vec![],
+            workers: 1,
+            cache: CachePolicy::default(),
+        };
+        let doc = suite_results_json(
+            &SuiteResults {
+                records: vec![record],
+            },
+            &hc,
+        );
+        let parsed = Json::parse(&doc).unwrap();
+        let rec = &parsed.get("records").and_then(Json::as_array).unwrap()[0];
+        assert_eq!(SearchStats::from_fields(|k| rec.get(k)?.as_f64()), stats);
+        for key in ["concrete_checked", "expanded", "mem_bytes"] {
+            assert!(rec.get(key).is_some(), "record lacks {key}: {doc}");
+        }
+
+        // Progress events carry every live counter.
+        let mut progress = sickle_core::ProgressSnapshot::default();
+        progress.stats = stats;
+        let event = crate::wire::progress_json(&progress);
+        let mut live = 0;
+        stats.visit(|c, v| {
+            if c.live {
+                live += 1;
+                assert_eq!(
+                    event.get(c.key).and_then(Json::as_f64),
+                    Some(v),
+                    "{}",
+                    c.key
+                );
+            } else {
+                assert!(event.get(c.key).is_none(), "{} is not live", c.key);
+            }
+        });
+        assert!(live > 0);
+    }
+
+    #[test]
     fn easy_group_benchmark_solves_quickly_with_all_techniques() {
         let suite = all_benchmarks();
         let b = &suite[0]; // sales: total revenue per region
@@ -778,10 +802,10 @@ mod tests {
         let ty = run_one(b, Technique::TypeAbs, &hc).expect("runs");
         assert!(prov.solved, "provenance failed: {prov:?}");
         assert!(
-            prov.visited <= ty.visited,
+            prov.stats.visited <= ty.stats.visited,
             "provenance visited {} > type {}",
-            prov.visited,
-            ty.visited
+            prov.stats.visited,
+            ty.stats.visited
         );
     }
 }

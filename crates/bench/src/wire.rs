@@ -14,14 +14,14 @@ use std::time::Duration;
 
 use sickle_benchmarks::{all_benchmarks, Benchmark};
 use sickle_core::{
-    AnalyzerChoice, Budget, CachePolicy, JoinKey, ProgressSnapshot, Session, SickleError,
-    SynthConfig, SynthRequest, SynthResult,
+    AnalyzerChoice, Budget, CachePolicy, JoinKey, ProgressSnapshot, SearchStats, Session,
+    SickleError, SynthConfig, SynthRequest, SynthResult,
 };
 use sickle_provenance::Demo;
 use sickle_table::{Table, Value};
 
 use crate::json::{Json, JsonError};
-use crate::runner::Technique;
+use crate::runner::{correct_rank, Technique};
 
 /// A decoded wire request: the core [`SynthRequest`] plus the envelope
 /// metadata (`id`, the `progress` streaming flag). Marked
@@ -438,7 +438,6 @@ impl WireRequest {
 
 /// Encodes a successful response line.
 pub fn response_ok(id: &Json, result: &SynthResult) -> Json {
-    let stats = &result.stats;
     Json::Obj(vec![
         ("id".into(), id.clone()),
         ("status".into(), Json::str("ok")),
@@ -452,127 +451,39 @@ pub fn response_ok(id: &Json, result: &SynthResult) -> Json {
                     .collect(),
             ),
         ),
-        ("timed_out".into(), Json::Bool(stats.timed_out)),
+        ("timed_out".into(), Json::Bool(result.stats.timed_out)),
         (
             "stats".into(),
-            Json::Obj(vec![
-                ("visited".into(), Json::num(stats.visited as f64)),
-                ("pruned".into(), Json::num(stats.pruned as f64)),
-                (
-                    "concrete_checked".into(),
-                    Json::num(stats.concrete_checked as f64),
-                ),
-                ("expanded".into(), Json::num(stats.expanded as f64)),
-                ("wall_s".into(), Json::num(stats.elapsed.as_secs_f64())),
-                (
-                    "time_analyze_s".into(),
-                    Json::num(stats.time_analyze.as_secs_f64()),
-                ),
-                (
-                    "time_eval_s".into(),
-                    Json::num(stats.time_concrete.as_secs_f64()),
-                ),
-                (
-                    "time_materialize_s".into(),
-                    Json::num(stats.time_materialize.as_secs_f64()),
-                ),
-                (
-                    "time_prefilter_s".into(),
-                    Json::num(stats.time_prefilter.as_secs_f64()),
-                ),
-                (
-                    "time_match_s".into(),
-                    Json::num(stats.time_match.as_secs_f64()),
-                ),
-                (
-                    "time_expand_s".into(),
-                    Json::num(stats.time_expand.as_secs_f64()),
-                ),
-                (
-                    "time_join_s".into(),
-                    Json::num(stats.time_join.as_secs_f64()),
-                ),
-                ("join_rows".into(), Json::num(stats.join_rows as f64)),
-                (
-                    "cache_evictions".into(),
-                    Json::num(stats.cache_evictions as f64),
-                ),
-                (
-                    "cache_demotions".into(),
-                    Json::num(stats.cache_demotions as f64),
-                ),
-                (
-                    "cache_reevals".into(),
-                    Json::num(stats.cache_reevals as f64),
-                ),
-                (
-                    "cache_reeval_s".into(),
-                    Json::num(stats.cache_reeval_time.as_secs_f64()),
-                ),
-                (
-                    "reused_verdicts".into(),
-                    Json::num(stats.reused_verdicts as f64),
-                ),
-                (
-                    "invalidated_verdicts".into(),
-                    Json::num(stats.invalidated_verdicts as f64),
-                ),
-                ("mem_bytes".into(), Json::num(stats.mem_bytes as f64)),
-            ]),
+            Json::Obj(stats_fields(&result.stats, false)),
         ),
     ])
 }
 
+/// Every declared counter of `stats` by its wire key (only the live ones
+/// when `live_only`), in declaration order.
+fn stats_fields(stats: &SearchStats, live_only: bool) -> Vec<(String, Json)> {
+    let mut fields = Vec::new();
+    stats.visit(|c, v| {
+        if c.live || !live_only {
+            fields.push((c.key.into(), Json::num(v)));
+        }
+    });
+    fields
+}
+
 /// Encodes a [`ProgressSnapshot`] as the `{"event":"progress",…}` object
-/// streamed for [`sickle_core::SolutionEvent::Progress`] — live counters
-/// plus the acceptance-stage time split (`time_materialize_s` /
-/// `time_prefilter_s` / `time_match_s`), so an eval-path regression is
-/// visible *during* a long search, not only in the final stats.
+/// streamed for [`sickle_core::SolutionEvent::Progress`]: the solution
+/// count plus every live counter — including the acceptance-stage time
+/// split (`time_materialize_s` / `time_prefilter_s` / `time_match_s`), so
+/// an eval-path regression is visible *during* a long search, not only in
+/// the final stats.
 pub fn progress_json(p: &ProgressSnapshot) -> Json {
-    Json::Obj(vec![
+    let mut fields = vec![
         ("event".into(), Json::str("progress")),
-        ("visited".into(), Json::num(p.visited as f64)),
-        ("pruned".into(), Json::num(p.pruned as f64)),
-        (
-            "concrete_checked".into(),
-            Json::num(p.concrete_checked as f64),
-        ),
         ("solutions".into(), Json::num(p.solutions as f64)),
-        ("wall_s".into(), Json::num(p.elapsed.as_secs_f64())),
-        (
-            "time_materialize_s".into(),
-            Json::num(p.time_materialize.as_secs_f64()),
-        ),
-        (
-            "time_prefilter_s".into(),
-            Json::num(p.time_prefilter.as_secs_f64()),
-        ),
-        ("time_match_s".into(), Json::num(p.time_match.as_secs_f64())),
-        ("time_join_s".into(), Json::num(p.time_join.as_secs_f64())),
-        ("join_rows".into(), Json::num(p.join_rows as f64)),
-        (
-            "cache_evictions".into(),
-            Json::num(p.cache_evictions as f64),
-        ),
-        (
-            "cache_demotions".into(),
-            Json::num(p.cache_demotions as f64),
-        ),
-        ("cache_reevals".into(), Json::num(p.cache_reevals as f64)),
-        (
-            "cache_reeval_s".into(),
-            Json::num(p.cache_reeval_time.as_secs_f64()),
-        ),
-        (
-            "reused_verdicts".into(),
-            Json::num(p.reused_verdicts as f64),
-        ),
-        (
-            "invalidated_verdicts".into(),
-            Json::num(p.invalidated_verdicts as f64),
-        ),
-        ("mem_bytes".into(), Json::num(p.mem_bytes as f64)),
-    ])
+    ];
+    fields.extend(stats_fields(&p.stats, true));
+    Json::Obj(fields)
 }
 
 /// Encodes an error response line.
@@ -630,11 +541,7 @@ pub fn finish_response(wire: &WireRequest, result: &SynthResult) -> Json {
         .benchmark
         .and_then(|bid| suite().iter().find(|bm| bm.id == bid))
     {
-        let rank = result
-            .solutions
-            .iter()
-            .position(|q| b.is_correct(q))
-            .map(|i| i + 1);
+        let rank = correct_rank(b, &result.solutions);
         if let Json::Obj(fields) = &mut response {
             fields.push(("solved".into(), Json::Bool(rank.is_some())));
             fields.push((

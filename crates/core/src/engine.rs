@@ -1273,7 +1273,7 @@ impl CachePolicy {
 
 /// Counters describing the concrete store's churn behavior. Read with
 /// [`EvalCache::cache_stats`]; the search surfaces them through
-/// `SearchStats` / `SharedStats` / the wire stats.
+/// [`crate::SearchStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct CacheStats {
@@ -1298,10 +1298,11 @@ pub struct CacheStats {
     /// Fused `filter ∘ join` steps that fell back to the nested cross
     /// loop (no cross-side equality conjunct in the predicate).
     pub cross_joins: usize,
-    /// Output rows produced by fused join steps (the rows-processed side
-    /// of the `time_join` split surfaced through the search stats).
+    /// Output rows produced by join steps — `join`, `left_join` and fused
+    /// `filter ∘ join` (the rows-processed side of the `time_join` split
+    /// surfaced through the search stats).
     pub join_rows: u64,
-    /// Nanoseconds spent in fused join steps.
+    /// Nanoseconds spent in those join steps.
     pub join_ns: u64,
     /// Approximate bytes charged for inserted entries, cumulative. The
     /// counter is monotone (like every other field) so the parallel
@@ -1961,8 +1962,6 @@ impl EvalCache {
             } else {
                 stats.cross_joins += 1;
             }
-            stats.join_rows = stats.join_rows.saturating_add(out.values.n_rows() as u64);
-            stats.join_ns = stats.join_ns.saturating_add(ns);
             self.stats.set(stats);
             (out, ns)
         } else if let Query::Filter { src, pred } = q {
@@ -2024,6 +2023,16 @@ impl EvalCache {
                 t0.elapsed().as_nanos() as u64,
             )
         };
+        if matches!(q, Query::Join { .. } | Query::LeftJoin { .. })
+            || fused_filter_join(q).is_some()
+        {
+            let mut stats = self.stats.get();
+            stats.join_rows = stats
+                .join_rows
+                .saturating_add(computed.values.n_rows() as u64);
+            stats.join_ns = stats.join_ns.saturating_add(step_ns);
+            self.stats.set(stats);
+        }
         // Store under the level actually computed (equals `sem` now that
         // children are narrowed, but derive it rather than assume).
         let actual = computed.semantics();
@@ -2326,6 +2335,30 @@ mod tests {
         assert!(Rc::ptr_eq(&hot_rc, &again));
         cache.exec(&cold, Semantics::Values, &inputs).unwrap();
         assert_eq!(cache.cache_stats().reevals, 1);
+    }
+
+    #[test]
+    fn plain_joins_are_charged_to_the_join_counters() {
+        let cache = EvalCache::new();
+        let inputs = [input()];
+        let join = Query::Join {
+            left: Box::new(Query::Input(0)),
+            right: Box::new(Query::Input(0)),
+        };
+        cache.exec(&join, Semantics::Values, &inputs).unwrap();
+        let after_join = cache.cache_stats();
+        assert_eq!(after_join.join_rows, 16, "4 × 4 cross product");
+        assert!(after_join.join_ns > 0, "{after_join:?}");
+        // Same city: every left row meets its two same-city right rows.
+        let left_join = Query::LeftJoin {
+            left: Box::new(Query::Input(0)),
+            right: Box::new(Query::Input(0)),
+            pred: Pred::ColCmp(0, CmpOp::Eq, 4),
+        };
+        cache.exec(&left_join, Semantics::Values, &inputs).unwrap();
+        let after_left = cache.cache_stats();
+        assert_eq!(after_left.join_rows, 16 + 8);
+        assert!(after_left.join_ns > after_join.join_ns, "{after_left:?}");
     }
 
     #[test]

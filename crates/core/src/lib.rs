@@ -35,10 +35,11 @@
 //!   Algorithm 1 sequentially or with skeleton expansion fanned out over
 //!   worker threads, blocking or streaming, with validated requests,
 //!   [`Budget`]s, [`CancelToken`]s and the unified [`SickleError`];
-//! * `synthesize` / `synthesize_parallel` (`synth`) — the deprecated
-//!   free-function face of the same internals, parameterized by an
-//!   [`Analyzer`] ([`ProvenanceAnalyzer`] is the paper's; baselines live
-//!   in `sickle-baselines`).
+//! * [`Analyzer`] (`synth`) — the pruning oracle the search is
+//!   parameterized by ([`ProvenanceAnalyzer`] is the paper's; baselines
+//!   live in `sickle-baselines`);
+//! * [`SearchStats`] (`stats`) — every search counter, declared once and
+//!   rendered by name through [`SearchStats::visit`].
 //!
 //! # Examples
 //!
@@ -79,6 +80,7 @@ mod eval;
 mod prov_eval;
 mod session;
 mod session_pool;
+mod stats;
 mod synth;
 
 pub use abstract_eval::{
@@ -93,13 +95,12 @@ pub use error::SickleError;
 pub use eval::{evaluate, EvalError};
 pub use prov_eval::{concretize, expand_arith, prov_evaluate, ProvTable};
 pub use session::{
-    AnalyzerChoice, Budget, CancelToken, ProgressSnapshot, Session, SolutionEvent, SolutionStream,
-    StreamWait, SynthRequest,
+    AnalyzerChoice, Budget, CancelToken, Session, SolutionEvent, SolutionStream, StreamWait,
+    SynthRequest,
 };
 pub use session_pool::{demo_fingerprint, SessionPool, SessionPoolConfig};
+pub use stats::{Counter, ProgressSnapshot, SearchStats, Unit};
 pub use synth::{
     construct_skeletons, expand, Analyzer, JoinKey, NoPruneAnalyzer, OpKind, ProvenanceAnalyzer,
-    SearchStats, SharedStats, SynthConfig, SynthResult, SynthTask, TaskContext, BULK_COL_ROWS,
+    SynthConfig, SynthResult, SynthTask, TaskContext, BULK_COL_ROWS,
 };
-#[allow(deprecated)]
-pub use synth::{synthesize, synthesize_parallel, synthesize_seeded, synthesize_until};

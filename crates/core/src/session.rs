@@ -90,9 +90,10 @@ use crate::abstract_eval::demo_ref_sets;
 use crate::ast::{PQuery, Query};
 use crate::error::SickleError;
 use crate::session_pool::demo_fingerprint;
+use crate::stats::{ProgressSnapshot, SharedStats};
 use crate::synth::{
-    run_parallel, Analyzer, JoinKey, NoPruneAnalyzer, ProvenanceAnalyzer, SharedStats, SynthConfig,
-    SynthResult, SynthTask,
+    run_parallel, Analyzer, JoinKey, NoPruneAnalyzer, ProvenanceAnalyzer, SynthConfig, SynthResult,
+    SynthTask,
 };
 
 // ---------------------------------------------------------------------------
@@ -508,90 +509,6 @@ impl SynthRequest {
 // ---------------------------------------------------------------------------
 // Streaming results
 // ---------------------------------------------------------------------------
-
-/// Live counters of a running (or finished) search.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct ProgressSnapshot {
-    /// Queries (partial + concrete) taken off any worker's work list.
-    pub visited: usize,
-    /// Partial queries pruned by the analyzer.
-    pub pruned: usize,
-    /// Concrete queries checked against Def. 1.
-    pub concrete_checked: usize,
-    /// Solutions found so far.
-    pub solutions: usize,
-    /// Wall-clock since the request was submitted.
-    pub elapsed: Duration,
-    /// Acceptance stage 1 so far: concrete candidate materialization
-    /// (values + demo-dims fast reject + star channel), across workers.
-    pub time_materialize: Duration,
-    /// Acceptance stage 2 so far: the reference-containment prefilter over
-    /// lazily-converted cell sets, across workers.
-    pub time_prefilter: Duration,
-    /// Acceptance stage 3 so far: the candidate-seeded Def. 1 expression
-    /// match, across workers.
-    pub time_match: Duration,
-    /// Time spent inside the engine's filtered-join kernels so far (hash
-    /// build + probe, or the non-equi cross-loop fallback), across
-    /// workers.
-    pub time_join: Duration,
-    /// Output rows produced by those join kernels so far, across workers.
-    pub join_rows: usize,
-    /// Engine-cache entries dropped by eviction sweeps so far, across
-    /// workers.
-    pub cache_evictions: usize,
-    /// Engine-cache entries demoted (star-channel spill) so far, across
-    /// workers.
-    pub cache_demotions: usize,
-    /// Engine-cache re-evaluations of previously evicted queries so far,
-    /// across workers.
-    pub cache_reevals: usize,
-    /// Time spent on those re-evaluations so far, across workers.
-    pub cache_reeval_time: Duration,
-    /// Approximate resident bytes of the request so far: the shared pool
-    /// and analysis-cache footprint (high-water gauge) plus the workers'
-    /// live engine-cache bytes (charged − released).
-    pub mem_bytes: usize,
-    /// Def. 3 verdicts served from the session-wide analysis cache.
-    /// End-of-run counter: 0 while the search runs, set when it finishes.
-    pub reused_verdicts: usize,
-    /// Memo entries invalidated by this request's warm-edit purge (set
-    /// before the search enters; 0 on cold solves).
-    pub invalidated_verdicts: usize,
-}
-
-impl ProgressSnapshot {
-    fn read(shared: &SharedStats, started: Instant) -> ProgressSnapshot {
-        let ns = |a: &std::sync::atomic::AtomicU64| Duration::from_nanos(a.load(Ordering::Relaxed));
-        ProgressSnapshot {
-            visited: shared.visited.load(Ordering::Relaxed),
-            pruned: shared.pruned.load(Ordering::Relaxed),
-            concrete_checked: shared.concrete_checked.load(Ordering::Relaxed),
-            solutions: shared.solutions.load(Ordering::Relaxed),
-            elapsed: started.elapsed(),
-            time_materialize: ns(&shared.time_materialize_ns),
-            time_prefilter: ns(&shared.time_prefilter_ns),
-            time_match: ns(&shared.time_match_ns),
-            time_join: ns(&shared.time_join_ns),
-            join_rows: shared.join_rows.load(Ordering::Relaxed),
-            cache_evictions: shared.cache_evictions.load(Ordering::Relaxed),
-            cache_demotions: shared.cache_demotions.load(Ordering::Relaxed),
-            cache_reevals: shared.cache_reevals.load(Ordering::Relaxed),
-            cache_reeval_time: ns(&shared.cache_reeval_ns),
-            mem_bytes: {
-                let live = shared
-                    .mem_charged
-                    .load(Ordering::Relaxed)
-                    .saturating_sub(shared.mem_released.load(Ordering::Relaxed));
-                let pooled = shared.mem_pool_bytes.load(Ordering::Relaxed);
-                usize::try_from(pooled.saturating_add(live)).unwrap_or(usize::MAX)
-            },
-            reused_verdicts: shared.reused_verdicts.load(Ordering::Relaxed),
-            invalidated_verdicts: shared.invalidated_verdicts.load(Ordering::Relaxed),
-        }
-    }
-}
 
 /// One event of a [`SolutionStream`].
 #[derive(Debug, Clone)]
@@ -1104,8 +1021,9 @@ impl Session {
         let shared = SharedStats::default();
         if let Some(w) = &warm {
             shared
+                .live
                 .invalidated_verdicts
-                .store(w.invalidated, Ordering::Relaxed);
+                .store(w.invalidated as u64, Ordering::Relaxed);
         }
         let mut result = run_parallel(
             &request.task,
@@ -1159,8 +1077,9 @@ impl Session {
         let shared = Arc::new(SharedStats::default());
         if let Some(w) = &warm {
             shared
+                .live
                 .invalidated_verdicts
-                .store(w.invalidated, Ordering::Relaxed);
+                .store(w.invalidated as u64, Ordering::Relaxed);
         }
         let (tx, rx) = mpsc::channel();
 

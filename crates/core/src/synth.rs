@@ -1,6 +1,7 @@
 //! The abstraction-based enumerative synthesizer (Algorithm 1).
 //!
-//! [`synthesize`] explores the space of analytical SQL queries:
+//! The search behind [`crate::Session`] explores the space of analytical
+//! SQL queries:
 //!
 //! 1. **Skeletons** — operator compositions with every parameter a hole `□`
 //!    are enumerated up to a depth bound ([`construct_skeletons`]), ordered
@@ -19,7 +20,7 @@
 //!    timeout, or when a caller-supplied stop predicate fires.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -36,6 +37,7 @@ use crate::abstract_eval::{abstract_evaluate_rc, demo_ref_sets};
 use crate::ast::{PQuery, Pred, Query};
 use crate::engine::{CachePolicy, CacheStats, EvalCache, Semantics};
 use crate::error::SickleError;
+use crate::stats::{SearchStats, SharedStats};
 
 /// A primary/foreign-key pair declared on the inputs; join predicates are
 /// enumerated from these only (§5.1).
@@ -141,8 +143,8 @@ pub struct SynthConfig {
     /// single equivalent operator, so repeats only duplicate work).
     pub forbid_trivial_repeats: bool,
     /// External cancellation flag: the search stops (reporting a timeout)
-    /// as soon as this is set. Used by [`synthesize_parallel`] workers to
-    /// stop each other once enough solutions are found.
+    /// as soon as this is set. [`crate::Session`] wires a request's
+    /// [`crate::CancelToken`] here.
     pub cancel: Option<Arc<AtomicBool>>,
     /// Eviction policy of each worker's engine [`EvalCache`] (cap,
     /// hysteresis low-water mark, cost-aware victim ordering,
@@ -517,71 +519,6 @@ impl Analyzer for NoPruneAnalyzer {
     }
 }
 
-/// Counters describing a synthesis run (the quantities plotted in
-/// Figs. 12/13).
-#[derive(Debug, Clone, Default)]
-pub struct SearchStats {
-    /// Queries (partial and concrete) taken off the work list.
-    pub visited: usize,
-    /// Partial queries pruned by the analyzer.
-    pub pruned: usize,
-    /// Concrete queries checked against Def. 1.
-    pub concrete_checked: usize,
-    /// Children generated by hole expansion.
-    pub expanded: usize,
-    /// Wall-clock time spent.
-    pub elapsed: Duration,
-    /// Time spent in the analyzer (pruning checks).
-    pub time_analyze: Duration,
-    /// Time spent checking concrete queries against Def. 1 — the sum of
-    /// the three acceptance stages below.
-    pub time_concrete: Duration,
-    /// Acceptance stage 1: evaluating the candidate (values channel, the
-    /// demo-dims fast reject, then the provenance star channel).
-    pub time_materialize: Duration,
-    /// Acceptance stage 2: the reference-containment prefilter (Def. 3 on
-    /// exact provenance) over lazily-converted cell sets.
-    pub time_prefilter: Duration,
-    /// Acceptance stage 3: the candidate-seeded Def. 1 expression match.
-    pub time_match: Duration,
-    /// Time spent expanding holes (domain inference + tree building).
-    pub time_expand: Duration,
-    /// Time spent inside the engine's filtered-join kernels (hash
-    /// build/probe, or the legacy cross loop on non-equi fallback). A
-    /// subset of `time_materialize` when joins are reached from acceptance.
-    pub time_join: Duration,
-    /// Output rows produced by those join kernels — the "rows processed"
-    /// half of the join split (throughput = `join_rows / time_join`).
-    pub join_rows: usize,
-    /// Engine-cache entries dropped entirely by eviction sweeps.
-    pub cache_evictions: usize,
-    /// Engine-cache entries demoted (star-channel spill: derived ref-set
-    /// channels freed, value and star columns kept).
-    pub cache_demotions: usize,
-    /// Engine-cache re-evaluations: inserts that recomputed a previously
-    /// evicted query (the churn the cost-aware policy minimizes).
-    pub cache_reevals: usize,
-    /// Time spent on those re-evaluations (each node's operator step).
-    /// The cost-aware policy re-evaluates cheap entries instead of
-    /// expensive join children, so this drops even when the count holds.
-    pub cache_reeval_time: Duration,
-    /// Approximate resident bytes attributable to the run at its end: the
-    /// shared pool and analysis-cache footprint plus this worker's live
-    /// engine-cache bytes (charged − released). Workers share the pool,
-    /// so the parallel merge takes the max, not the sum.
-    pub mem_bytes: usize,
-    /// Def. 3 verdicts this run served from the session-wide analysis
-    /// cache instead of recomputing (hits delta over the whole run) —
-    /// nonzero on warm reruns and warm edits.
-    pub reused_verdicts: usize,
-    /// Memo entries (verdicts + orphaned column memos) invalidated on
-    /// behalf of this request by a warm edit superseding its prior demo;
-    /// zero on cold solves.
-    pub invalidated_verdicts: usize,
-    /// True when the run hit its timeout or visit budget.
-    pub timed_out: bool,
-}
-
 /// Result of a synthesis run: consistent queries in discovery order
 /// (rank 1 first) plus search statistics.
 ///
@@ -597,135 +534,9 @@ pub struct SynthResult {
     pub stats: SearchStats,
 }
 
-/// Atomic search counters shared across [`synthesize_parallel`] workers:
-/// live aggregate visited/pruned/solution counts that every worker updates
-/// as it goes (per-worker wall-clock numbers are merged at the end), plus
-/// the internal "pool satisfied" flag that winds the other workers down.
-#[derive(Debug, Default)]
-pub struct SharedStats {
-    /// Queries taken off any worker's work list.
-    pub visited: AtomicUsize,
-    /// Partial queries pruned by the analyzer, across workers.
-    pub pruned: AtomicUsize,
-    /// Concrete queries checked against Def. 1, across workers.
-    pub concrete_checked: AtomicUsize,
-    /// Solutions found so far, across workers.
-    pub solutions: AtomicUsize,
-    /// Nanoseconds spent materializing concrete candidates (acceptance
-    /// stage 1), across workers.
-    pub time_materialize_ns: AtomicU64,
-    /// Nanoseconds spent in the reference-containment prefilter
-    /// (acceptance stage 2), across workers.
-    pub time_prefilter_ns: AtomicU64,
-    /// Nanoseconds spent in the seeded Def. 1 match (acceptance stage 3),
-    /// across workers.
-    pub time_match_ns: AtomicU64,
-    /// Nanoseconds spent in the engine's filtered-join kernels, across
-    /// workers.
-    pub time_join_ns: AtomicU64,
-    /// Output rows produced by join kernels, across workers.
-    pub join_rows: AtomicUsize,
-    /// Engine-cache evictions across workers.
-    pub cache_evictions: AtomicUsize,
-    /// Engine-cache demotions (star-channel spills) across workers.
-    pub cache_demotions: AtomicUsize,
-    /// Engine-cache re-evaluations of evicted queries across workers.
-    pub cache_reevals: AtomicUsize,
-    /// Nanoseconds spent re-evaluating evicted queries across workers.
-    pub cache_reeval_ns: AtomicU64,
-    /// Approximate engine-cache bytes charged across workers, cumulative
-    /// (published as unsigned deltas, like the other cache counters).
-    pub mem_charged: AtomicU64,
-    /// Approximate engine-cache bytes released (evictions + demotions)
-    /// across workers, cumulative. Never exceeds `mem_charged`.
-    pub mem_released: AtomicU64,
-    /// Latest observed shared footprint gauge: the set pool plus the
-    /// analysis cache, in bytes (`fetch_max`-maintained — the structures
-    /// are shared across workers, so the latest high-water observation is
-    /// the right aggregate, not a sum).
-    pub mem_pool_bytes: AtomicU64,
-    /// Def. 3 verdicts served from the session-wide analysis cache during
-    /// this run (set once at run end — an end-of-run counter, not live).
-    pub reused_verdicts: AtomicUsize,
-    /// Memo entries invalidated by the warm-edit purge that preceded this
-    /// run (set by the session before the search enters).
-    pub invalidated_verdicts: AtomicUsize,
-    /// Set when the pooled solution count satisfied the target (or a
-    /// worker's stop predicate fired): peers stop without reporting a
-    /// timeout. Distinct from `SynthConfig::cancel`, which is the
-    /// *caller's* abort switch and is reported as a timeout, exactly as
-    /// the sequential search reports it.
-    pub satisfied: AtomicBool,
-}
-
-/// Panic adapter of the deprecated `synthesize*` shims: the session API
-/// returns internal failures as structured [`SickleError`]s, but the
-/// pre-0.3 free functions are infallible by signature — so an error
-/// surfaces as a panic whose payload carries the error's `kind()` tag and
-/// full message, never a bare `expect` string.
-fn expect_search(result: Result<SynthResult, SickleError>) -> SynthResult {
-    result.unwrap_or_else(|e| panic!("synthesis failed [{kind}]: {e}", kind = e.kind()))
-}
-
-/// Runs Algorithm 1 until `N` solutions are found or budgets expire.
-#[deprecated(
-    since = "0.3.0",
-    note = "build a SynthRequest and use Session::solve instead"
-)]
-pub fn synthesize(ctx: &TaskContext, config: &SynthConfig, analyzer: &dyn Analyzer) -> SynthResult {
-    expect_search(run_search(
-        ctx,
-        config,
-        analyzer,
-        construct_skeletons(ctx, config),
-        |_| false,
-        None,
-    ))
-}
-
-/// Runs Algorithm 1, additionally stopping as soon as `stop` accepts a
-/// found solution (used by the evaluation harness, which stops when the
-/// ground-truth query is recovered).
-#[deprecated(
-    since = "0.3.0",
-    note = "build a SynthRequest and use Session::solve_with instead"
-)]
-pub fn synthesize_until(
-    ctx: &TaskContext,
-    config: &SynthConfig,
-    analyzer: &dyn Analyzer,
-    stop: impl FnMut(&Query) -> bool,
-) -> SynthResult {
-    expect_search(run_search(
-        ctx,
-        config,
-        analyzer,
-        construct_skeletons(ctx, config),
-        stop,
-        None,
-    ))
-}
-
-/// Runs the search from an explicit work list of seed (partial) queries
-/// instead of the full skeleton enumeration. Used by tests, ablations and
-/// diagnostics.
-#[deprecated(
-    since = "0.3.0",
-    note = "use Session::solve with SynthRequest::with_seeds, or run_search via the session API"
-)]
-pub fn synthesize_seeded(
-    ctx: &TaskContext,
-    config: &SynthConfig,
-    analyzer: &dyn Analyzer,
-    seeds: Vec<PQuery>,
-    stop: impl FnMut(&Query) -> bool,
-) -> SynthResult {
-    expect_search(run_search(ctx, config, analyzer, seeds, stop, None))
-}
-
-/// The sequential search engine room behind [`crate::Session`] and the
-/// deprecated free functions: runs the work list to completion, with
-/// optional live counters shared across parallel workers.
+/// The sequential search engine room behind [`crate::Session`]: runs the
+/// work list to completion, publishing live counters to `shared` (one per
+/// request, shared by its parallel workers).
 ///
 /// # Errors
 ///
@@ -740,7 +551,7 @@ pub(crate) fn run_search(
     analyzer: &dyn Analyzer,
     seeds: Vec<PQuery>,
     mut stop: impl FnMut(&Query) -> bool,
-    shared: Option<&SharedStats>,
+    shared: &SharedStats,
 ) -> Result<SynthResult, SickleError> {
     let started = Instant::now();
     let mut stats = SearchStats::default();
@@ -748,15 +559,9 @@ pub(crate) fn run_search(
     let mut work: VecDeque<PQuery> = seeds.into();
     // pop_back consumes from the end: reverse so smaller skeletons run first.
     work.make_contiguous().reverse();
-    let bump = |counter: fn(&SharedStats) -> &AtomicUsize| {
-        if let Some(s) = shared {
-            counter(s).fetch_add(1, Ordering::Relaxed);
-        }
-    };
-    let bump_time = |counter: fn(&SharedStats) -> &AtomicU64, d: Duration| {
-        if let Some(s) = shared {
-            counter(s).fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-        }
+    let live = &shared.live;
+    let bump_time = |counter: &AtomicU64, d: Duration| {
+        counter.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     };
     // Engine-cache churn counters: the cache is thread-local, so its
     // totals are published to the shared live counters as deltas (once
@@ -768,29 +573,20 @@ pub(crate) fn run_search(
         if now == *seen {
             return; // happy path: no sweep since last sync, no atomics
         }
-        if let Some(s) = shared {
-            s.cache_evictions
-                .fetch_add(now.evictions - seen.evictions, Ordering::Relaxed);
-            s.cache_demotions
-                .fetch_add(now.demotions - seen.demotions, Ordering::Relaxed);
-            s.cache_reevals
-                .fetch_add(now.reevals - seen.reevals, Ordering::Relaxed);
-            s.cache_reeval_ns
-                .fetch_add(now.reeval_ns - seen.reeval_ns, Ordering::Relaxed);
-            s.time_join_ns
-                .fetch_add(now.join_ns - seen.join_ns, Ordering::Relaxed);
-            s.join_rows
-                .fetch_add((now.join_rows - seen.join_rows) as usize, Ordering::Relaxed);
-            s.mem_charged
-                .fetch_add(now.mem_charged - seen.mem_charged, Ordering::Relaxed);
-            s.mem_released
-                .fetch_add(now.mem_released - seen.mem_released, Ordering::Relaxed);
-            // The shared-footprint gauge rides the same slow path: it
-            // only moves when the engine cache churned, which is exactly
-            // when the pool was growing too.
-            let pool_bytes = (ctx.pool().approx_bytes() + ctx.analysis.approx_bytes()) as u64;
-            s.mem_pool_bytes.fetch_max(pool_bytes, Ordering::Relaxed);
-        }
+        live.add(&cache_delta(&now, seen));
+        shared
+            .mem_charged
+            .fetch_add(now.mem_charged - seen.mem_charged, Ordering::Relaxed);
+        shared
+            .mem_released
+            .fetch_add(now.mem_released - seen.mem_released, Ordering::Relaxed);
+        // The shared-footprint gauge rides the same slow path: it only
+        // moves when the engine cache churned, which is exactly when the
+        // pool was growing too.
+        let pool_bytes = (ctx.pool().approx_bytes() + ctx.analysis.approx_bytes()) as u64;
+        shared
+            .mem_pool_bytes
+            .fetch_max(pool_bytes, Ordering::Relaxed);
         *seen = now;
     };
 
@@ -818,23 +614,21 @@ pub(crate) fn run_search(
                 break;
             }
         }
-        if let Some(s) = shared {
-            // Another worker satisfied the pooled solution target (or its
-            // stop predicate): stop quietly — this is a successful finish,
-            // not a budget expiry.
-            if s.satisfied.load(Ordering::Relaxed)
-                || s.solutions.load(Ordering::Relaxed) >= config.max_solutions
-            {
-                break;
-            }
+        // Another worker satisfied the pooled solution target (or its stop
+        // predicate): stop quietly — this is a successful finish, not a
+        // budget expiry.
+        if shared.satisfied.load(Ordering::Relaxed)
+            || shared.solutions.load(Ordering::Relaxed) >= config.max_solutions
+        {
+            break;
         }
         stats.visited += 1;
-        bump(|s| &s.visited);
+        live.visited.fetch_add(1, Ordering::Relaxed);
         sync_cache(&mut cache_seen);
 
         if pq.is_concrete() {
             stats.concrete_checked += 1;
-            bump(|s| &s.concrete_checked);
+            live.concrete_checked.fetch_add(1, Ordering::Relaxed);
             let (demo_rows, demo_cols) = (ctx.demo_refs.n_rows(), ctx.demo_refs.n_cols());
 
             // Demo-dims fast reject, part 1 (free): a candidate whose
@@ -931,7 +725,7 @@ pub(crate) fn run_search(
             let d_mat = t0.elapsed();
             stats.time_materialize += d_mat;
             stats.time_concrete += d_mat;
-            bump_time(|s| &s.time_materialize_ns, d_mat);
+            bump_time(&live.time_materialize, d_mat);
             let Some(exec) = exec else { continue };
             let Some(star) = exec.try_star() else {
                 return Err(SickleError::Internal {
@@ -985,7 +779,7 @@ pub(crate) fn run_search(
             let d_pre = t1.elapsed();
             stats.time_prefilter += d_pre;
             stats.time_concrete += d_pre;
-            bump_time(|s| &s.time_prefilter_ns, d_pre);
+            bump_time(&live.time_prefilter, d_pre);
             if !found {
                 continue;
             }
@@ -1008,11 +802,11 @@ pub(crate) fn run_search(
             let d_match = t2.elapsed();
             stats.time_match += d_match;
             stats.time_concrete += d_match;
-            bump_time(|s| &s.time_match_ns, d_match);
+            bump_time(&live.time_match, d_match);
             if consistent {
                 let done = stop(&q);
                 solutions.push(q);
-                bump(|s| &s.solutions);
+                shared.solutions.fetch_add(1, Ordering::Relaxed);
                 if done || solutions.len() >= config.max_solutions {
                     break 'search;
                 }
@@ -1025,7 +819,7 @@ pub(crate) fn run_search(
         stats.time_analyze += t0.elapsed();
         if !feasible {
             stats.pruned += 1;
-            bump(|s| &s.pruned);
+            live.pruned.fetch_add(1, Ordering::Relaxed);
             continue;
         }
 
@@ -1038,12 +832,7 @@ pub(crate) fn run_search(
 
     stats.elapsed = started.elapsed();
     sync_cache(&mut cache_seen);
-    stats.cache_evictions = cache_seen.evictions - cache_base.evictions;
-    stats.cache_demotions = cache_seen.demotions - cache_base.demotions;
-    stats.cache_reevals = cache_seen.reevals - cache_base.reevals;
-    stats.cache_reeval_time = Duration::from_nanos(cache_seen.reeval_ns - cache_base.reeval_ns);
-    stats.time_join = Duration::from_nanos(cache_seen.join_ns - cache_base.join_ns);
-    stats.join_rows = (cache_seen.join_rows - cache_base.join_rows) as usize;
+    stats.merge(&cache_delta(&cache_seen, &cache_base));
     // Resident bytes at run end: shared structures (pool + analysis
     // memos) plus this worker's live engine-cache footprint. The cache
     // is fresh per request, so its lifetime charges/releases are exactly
@@ -1054,72 +843,47 @@ pub(crate) fn run_search(
     stats.mem_bytes = ctx.pool().approx_bytes()
         + ctx.analysis.approx_bytes()
         + usize::try_from(cache_live).unwrap_or(usize::MAX);
-    if let Some(s) = shared {
-        s.mem_pool_bytes.fetch_max(
-            (ctx.pool().approx_bytes() + ctx.analysis.approx_bytes()) as u64,
-            Ordering::Relaxed,
-        );
-    }
+    shared.mem_pool_bytes.fetch_max(
+        (ctx.pool().approx_bytes() + ctx.analysis.approx_bytes()) as u64,
+        Ordering::Relaxed,
+    );
     // Rank by query size (stable: discovery order breaks ties), matching
     // the paper's size-based ranking of consistent queries.
     solutions.sort_by_key(Query::size);
     Ok(SynthResult { solutions, stats })
 }
 
-/// Runs Algorithm 1 with top-level skeleton expansion parallelized across
-/// `workers` OS threads.
-///
-/// The size-ordered skeleton list is dealt round-robin to the workers, so
-/// every thread starts on small skeletons. Each worker owns a private
-/// [`TaskContext`] (engine evaluation caches are thread-local by design —
-/// the engine's `Rc`-shared tables are not `Sync`), but all contexts share
-/// one [`RefSetPool`] and one [`AnalysisCache`]: interned set ids are
-/// exchangeable across threads and a consistency verdict computed by one
-/// worker prunes the same abstract table everywhere. All workers update
-/// one [`SharedStats`] (live pruned/visited counts) and watch one
-/// cancellation flag: as soon as the pooled solution count reaches
-/// `config.max_solutions` (or any worker's `stop` fires), everyone winds
-/// down.
-///
-/// Merged results are ranked by query size exactly as the sequential
-/// search ranks them.
-#[deprecated(
-    since = "0.3.0",
-    note = "build a SynthRequest (with workers) and use Session::solve or Session::submit instead"
-)]
-pub fn synthesize_parallel(
-    task: &SynthTask,
-    config: &SynthConfig,
-    make_analyzer: impl Fn() -> Box<dyn Analyzer> + Sync,
-    workers: usize,
-    stop: impl Fn(&Query) -> bool + Sync,
-) -> SynthResult {
-    // One pool + one analysis cache for the whole run: ids interned by any
-    // worker resolve identically everywhere, and consistency verdicts
-    // computed on one thread serve the others (both structures are
-    // sharded internally — no global mutex on the hot path).
-    let pool = Arc::new(RefSetPool::new());
-    let analysis = Arc::new(AnalysisCache::new());
-    let shared = SharedStats::default();
-    expect_search(run_parallel(
-        task,
-        config,
-        &make_analyzer,
-        workers,
-        &stop,
-        pool,
-        analysis,
-        &shared,
-        None,
-    ))
+/// The search counters an engine-cache counter delta accounts for: the one
+/// place the engine's [`CacheStats`] map onto [`SearchStats`].
+fn cache_delta(now: &CacheStats, base: &CacheStats) -> SearchStats {
+    SearchStats {
+        time_join: Duration::from_nanos(now.join_ns - base.join_ns),
+        join_rows: (now.join_rows - base.join_rows) as usize,
+        cache_evictions: now.evictions - base.evictions,
+        cache_demotions: now.demotions - base.demotions,
+        cache_reevals: now.reevals - base.reevals,
+        cache_reeval_time: Duration::from_nanos(now.reeval_ns - base.reeval_ns),
+        ..SearchStats::default()
+    }
 }
 
 /// The engine room behind [`crate::Session::solve`] /
-/// [`crate::Session::submit`] and the deprecated [`synthesize_parallel`]:
-/// the skeleton-sharded parallel search, with the warm state (`pool`,
-/// `analysis`) and the live counters (`shared`) supplied by the caller so
-/// they can outlive — and be observed during — the run. `seeds` overrides
-/// the skeleton enumeration when supplied.
+/// [`crate::Session::submit`]: the skeleton-sharded parallel search, with
+/// the warm state (`pool`, `analysis`) and the live counters (`shared`)
+/// supplied by the caller so they can outlive — and be observed during —
+/// the run. `seeds` overrides the skeleton enumeration when supplied.
+///
+/// The size-ordered skeleton list is dealt round-robin to the `workers`
+/// OS threads, so every thread starts on small skeletons. Each worker
+/// owns a private [`TaskContext`] (engine evaluation caches are
+/// thread-local by design — the engine's `Rc`-shared tables are not
+/// `Sync`), but all contexts share one [`RefSetPool`] and one
+/// [`AnalysisCache`]: interned set ids are exchangeable across threads and
+/// a consistency verdict computed by one worker prunes the same abstract
+/// table everywhere. As soon as the pooled solution count reaches
+/// `config.max_solutions` (or any worker's `stop` fires), everyone winds
+/// down. Merged results are ranked by query size exactly as the
+/// sequential search ranks them.
 ///
 /// # Errors
 ///
@@ -1145,7 +909,10 @@ pub(crate) fn run_parallel(
     let publish_reuse = |stats: &mut SearchStats| {
         let reused = analysis.stats().hits.saturating_sub(hits_base);
         stats.reused_verdicts = reused;
-        shared.reused_verdicts.fetch_add(reused, Ordering::Relaxed);
+        shared
+            .live
+            .reused_verdicts
+            .fetch_add(reused as u64, Ordering::Relaxed);
     };
     let seed_ctx = TaskContext::with_shared_policy(
         task.clone(),
@@ -1161,7 +928,7 @@ pub(crate) fn run_parallel(
             make_analyzer().as_ref(),
             skeletons,
             |q| stop(q),
-            Some(shared),
+            shared,
         )?;
         result.solutions.sort_by_key(Query::size);
         publish_reuse(&mut result.stats);
@@ -1206,7 +973,7 @@ pub(crate) fn run_parallel(
                                 false
                             }
                         },
-                        Some(shared),
+                        shared,
                     )
                 })
             })
@@ -1230,26 +997,7 @@ pub(crate) fn run_parallel(
                 merged.solutions.push(q);
             }
         }
-        merged.stats.visited += r.stats.visited;
-        merged.stats.pruned += r.stats.pruned;
-        merged.stats.concrete_checked += r.stats.concrete_checked;
-        merged.stats.expanded += r.stats.expanded;
-        merged.stats.elapsed = merged.stats.elapsed.max(r.stats.elapsed);
-        merged.stats.time_analyze += r.stats.time_analyze;
-        merged.stats.time_concrete += r.stats.time_concrete;
-        merged.stats.time_materialize += r.stats.time_materialize;
-        merged.stats.time_prefilter += r.stats.time_prefilter;
-        merged.stats.time_match += r.stats.time_match;
-        merged.stats.time_expand += r.stats.time_expand;
-        merged.stats.time_join += r.stats.time_join;
-        merged.stats.join_rows += r.stats.join_rows;
-        merged.stats.cache_evictions += r.stats.cache_evictions;
-        merged.stats.cache_demotions += r.stats.cache_demotions;
-        merged.stats.cache_reevals += r.stats.cache_reevals;
-        merged.stats.cache_reeval_time += r.stats.cache_reeval_time;
-        // Workers share the pool and analysis cache (the dominant term),
-        // so the run's footprint is the max observation, not the sum.
-        merged.stats.mem_bytes = merged.stats.mem_bytes.max(r.stats.mem_bytes);
+        merged.stats.merge(&r.stats);
         // Workers stopped by pool satisfaction break quietly (no timeout
         // flag); a budget expiry racing the winning worker is still not a
         // timeout for the run as a whole. External cancellation
@@ -1898,10 +1646,22 @@ fn join_pred_domain(left: &PQuery, right: &PQuery, ctx: &TaskContext) -> Vec<Pre
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the shims stay covered until removal
-
     use super::*;
     use sickle_provenance::Demo;
+
+    /// Algorithm 1 over the full skeleton list, sequentially.
+    fn search(ctx: &TaskContext, config: &SynthConfig, analyzer: &dyn Analyzer) -> SynthResult {
+        let seeds = construct_skeletons(ctx, config);
+        run_search(
+            ctx,
+            config,
+            analyzer,
+            seeds,
+            |_| false,
+            &SharedStats::default(),
+        )
+        .expect("search runs")
+    }
 
     fn enrollment() -> Table {
         Table::new(
@@ -2101,7 +1861,7 @@ mod tests {
             max_solutions: 5,
             ..SynthConfig::default()
         };
-        let res = synthesize(&ctx, &config, &ProvenanceAnalyzer);
+        let res = search(&ctx, &config, &ProvenanceAnalyzer);
         assert!(!res.solutions.is_empty(), "stats: {:?}", res.stats);
         // The first solution must be a group-by containing City with sum(Enrolled).
         let q = &res.solutions[0];
@@ -2125,7 +1885,7 @@ mod tests {
             timeout: Some(Duration::from_secs(120)),
             ..SynthConfig::default()
         };
-        let res = synthesize(&ctx, &config, &ProvenanceAnalyzer);
+        let res = search(&ctx, &config, &ProvenanceAnalyzer);
         assert!(
             !res.solutions.is_empty(),
             "no solution; stats {:?}",
@@ -2148,8 +1908,8 @@ mod tests {
             max_visited: Some(200_000),
             ..SynthConfig::default()
         };
-        let with = synthesize(&ctx, &config, &ProvenanceAnalyzer);
-        let without = synthesize(&ctx, &config, &NoPruneAnalyzer);
+        let with = search(&ctx, &config, &ProvenanceAnalyzer);
+        let without = search(&ctx, &config, &NoPruneAnalyzer);
         // Neither finds a depth-2 solution; pruning must visit far fewer.
         assert!(with.solutions.is_empty());
         assert!(
@@ -2184,27 +1944,6 @@ mod tests {
     }
 
     #[test]
-    fn shim_panic_payload_carries_error_kind_and_message() {
-        // The deprecated shims are infallible by signature; an internal
-        // error must surface as a panic whose payload includes the
-        // structured error's kind() tag and message, not a bare expect.
-        let err = std::panic::catch_unwind(|| {
-            expect_search(Err(SickleError::Internal {
-                message: "candidate reported concrete but failed to convert".to_string(),
-            }))
-        })
-        .expect_err("expect_search must panic on Err");
-        let msg = err
-            .downcast_ref::<String>()
-            .expect("panic payload must be a formatted String");
-        assert!(msg.contains("[internal]"), "missing kind tag: {msg}");
-        assert!(
-            msg.contains("candidate reported concrete but failed to convert"),
-            "missing error message: {msg}"
-        );
-    }
-
-    #[test]
     fn cache_policy_threads_through_the_search() {
         let ctx = TaskContext::with_policy(
             SynthTask::new(
@@ -2223,7 +1962,7 @@ mod tests {
             max_solutions: 1,
             ..SynthConfig::default()
         };
-        let res = synthesize(&ctx, &config, &ProvenanceAnalyzer);
+        let res = search(&ctx, &config, &ProvenanceAnalyzer);
         assert!(!res.solutions.is_empty());
         // A cap this small must have swept and re-evaluated something.
         let cs = ctx.eval_cache.cache_stats();

@@ -115,7 +115,7 @@ fn stream_cancellation_keeps_streamed_solutions() {
         );
     }
     let progress = stream.progress();
-    assert!(progress.visited > 0);
+    assert!(progress.stats.visited > 0);
     assert!(progress.solutions >= streamed.len());
 }
 
@@ -205,24 +205,4 @@ fn warm_session_rerun_is_byte_identical_to_cold_run() {
             "memory accounting reported zero bytes on benchmark {id}"
         );
     }
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_shims_agree_with_session_api() {
-    use sickle_core::{synthesize, ProvenanceAnalyzer, TaskContext};
-    let request = oracle_request(1, 5_000);
-    let via_session = Session::new().solve(&request).expect("request validates");
-
-    let suite = all_benchmarks();
-    let (task, _) = suite[0].task(2022).expect("demo generates");
-    let config = suite[0]
-        .config()
-        .with_timeout(None)
-        .with_max_visited(Some(5_000))
-        .with_max_solutions(10);
-    let ctx = TaskContext::new(task);
-    let via_shim = synthesize(&ctx, &config, &ProvenanceAnalyzer);
-
-    assert_eq!(oracle_render(&via_session), oracle_render(&via_shim));
 }
