@@ -56,8 +56,7 @@ fn main() {
                 Budget::unbounded()
                     .with_max_visited(Some(budget))
                     .with_max_solutions(10),
-            )
-            .with_cache_policy(hc.cache);
+            );
         let res = match session.solve(&request) {
             Ok(res) => res,
             Err(e) => {

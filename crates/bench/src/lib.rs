@@ -31,10 +31,10 @@
 //! seed-addressed candidate tasks, admits only the solvable and
 //! unambiguous ones, freezes them as versioned CSV/JSON bundles and runs
 //! arbitrary corpus slices through the wire path (module docs in
-//! [`corpus`], CSV codec in [`csv`]). `sickle-edit` benchmarks
-//! incremental re-synthesis: scripted demonstration edits solved cold
-//! versus as warm edits over a retained prior, emitting
-//! `BENCH_edit.json` (module docs in [`edit`]).
+//! [`corpus`], CSV codec in [`csv`]). A request that edits an earlier
+//! one names it as its `"prior"`; the server runs the edit on the pooled
+//! session that served the named request, whose analysis cache holds
+//! the verdicts the edit can reuse.
 //!
 //! Environment knobs: `SICKLE_TIMEOUT_SECS` (per-run timeout, default 15),
 //! `SICKLE_MAX_VISITED` (visit budget, default 1,000,000), `SICKLE_SEED`
@@ -45,7 +45,6 @@
 
 pub mod corpus;
 pub mod csv;
-pub mod edit;
 pub mod effort;
 pub mod json;
 pub mod runner;
@@ -58,7 +57,6 @@ pub use corpus::{
     RunOutcome, TableFormat, TaskBundle,
 };
 pub use csv::{parse_table as parse_csv_table, render_table as render_csv_table, CsvError};
-pub use edit::{edit_results_json, run_edit_scenario, EditRecord, EditResults};
 pub use json::{Json, JsonError};
 pub use runner::{
     benchmark_request, render_fig12, render_fig13, render_obs1, render_ranking, run_one,

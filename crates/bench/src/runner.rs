@@ -6,8 +6,8 @@ use std::time::Duration;
 use sickle_baselines::{TypeAnalyzer, ValueAnalyzer};
 use sickle_benchmarks::{all_benchmarks, Benchmark, Category};
 use sickle_core::{
-    Analyzer, AnalyzerChoice, Budget, CachePolicy, Query, SearchStats, Session, SickleError,
-    SynthRequest, SynthResult, Unit,
+    Analyzer, AnalyzerChoice, Budget, Query, SearchStats, Session, SickleError, SynthRequest,
+    SynthResult, Unit,
 };
 
 use crate::json::Json;
@@ -137,25 +137,13 @@ pub struct HarnessConfig {
     pub only: Vec<usize>,
     /// Worker threads for skeleton expansion (1 = sequential search).
     pub workers: usize,
-    /// Engine-cache eviction policy for every run (A/B runs switch it
-    /// with `SICKLE_CACHE_POLICY=legacy`).
-    pub cache: CachePolicy,
 }
 
 impl HarnessConfig {
     /// Reads `SICKLE_TIMEOUT_SECS`, `SICKLE_MAX_VISITED`, `SICKLE_SEED`,
-    /// `SICKLE_ONLY`, `SICKLE_WORKERS`, `SICKLE_CACHE_POLICY`
-    /// (`cost-aware` (default) | `legacy`), `SICKLE_CACHE_CAP` with the
-    /// documented defaults.
+    /// `SICKLE_ONLY` and `SICKLE_WORKERS` with the documented defaults.
     pub fn from_env() -> HarnessConfig {
         let get = |k: &str| std::env::var(k).ok();
-        let mut cache = match get("SICKLE_CACHE_POLICY").as_deref() {
-            Some("legacy") => CachePolicy::legacy(),
-            _ => CachePolicy::default(),
-        };
-        if let Some(cap) = get("SICKLE_CACHE_CAP").and_then(|v| v.parse().ok()) {
-            cache = cache.with_cap(cap);
-        }
         HarnessConfig {
             timeout: Duration::from_secs(
                 get("SICKLE_TIMEOUT_SECS")
@@ -175,24 +163,17 @@ impl HarnessConfig {
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(1)
                 .max(1),
-            cache,
         }
     }
 
     /// One-line render of the knobs, for run banners.
     pub fn banner(&self) -> String {
         format!(
-            "timeout={}s max_visited={} seed={} workers={} cache={}/cap={}{}",
+            "timeout={}s max_visited={} seed={} workers={}{}",
             self.timeout.as_secs(),
             self.max_visited,
             self.seed,
             self.workers,
-            if self.cache.cost_aware {
-                "cost-aware"
-            } else {
-                "legacy"
-            },
-            self.cache.cap,
             if self.only.is_empty() {
                 String::new()
             } else {
@@ -230,8 +211,7 @@ pub fn benchmark_request(
                 .with_max_solutions(10),
         )
         .with_analyzer(technique.choice())
-        .with_workers(hc.workers)
-        .with_cache_policy(hc.cache))
+        .with_workers(hc.workers))
 }
 
 /// Runs one benchmark with one technique on a cold session; the search
@@ -354,18 +334,11 @@ use crate::json::escape as json_escape;
 pub fn suite_results_json(res: &SuiteResults, hc: &HarnessConfig) -> String {
     let mut out = String::from("{\n  \"schema\": \"sickle-bench/synthesis/v1\",\n");
     out.push_str(&format!(
-        "  \"config\": {{\"timeout_secs\": {}, \"max_visited\": {}, \"seed\": {}, \"workers\": {}, \
-         \"cache_policy\": \"{}\", \"cache_cap\": {}}},\n",
+        "  \"config\": {{\"timeout_secs\": {}, \"max_visited\": {}, \"seed\": {}, \"workers\": {}}},\n",
         hc.timeout.as_secs(),
         hc.max_visited,
         hc.seed,
-        hc.workers,
-        if hc.cache.cost_aware {
-            "cost-aware"
-        } else {
-            "legacy"
-        },
-        hc.cache.cap
+        hc.workers
     ));
     out.push_str("  \"records\": [\n");
     for (i, r) in res.records.iter().enumerate() {
@@ -622,7 +595,6 @@ mod tests {
             seed: 2022,
             only: vec![],
             workers: 1,
-            cache: CachePolicy::default(),
         };
         let res = SuiteResults {
             records: vec![
@@ -651,7 +623,6 @@ mod tests {
                         cache_reeval_time: Duration::from_millis(2),
                         mem_bytes: 123_456,
                         reused_verdicts: 17,
-                        invalidated_verdicts: 4,
                         ..SearchStats::default()
                     },
                 },
@@ -684,9 +655,7 @@ mod tests {
         assert!(json.contains("\"cache_reevals\": 5"));
         assert!(json.contains("\"cache_reeval_s\": 0.002000"));
         assert!(json.contains("\"reused_verdicts\": 17"));
-        assert!(json.contains("\"invalidated_verdicts\": 4"));
         assert!(json.contains("\"mem_bytes\": 123456"));
-        assert!(json.contains("\"cache_policy\": \"cost-aware\""));
         assert!(json.contains("\"rank\": null"));
         assert!(json.contains("\"technique\": \"type-abs\""));
         // Balanced braces/brackets (cheap well-formedness probe: the
@@ -730,7 +699,6 @@ mod tests {
             seed: 2022,
             only: vec![],
             workers: 1,
-            cache: CachePolicy::default(),
         };
         let doc = suite_results_json(
             &SuiteResults {
@@ -776,7 +744,6 @@ mod tests {
             seed: 2022,
             only: vec![],
             workers: 1,
-            cache: CachePolicy::default(),
         };
         for t in Technique::ALL {
             let rec = run_one(b, t, &hc).expect("benchmark 1 runs");
@@ -796,7 +763,6 @@ mod tests {
             seed: 2022,
             only: vec![],
             workers: 1,
-            cache: CachePolicy::default(),
         };
         let prov = run_one(b, Technique::Provenance, &hc).expect("runs");
         let ty = run_one(b, Technique::TypeAbs, &hc).expect("runs");

@@ -674,29 +674,18 @@ impl TokenRegistry {
     }
 }
 
-/// Where a retained request's solutions live: the pooled session that
-/// holds them and the demo fingerprint they are keyed under. The wire
-/// `"prior"` field resolves to one of these.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PriorRoute {
-    /// Session-pool key of the warm session retaining the solutions.
-    /// Stable across a whole edit chain, so every edit reuses the same
-    /// analysis cache no matter how the demo fingerprint drifts.
-    session_key: u64,
-    /// The retained demo's fingerprint (the session-level retention key).
-    demo_fp: u64,
-}
-
-/// Retained-request ids a client may name as `"prior"`. Bounded FIFO so
-/// abandoned chains cannot grow the map; entries are also consumed when
-/// superseded by the next edit in their chain. Keys are the rendered
+/// Retained-request ids a client may name as `"prior"`, each mapped to
+/// the session-pool key of the session that served it. An edit naming
+/// the id runs on that session, so a whole edit chain shares one
+/// analysis cache no matter how the demo fingerprint drifts. Bounded
+/// FIFO so abandoned chains cannot grow the map. Keys are the rendered
 /// request ids (any JSON value renders to a stable string).
 struct PriorRegistry {
-    entries: Mutex<Vec<(String, PriorRoute)>>,
+    entries: Mutex<Vec<(String, u64)>>,
 }
 
 /// Upper bound on registered prior ids: each entry is a short string +
-/// 16 bytes, so 256 bounds the registry to a few KiB while comfortably
+/// 8 bytes, so 256 bounds the registry to a few KiB while comfortably
 /// covering every concurrently-live edit chain.
 const MAX_PRIOR_IDS: usize = 256;
 
@@ -707,33 +696,28 @@ impl PriorRegistry {
         }
     }
 
-    /// Looks up a prior id without consuming it (a failed edit may be
-    /// retried against the same prior).
-    fn resolve(&self, id: &str) -> Option<PriorRoute> {
+    /// The session key a prior id routes to.
+    fn resolve(&self, id: &str) -> Option<u64> {
         let entries = self.entries.lock().expect("prior lock");
-        entries.iter().find(|(k, _)| k == id).map(|(_, r)| *r)
+        entries.iter().find(|(k, _)| k == id).map(|&(_, key)| key)
     }
 
-    /// Records a finished retained request, consuming the prior id it
-    /// superseded (its retained state was purged by the session).
-    fn record(&self, superseded: Option<&str>, id: String, route: PriorRoute) {
+    /// Records a finished retained request as nameable.
+    fn record(&self, id: String, session_key: u64) {
         let mut entries = self.entries.lock().expect("prior lock");
-        if let Some(old) = superseded {
-            entries.retain(|(k, _)| k != old);
-        }
         entries.retain(|(k, _)| *k != id);
         if entries.len() >= MAX_PRIOR_IDS {
             entries.remove(0);
         }
-        entries.push((id, route));
+        entries.push((id, session_key));
     }
 }
 
 /// Memory-pressure levels of the watermark ladder (see
 /// [`Shared::update_pressure`]).
 pub const PRESSURE_OK: usize = 0;
-/// Soft watermark: new searches run with a degraded (retention/spill,
-/// shrunk-cap) engine-cache policy. Answers are unchanged — only the
+/// Soft watermark: new searches run with a degraded (shrunk-cap,
+/// high-low-water) engine-cache policy. Answers are unchanged — only the
 /// speed/memory trade-off moves.
 pub const PRESSURE_SOFT: usize = 1;
 /// Hard watermark: in-flight searches are canceled and answered with a
@@ -948,9 +932,9 @@ fn serve_line_inner(
         Some(FaultKind::Oom) | Some(FaultKind::SlowWrite(_)) | None => {}
     }
 
-    // Warm-edit plumbing: a retained request must be nameable (its id is
-    // the registry key), and a "prior" id must resolve before any work
-    // is admitted. Resolution touches the chain's session in the pool so
+    // Edit routing: a retained request must be nameable (its id is the
+    // registry key), and a "prior" id must resolve before any work is
+    // admitted. Resolution touches the chain's session in the pool so
     // unrelated requests admitted between two edits of one chain cannot
     // make the actively-edited session the LRU victim.
     if wire.request.retain && matches!(wire.id, Json::Null) {
@@ -964,15 +948,15 @@ fn serve_line_inner(
         Some(prior_id) => {
             let key = prior_id.render();
             match shared.priors.resolve(&key) {
-                Some(route) => {
-                    shared.sessions.touch(route.session_key);
-                    *prior_note = Some(key.clone());
-                    Some((key, route))
+                Some(session_key) => {
+                    shared.sessions.touch(session_key);
+                    *prior_note = Some(key);
+                    Some(session_key)
                 }
                 None => {
                     let e = SickleError::invalid(format!(
                         "unknown prior: no retained request with id {key} \
-                         (it may have been superseded or evicted)"
+                         (it may have been evicted from the id registry)"
                     ));
                     let _ = write_line(out, &error_response(&wire.id, &e));
                     shared.served.fetch_add(1, Ordering::Relaxed);
@@ -1056,25 +1040,19 @@ fn resource_exhausted_error(shared: &Shared, forced: bool) -> SickleError {
 fn run_admitted(
     shared: &Shared,
     wire: &WireRequest,
-    prior: Option<(String, PriorRoute)>,
+    prior: Option<u64>,
     out: &mut dyn Write,
     hangup: &mut dyn FnMut() -> bool,
 ) -> Outcome {
     let t0 = Instant::now();
     let mut request = wire.request.clone();
     // An edit rides its chain's session (same analysis cache across the
-    // whole chain); everything else routes by demo family as before.
-    let session_key = match &prior {
-        Some((_, route)) => {
-            request = request.with_prior(route.demo_fp);
-            route.session_key
-        }
-        None => demo_fingerprint(&request.task),
-    };
+    // whole chain); everything else routes by demo family.
+    let session_key = prior.unwrap_or_else(|| demo_fingerprint(&request.task));
     let cancel = request.cancel.get_or_insert_with(CancelToken::new).clone();
 
     // Soft watermark: degrade the engine-cache policy before the search
-    // starts — retention/spill mode with a shrunk cap trades recompute
+    // starts — a shrunk cap with a high low-water mark trades recompute
     // time for memory. Answers are unchanged by construction (the cache
     // is a pure memoization layer), so pressured runs stay byte-identical.
     if shared.update_pressure() >= PRESSURE_SOFT {
@@ -1083,11 +1061,9 @@ fn run_admitted(
             .search
             .cache
             .with_cap(cap)
-            .with_low_water(cap.saturating_mul(3) / 4)
-            .with_cost_aware(true)
-            .with_spill(true);
+            .with_low_water(cap.saturating_mul(3) / 4);
         log(format_args!(
-            "soft watermark: engine cache degraded to retention/spill mode (cap {cap})"
+            "soft watermark: engine cache degraded (cap {cap})"
         ));
     }
 
@@ -1231,17 +1207,8 @@ fn run_admitted(
                     };
                 }
                 if wire.request.retain {
-                    // The session retained this result; make its id
-                    // nameable as the next edit's "prior" and consume
-                    // the id it superseded (that retained state is gone).
-                    shared.priors.record(
-                        prior.as_ref().map(|(k, _)| k.as_str()),
-                        wire.id.render(),
-                        PriorRoute {
-                            session_key,
-                            demo_fp: demo_fingerprint(&wire.request.task),
-                        },
-                    );
+                    // Make this id nameable as a later edit's "prior".
+                    shared.priors.record(wire.id.render(), session_key);
                 }
                 match shared.faults.fire("response") {
                     Some(FaultKind::Panic) => panic!("injected fault: panic@response"),
@@ -1774,7 +1741,7 @@ mod tests {
         assert_eq!(note.as_deref(), Some("\"e1\""), "log line notes the prior");
 
         // Byte-identical to a cold solve of the edited demo on a fresh
-        // server (warm-edit reuse is a pure speedup, never an answer
+        // server (session reuse is a pure speedup, never an answer
         // change).
         let cold_shared = Shared::new(ServerConfig::default(), Faults::none());
         let cold = answer(
@@ -1787,20 +1754,18 @@ mod tests {
             cold.get("solutions").map(Json::render)
         );
 
-        // r1 was superseded by e2; only the chain head stays nameable.
-        let stale = answer(
+        // e1 stays nameable after e2: a chain may branch from any
+        // retained request, and the branch answers like the cold solve.
+        let branch = answer(
             &shared,
             &edited.replace(r#""id": "e2""#, r#""id": "e3""#),
             &mut None,
         );
         assert_eq!(
-            stale
-                .get("error")
-                .and_then(|e| e.get("kind"))
-                .and_then(Json::as_str),
-            Some("invalid_request"),
+            branch.get("solutions").map(Json::render),
+            cold.get("solutions").map(Json::render),
             "{}",
-            stale.render()
+            branch.render()
         );
         let chained = answer(
             &shared,
@@ -1837,6 +1802,115 @@ mod tests {
             Some("invalid_request"),
             "{}",
             anonymous.render()
+        );
+    }
+
+    /// One inline request line over the three-row region table.
+    fn region_line(head: &str, demo: &str) -> String {
+        format!(
+            concat!(
+                r#"{{{}, "tables": [{{"columns": ["region", "revenue"], "#,
+                r#""rows": [["west", 10], ["west", 20], ["east", 5]]}}], "#,
+                r#""demo": {}, "max_depth": 1, "#,
+                r#""budget": {{"max_solutions": 3, "max_visited": 50000}}}}"#
+            ),
+            head, demo
+        )
+    }
+
+    /// Serves `line` on `shared` and returns its response, which must be
+    /// `ok`.
+    fn answer_ok(shared: &Arc<Shared>, line: &str) -> Json {
+        let mut out = Vec::new();
+        let outcome = serve_line(shared, line, &mut out, &mut || false, &mut None);
+        assert!(matches!(outcome, Outcome::KeepOpen));
+        let response = Json::parse(String::from_utf8_lossy(&out).lines().next().unwrap()).unwrap();
+        assert_eq!(
+            response.get("status").and_then(Json::as_str),
+            Some("ok"),
+            "{line} -> {}",
+            response.render()
+        );
+        response
+    }
+
+    /// The solutions of a cold solve of `demo` on a fresh server.
+    fn cold_solutions(demo: &str) -> Option<String> {
+        let cold = Shared::new(ServerConfig::default(), Faults::none());
+        answer_ok(&cold, &region_line(r#""id": "cold""#, demo))
+            .get("solutions")
+            .map(Json::render)
+    }
+
+    #[test]
+    fn edit_answers_after_its_chain_session_was_evicted() {
+        let shared = Shared::new(
+            ServerConfig {
+                watchdog: Duration::from_secs(60),
+                pool: SessionPoolConfig::default().with_max_sessions(1),
+                ..ServerConfig::default()
+            },
+            Faults::none(),
+        );
+        let base = r#"[["T[1,1]", "sum(T[1,2], T[2,2])"], ["T[3,1]", "sum(T[3,2])"]]"#;
+        answer_ok(&shared, &region_line(r#""id": "a1", "retain": true"#, base));
+        // Another demo family takes the only pool slot.
+        let other = r#"[["T[1,1]"], ["T[3,1]"]]"#;
+        answer_ok(&shared, &region_line(r#""id": "x1""#, other));
+        assert_eq!(shared.sessions().len(), 1);
+        // The edit names a1, whose session is gone: it runs on a fresh
+        // session and answers like a cold solve.
+        let edited = r#"[["T[1,1]", "sum(T[1,2], T[2,2])"]]"#;
+        let warm = answer_ok(
+            &shared,
+            &region_line(r#""id": "a2", "prior": "a1""#, edited),
+        );
+        assert_eq!(
+            warm.get("solutions").map(Json::render),
+            cold_solutions(edited)
+        );
+    }
+
+    #[test]
+    fn chains_with_one_demo_fingerprint_edit_independently() {
+        let shared = Shared::new(
+            ServerConfig {
+                watchdog: Duration::from_secs(60),
+                ..ServerConfig::default()
+            },
+            Faults::none(),
+        );
+        // Same references, different functions: one demo fingerprint,
+        // so both chains start on one pooled session.
+        let demo_a = r#"[["T[1,1]", "sum(T[1,2], T[2,2])"], ["T[3,1]", "sum(T[3,2])"]]"#;
+        let demo_b = r#"[["T[1,1]", "avg(T[1,2], T[2,2])"], ["T[3,1]", "avg(T[3,2])"]]"#;
+        answer_ok(
+            &shared,
+            &region_line(r#""id": "a1", "retain": true"#, demo_a),
+        );
+        answer_ok(
+            &shared,
+            &region_line(r#""id": "b1", "retain": true"#, demo_b),
+        );
+        assert_eq!(shared.sessions().len(), 1);
+        // Chain A edits first, then chain B; each drops the second row.
+        let edit_a = r#"[["T[1,1]", "sum(T[1,2], T[2,2])"]]"#;
+        let edit_b = r#"[["T[1,1]", "avg(T[1,2], T[2,2])"]]"#;
+        let a2 = answer_ok(
+            &shared,
+            &region_line(r#""id": "a2", "prior": "a1""#, edit_a),
+        );
+        let b2 = answer_ok(
+            &shared,
+            &region_line(r#""id": "b2", "prior": "b1""#, edit_b),
+        );
+        assert_eq!(
+            a2.get("solutions").map(Json::render),
+            cold_solutions(edit_a)
+        );
+        assert_eq!(
+            b2.get("solutions").map(Json::render),
+            cold_solutions(edit_b)
         );
     }
 

@@ -14,8 +14,8 @@ use std::time::Duration;
 
 use sickle_benchmarks::{all_benchmarks, Benchmark};
 use sickle_core::{
-    AnalyzerChoice, Budget, CachePolicy, JoinKey, ProgressSnapshot, SearchStats, Session,
-    SickleError, SynthConfig, SynthRequest, SynthResult,
+    AnalyzerChoice, Budget, JoinKey, ProgressSnapshot, SearchStats, Session, SickleError,
+    SynthConfig, SynthRequest, SynthResult,
 };
 use sickle_provenance::Demo;
 use sickle_table::{Table, Value};
@@ -43,9 +43,9 @@ pub struct WireRequest {
     /// `BENCH_synthesis.json` records without re-parsing solutions.
     pub benchmark: Option<usize>,
     /// The raw `"prior"` field: the id of an earlier retained request
-    /// this one edits. Only `sickle-serve` keeps the id → fingerprint
-    /// registry needed to resolve it; the plain stdio pipeline rejects
-    /// requests carrying it.
+    /// this one edits, naming the pooled session it runs on. Only
+    /// `sickle-serve` keeps the id → session registry needed to resolve
+    /// it; the plain stdio pipeline rejects requests carrying it.
     pub prior: Option<Json>,
 }
 
@@ -71,60 +71,6 @@ fn invalid(msg: impl Into<String>) -> SickleError {
 /// thread plus a skeleton shard, so an unbounded count would let a
 /// single request exhaust the process.
 const MAX_WIRE_WORKERS: usize = 64;
-
-/// Upper bound on the per-request engine-cache cap: each entry can hold a
-/// full provenance table, so an absurd cap would let one request pin
-/// unbounded memory in a shared server.
-const MAX_WIRE_CACHE_CAP: usize = 1_000_000;
-
-/// Decodes the optional `"cache"` policy object: `"policy"`
-/// (`"cost-aware"` (default) | `"legacy"`), `"cap"`, `"spill"`,
-/// `"cost_aware"` overrides.
-fn decode_cache_policy(c: &Json) -> Result<CachePolicy, SickleError> {
-    let mut policy = match c.get("policy") {
-        None => CachePolicy::default(),
-        Some(p) => match p.as_str() {
-            Some("cost-aware") => CachePolicy::default(),
-            Some("legacy") => CachePolicy::legacy(),
-            _ => return Err(invalid("cache.policy must be \"cost-aware\" or \"legacy\"")),
-        },
-    };
-    if let Some(cap) = c.get("cap") {
-        let cap = cap
-            .as_usize()
-            .filter(|&n| (1..=MAX_WIRE_CACHE_CAP).contains(&n))
-            .ok_or_else(|| {
-                invalid(format!(
-                    "cache.cap must be an integer in 1..={MAX_WIRE_CACHE_CAP}"
-                ))
-            })?;
-        policy = policy.with_cap(cap);
-    }
-    if let Some(lw) = c.get("low_water") {
-        // Bounded relative to the cap: low_water at (or clamped to)
-        // cap-1 would make every sweep free exactly one entry, i.e. an
-        // O(cap) sweep per insert — the hysteresis-defeating resource
-        // abuse the cap bound exists to prevent on a shared server.
-        let lw = lw
-            .as_usize()
-            .filter(|&n| n < policy.cap)
-            .ok_or_else(|| invalid("cache.low_water must be an integer below cache.cap"))?;
-        policy = policy.with_low_water(lw);
-    }
-    if let Some(s) = c.get("spill") {
-        policy = policy.with_spill(
-            s.as_bool()
-                .ok_or_else(|| invalid("cache.spill must be a boolean"))?,
-        );
-    }
-    if let Some(a) = c.get("cost_aware") {
-        policy = policy.with_cost_aware(
-            a.as_bool()
-                .ok_or_else(|| invalid("cache.cost_aware must be a boolean"))?,
-        );
-    }
-    Ok(policy)
-}
 
 /// The benchmark suite, built once per process (requests that name a
 /// benchmark arrive in batches; rebuilding 80 tasks per line would be
@@ -383,9 +329,6 @@ impl WireRequest {
                 .ok_or_else(|| invalid("\"enable_join\" must be a boolean"))?;
         }
         request.budget = decode_budget(json.get("budget"))?;
-        if let Some(c) = json.get("cache") {
-            request.search.cache = decode_cache_policy(c)?;
-        }
         if let Some(a) = json.get("analyzer") {
             let name = a
                 .as_str()
@@ -419,8 +362,8 @@ impl WireRequest {
             None => None,
             Some(Json::Null) => return Err(invalid("\"prior\" must not be null")),
             Some(p) => {
-                // An edit chain continues: the edited result is retained
-                // so the *next* edit can name this request as its prior.
+                // An edit chain continues: the edit is made nameable so
+                // the *next* edit can name this request as its prior.
                 request = request.with_retain(true);
                 Some(p.clone())
             }
@@ -596,8 +539,8 @@ pub fn handle_line_with(session: &Session, line: &str, emit: &mut dyn FnMut(Json
         Err(e) => return sickle_error_response(json.get("id").unwrap_or(&Json::Null), &e),
     };
     if wire.prior.is_some() {
-        // Resolving a prior id needs the per-server request registry;
-        // only `sickle-serve` keeps one across lines.
+        // Resolving a prior id needs the per-server id → session
+        // registry; only `sickle-serve` keeps one across lines.
         return sickle_error_response(
             &wire.id,
             &invalid("\"prior\" requires sickle-serve (no prior-request registry on this path)"),
@@ -690,20 +633,20 @@ mod tests {
 
     #[test]
     fn prior_and_retain_decode() {
-        // "retain" alone: opt into retention, no prior.
+        // "retain" alone: make this id nameable, no prior.
         let wire =
             WireRequest::from_json(&Json::parse(r#"{"benchmark": 1, "retain": true}"#).unwrap())
                 .unwrap();
         assert!(wire.request.retain);
         assert!(wire.prior.is_none());
-        // "prior" carries the raw id and implies retention (so the next
+        // "prior" carries the raw id and implies "retain" (so the next
         // edit in the chain can name *this* request).
         let wire =
             WireRequest::from_json(&Json::parse(r#"{"benchmark": 1, "prior": "r7"}"#).unwrap())
                 .unwrap();
         assert!(wire.request.retain);
         assert_eq!(wire.prior.as_ref().map(Json::render), Some("\"r7\"".into()));
-        // Neither field: retention stays off (no hidden memory growth).
+        // Neither field: the id is not recorded.
         let wire = WireRequest::from_json(&Json::parse(r#"{"benchmark": 1}"#).unwrap()).unwrap();
         assert!(!wire.request.retain);
     }
@@ -742,29 +685,6 @@ mod tests {
                 r#"{"benchmark": 1, "workers": 1000000000}"#,
                 "invalid_request",
             ),
-            // Cache-policy schema violations are structured errors too.
-            (
-                r#"{"benchmark": 1, "cache": {"policy": "lru"}}"#,
-                "invalid_request",
-            ),
-            (
-                r#"{"benchmark": 1, "cache": {"cap": 0}}"#,
-                "invalid_request",
-            ),
-            (
-                r#"{"benchmark": 1, "cache": {"cap": 100000000000}}"#,
-                "invalid_request",
-            ),
-            (
-                r#"{"benchmark": 1, "cache": {"spill": "yes"}}"#,
-                "invalid_request",
-            ),
-            // low_water at/above the cap would defeat the sweep
-            // hysteresis (an O(cap) sweep per insert on a shared server).
-            (
-                r#"{"benchmark": 1, "cache": {"cap": 64, "low_water": 64}}"#,
-                "invalid_request",
-            ),
             // "prior" needs the id registry only sickle-serve keeps.
             (r#"{"benchmark": 1, "prior": "r0"}"#, "invalid_request"),
             (r#"{"benchmark": 1, "prior": null}"#, "invalid_request"),
@@ -801,7 +721,6 @@ mod tests {
             "cache_demotions",
             "cache_reevals",
             "reused_verdicts",
-            "invalidated_verdicts",
         ] {
             assert!(
                 stats.get(field).and_then(Json::as_f64).is_some(),
@@ -853,40 +772,6 @@ mod tests {
         let response = handle_line_with(&session, &inline_request_line(), &mut |e| silent.push(e));
         assert_eq!(response.get("status").and_then(Json::as_str), Some("ok"));
         assert!(silent.is_empty());
-    }
-
-    #[test]
-    fn cache_policy_decodes_with_overrides() {
-        let wire = WireRequest::from_json(
-            &Json::parse(
-                r#"{"benchmark": 1, "cache": {"policy": "legacy", "cap": 64, "spill": true}}"#,
-            )
-            .unwrap(),
-        )
-        .unwrap();
-        let policy = wire.request.search.cache;
-        assert!(!policy.cost_aware, "legacy base");
-        // The override decodes (the legacy sweep itself ignores spill —
-        // it reproduces v0.3 exactly — but the knob must round-trip so
-        // "legacy ordering + spill" stays expressible via cost_aware).
-        assert!(policy.spill, "explicit override decodes");
-        assert_eq!(policy.cap, 64);
-        assert!(policy.low_water <= 32, "low water scales with the cap");
-        // Default when absent.
-        let wire = WireRequest::from_json(&Json::parse(r#"{"benchmark": 1}"#).unwrap()).unwrap();
-        assert_eq!(wire.request.search.cache, CachePolicy::default());
-        // A tiny-cap request still answers (and reports its churn).
-        let session = Session::new();
-        let line = inline_request_line()
-            .replace("\"max_depth\"", "\"cache\": {\"cap\": 4}, \"max_depth\"");
-        let response = handle_line(&session, &line);
-        assert_eq!(response.get("status").and_then(Json::as_str), Some("ok"));
-        let evictions = response
-            .get("stats")
-            .and_then(|s| s.get("cache_evictions"))
-            .and_then(Json::as_f64)
-            .unwrap();
-        assert!(evictions > 0.0, "{}", response.render());
     }
 
     #[test]

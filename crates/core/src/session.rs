@@ -15,22 +15,10 @@
 //! thread-local [`crate::EvalCache`] keyed by query ASTs over one task's
 //! inputs) is created fresh for each request, one generation per worker.
 //!
-//! ## Warm edits
-//!
-//! The realistic interaction loop is a user *editing* a demonstration
-//! and re-solving. A request built with [`SynthRequest::with_retain`]
-//! leaves its demo and solutions behind in the session's retained-prior
-//! store (keyed by [`crate::demo_fingerprint`]); a follow-up request
-//! built with [`SynthRequest::with_prior`] names that fingerprint and
-//! runs the warm-edit path: the demo diff ([`DemoDelta`]) is computed,
-//! the superseded demo's verdicts and any column memos the edit orphaned
-//! are purged (unchanged columns keep their memos — they are fingerprinted
-//! by content), the prior solutions are re-verified against the new demo,
-//! and the search then re-enters over the warm pool and surviving memos.
-//! Solutions are byte-identical to a cold solve of the edited demo —
-//! caching never changes verdicts — but the warm path re-derives much
-//! less. Retention is opt-in, so sessions that never edit carry zero
-//! retained bytes.
+//! An edited demonstration needs no special path: solving it on the
+//! session that solved its predecessor reuses every verdict and column
+//! memo the edit left reachable, and its solutions are byte-identical to
+//! a cold solve — caching never changes verdicts.
 //!
 //! Two ways to run a request:
 //!
@@ -77,19 +65,15 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sickle_provenance::{
-    AnalysisCache, AnalysisCacheStats, Demo, DemoDelta, DemoToken, FxMap, RefSetPool, RefUniverse,
-};
+use sickle_provenance::{AnalysisCache, AnalysisCacheStats, Demo, RefSetPool};
 use sickle_table::{Table, Value};
 
-use crate::abstract_eval::demo_ref_sets;
 use crate::ast::{PQuery, Query};
 use crate::error::SickleError;
-use crate::session_pool::demo_fingerprint;
 use crate::stats::{ProgressSnapshot, SharedStats};
 use crate::synth::{
     run_parallel, Analyzer, JoinKey, NoPruneAnalyzer, ProvenanceAnalyzer, SynthConfig, SynthResult,
@@ -308,15 +292,10 @@ pub struct SynthRequest {
     /// Explicit seed work list overriding skeleton enumeration (tests,
     /// ablations and diagnostics).
     pub seeds: Option<Vec<PQuery>>,
-    /// Demo fingerprint ([`crate::demo_fingerprint`]) of a retained prior
-    /// request this one edits — runs the warm-edit path (see the module
-    /// docs). Unknown fingerprints fail validation with
-    /// [`SickleError::InvalidRequest`].
-    pub prior: Option<u64>,
-    /// Retain this request's demo and solutions for a follow-up edit.
-    /// Implied by [`SynthRequest::with_prior`] (edit chains keep
-    /// retaining); off by default so non-editing sessions carry zero
-    /// retained bytes.
+    /// Asks a serving front end to keep this request's session nameable
+    /// so a follow-up edit can be routed back to it. [`Session`] itself
+    /// ignores the flag: every request leaves its verdicts in the
+    /// session-wide cache.
     pub retain: bool,
 }
 
@@ -338,7 +317,6 @@ impl SynthRequest {
             cancel: None,
             workers: 1,
             seeds: None,
-            prior: None,
             retain: false,
         }
     }
@@ -406,18 +384,8 @@ impl SynthRequest {
         self
     }
 
-    /// Marks this request as a warm edit of the retained request whose
-    /// demo fingerprint is `prior` (see [`crate::demo_fingerprint`]).
-    /// Implies [`SynthRequest::with_retain`] so edit chains keep working.
-    #[must_use]
-    pub fn with_prior(mut self, prior: u64) -> SynthRequest {
-        self.prior = Some(prior);
-        self.retain = true;
-        self
-    }
-
-    /// Retains (or stops retaining) this request's demo and solutions so
-    /// a follow-up [`SynthRequest::with_prior`] can warm-edit it.
+    /// Sets [`SynthRequest::retain`], the flag a serving front end reads
+    /// to keep this request's session nameable for a follow-up edit.
     #[must_use]
     pub fn with_retain(mut self, retain: bool) -> SynthRequest {
         self.retain = retain;
@@ -425,10 +393,7 @@ impl SynthRequest {
     }
 
     /// Sets the engine-cache eviction policy ([`crate::CachePolicy`]):
-    /// the entry cap, the hysteresis low-water mark, cost-aware victim
-    /// ordering and star-channel spilling. The default is the cost-aware
-    /// spilling policy; [`crate::CachePolicy::legacy`] restores the flat
-    /// second-chance sweep for A/B comparison.
+    /// the entry cap and the hysteresis low-water mark.
     #[must_use]
     pub fn with_cache_policy(mut self, policy: crate::CachePolicy) -> SynthRequest {
         self.search.cache = policy;
@@ -713,119 +678,10 @@ pub struct Session {
     /// interned id-grid is registered), so different demonstrations never
     /// alias while equal id-grids share verdicts.
     analysis: Arc<AnalysisCache>,
-    /// Retained priors for the warm-edit path, keyed by
-    /// [`crate::demo_fingerprint`] — each entry holds the demo, its
-    /// analysis-cache token and its solutions. Opt-in, byte-accounted and
-    /// LRU-capped; behind an `Arc` so streaming workers can retain their
-    /// result after [`Session::submit`] has returned.
-    priors: Arc<Mutex<PriorStore>>,
     /// Requests served so far; doubles as the per-request `EvalCache`
     /// generation counter (each request's thread-local caches are
     /// generation `served()` of this session).
     served: AtomicUsize,
-}
-
-/// Retained-prior cap per session; beyond it the least-recently-used
-/// entry is evicted (and its analysis-cache state purged, if no other
-/// retained entry shares the demo token).
-const MAX_RETAINED: usize = 16;
-
-/// One retained prior: a solved request's demo, its analysis-cache
-/// registration, and the solutions a follow-up edit re-verifies.
-#[derive(Debug, Clone)]
-struct PriorEntry {
-    demo: Demo,
-    token: DemoToken,
-    solutions: Vec<Query>,
-    /// Approximate heap bytes of this entry (demo cells + solution ASTs),
-    /// charged against [`Session::mem_bytes`].
-    bytes: usize,
-    last_used: u64,
-}
-
-/// The retained-prior store: fingerprint → entry, with an LRU clock and a
-/// running byte total.
-#[derive(Debug, Default)]
-struct PriorStore {
-    entries: FxMap<u64, PriorEntry>,
-    bytes: usize,
-    tick: u64,
-}
-
-/// Approximate heap bytes of one retained prior. Coarse by design — the
-/// figure exists so long edit chains show up in the session's byte
-/// rollup (and the pool's `--max-bytes` budget), not as an allocator
-/// measurement.
-fn prior_entry_bytes(demo: &Demo, solutions: &[Query]) -> usize {
-    const ENTRY_OVERHEAD: usize = 256;
-    const CELL_BYTES: usize = 96;
-    const OP_BYTES: usize = 64;
-    ENTRY_OVERHEAD
-        + demo.n_cells() * CELL_BYTES
-        + solutions
-            .iter()
-            .map(|q| 48 + q.size() * OP_BYTES)
-            .sum::<usize>()
-}
-
-/// Retains a solved request under `fp`, superseding any entry already at
-/// that fingerprint, and LRU-evicts past [`MAX_RETAINED`]. Evicted (and
-/// superseded) entries refund their bytes; their analysis-cache state is
-/// purged when no surviving retained entry shares the demo token. A free
-/// function over the store/cache handles so [`Session::submit`] workers
-/// can retain after the session borrow is gone.
-fn retain_into(
-    priors: &Mutex<PriorStore>,
-    analysis: &AnalysisCache,
-    fp: u64,
-    demo: &Demo,
-    token: DemoToken,
-    solutions: Vec<Query>,
-) {
-    let bytes = prior_entry_bytes(demo, &solutions);
-    let mut purge: Vec<DemoToken> = Vec::new();
-    {
-        let mut store = priors.lock().expect("session prior lock");
-        store.tick += 1;
-        let tick = store.tick;
-        let entry = PriorEntry {
-            demo: demo.clone(),
-            token,
-            solutions,
-            bytes,
-            last_used: tick,
-        };
-        if let Some(old) = store.entries.insert(fp, entry) {
-            store.bytes -= old.bytes;
-        }
-        store.bytes += bytes;
-        while store.entries.len() > MAX_RETAINED {
-            let victim = store
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-                .expect("non-empty store has an LRU victim");
-            let evicted = store.entries.remove(&victim).expect("victim present");
-            store.bytes -= evicted.bytes;
-            if !store.entries.values().any(|e| e.token == evicted.token) {
-                purge.push(evicted.token);
-            }
-        }
-    }
-    for token in purge {
-        analysis.purge_demo(&token);
-    }
-}
-
-/// What the warm-edit preamble computed for a request with a `prior`.
-struct WarmPrep {
-    /// Memo entries (verdicts + orphaned column memos) purged on behalf
-    /// of this request.
-    invalidated: usize,
-    /// The demo diff, kept for diagnostics/debug assertions.
-    #[allow(dead_code)]
-    delta: DemoDelta,
 }
 
 impl Default for Session {
@@ -840,7 +696,6 @@ impl Session {
         Session {
             pool: Arc::new(RefSetPool::new()),
             analysis: Arc::new(AnalysisCache::new()),
-            priors: Arc::new(Mutex::new(PriorStore::default())),
             served: AtomicUsize::new(0),
         }
     }
@@ -852,132 +707,19 @@ impl Session {
     }
 
     /// Approximate resident bytes of the session's warm state: the
-    /// hash-consing pool (interned sets + operation memos), the
-    /// session-wide analysis cache, and the retained-prior store. This is
+    /// hash-consing pool (interned sets + operation memos) and the
+    /// session-wide analysis cache. This is
     /// the per-session rollup the service tier's byte-bounded
     /// [`crate::SessionPool`] and the server's pressure ladder read;
     /// per-request engine caches are thread-local and short-lived, so
     /// they are accounted in the request stats instead.
     pub fn mem_bytes(&self) -> usize {
-        let retained = self.priors.lock().expect("session prior lock").bytes;
-        self.pool.approx_bytes() + self.analysis.approx_bytes() + retained
+        self.pool.approx_bytes() + self.analysis.approx_bytes()
     }
 
     /// Hit/miss counters of the session-wide analysis cache.
     pub fn analysis_stats(&self) -> AnalysisCacheStats {
         self.analysis.stats()
-    }
-
-    /// Registers `task`'s demonstration with the session-wide analysis
-    /// cache and returns its token. Registration is idempotent —
-    /// [`crate::TaskContext`] re-registers the same grid during the
-    /// search and resolves to the same token.
-    fn register(&self, task: &SynthTask) -> DemoToken {
-        let universe = RefUniverse::from_tables(&task.inputs);
-        let id_grid = demo_ref_sets(&task.demo, &universe).map(|s| self.pool.intern(s.clone()));
-        self.analysis.register_demo(&id_grid)
-    }
-
-    /// Looks up (and LRU-touches) the retained prior named by a request's
-    /// `prior` fingerprint.
-    ///
-    /// # Errors
-    ///
-    /// [`SickleError::InvalidRequest`] when no such prior is retained —
-    /// the structured rejection the wire layer forwards for unknown
-    /// `"prior"` ids.
-    fn take_prior(&self, fp: u64) -> Result<PriorEntry, SickleError> {
-        let mut store = self.priors.lock().expect("session prior lock");
-        store.tick += 1;
-        let tick = store.tick;
-        match store.entries.get_mut(&fp) {
-            Some(entry) => {
-                entry.last_used = tick;
-                Ok(entry.clone())
-            }
-            None => Err(SickleError::invalid(format!(
-                "unknown prior: no retained request with demo fingerprint {fp}"
-            ))),
-        }
-    }
-
-    /// The warm-edit preamble, run after [`Session::take_prior`] and
-    /// before the search: diffs the demos, registers the new demo (so
-    /// columns the edit kept alive stay refcounted), purges the
-    /// superseded demo's verdicts and orphaned column memos, drops the
-    /// superseded retained entry, re-verifies the prior's solutions
-    /// against the new demo, and retains the survivors under the new
-    /// fingerprint — so the chain stays warm and sound even if the
-    /// re-search below is canceled. Anything that fails re-verification
-    /// is simply re-searched (the full search runs regardless; caching
-    /// never changes verdicts, so results stay byte-identical to cold).
-    fn warm_edit(
-        &self,
-        request: &SynthRequest,
-        prior_fp: u64,
-        prior: PriorEntry,
-    ) -> Result<WarmPrep, SickleError> {
-        let delta = DemoDelta::between(&prior.demo, &request.task.demo);
-        let new_fp = demo_fingerprint(&request.task);
-        let new_token = self.register(&request.task);
-
-        // Purge the superseded demo's analysis state — unless the edit
-        // kept the reference structure identical (same token), in which
-        // case there is nothing stale to drop.
-        let mut invalidated = 0;
-        if new_token != prior.token {
-            invalidated = self.analysis.purge_demo(&prior.token).total();
-        }
-        // The superseded retained entry goes too: long edit chains must
-        // not accumulate in the byte budget.
-        if new_fp != prior_fp {
-            let mut store = self.priors.lock().expect("session prior lock");
-            if let Some(old) = store.entries.remove(&prior_fp) {
-                store.bytes -= old.bytes;
-            }
-        }
-
-        // Re-verify surviving prior solutions against the edited demo: a
-        // sequential pass over the concrete candidates only (no skeleton
-        // enumeration, no pruning calls — each seed runs the acceptance
-        // stages once). Survivors are retained under the new fingerprint
-        // immediately.
-        let verified = if delta.is_empty() {
-            prior.solutions.clone()
-        } else if prior.solutions.is_empty() {
-            Vec::new()
-        } else {
-            let seeds: Vec<PQuery> = prior.solutions.iter().map(PQuery::from_concrete).collect();
-            let mut config = request.search.clone();
-            config.timeout = None;
-            config.max_visited = None;
-            config.max_solutions = seeds.len();
-            config.cancel = None;
-            let throwaway = SharedStats::default();
-            run_parallel(
-                &request.task,
-                &config,
-                &|| request.analyzer.make(),
-                1,
-                &|_| false,
-                Arc::clone(&self.pool),
-                Arc::clone(&self.analysis),
-                &throwaway,
-                Some(seeds),
-            )?
-            .solutions
-        };
-        if request.retain {
-            retain_into(
-                &self.priors,
-                &self.analysis,
-                new_fp,
-                &request.task.demo,
-                new_token,
-                verified,
-            );
-        }
-        Ok(WarmPrep { invalidated, delta })
     }
 
     /// Number of requests served (solve + submit), i.e. the current
@@ -1011,21 +753,10 @@ impl Session {
         stop: impl Fn(&Query) -> bool + Sync,
     ) -> Result<SynthResult, SickleError> {
         request.validate()?;
-        let warm = match request.prior {
-            Some(fp) => Some(self.warm_edit(request, fp, self.take_prior(fp)?)?),
-            None => None,
-        };
         self.served.fetch_add(1, Ordering::Relaxed);
         let cancel = request.cancel.clone().unwrap_or_default();
         let config = request.effective_config(&cancel, Instant::now());
-        let shared = SharedStats::default();
-        if let Some(w) = &warm {
-            shared
-                .live
-                .invalidated_verdicts
-                .store(w.invalidated as u64, Ordering::Relaxed);
-        }
-        let mut result = run_parallel(
+        run_parallel(
             &request.task,
             &config,
             &|| request.analyzer.make(),
@@ -1033,23 +764,9 @@ impl Session {
             &stop,
             Arc::clone(&self.pool),
             Arc::clone(&self.analysis),
-            &shared,
+            &SharedStats::default(),
             request.seeds.clone(),
-        )?;
-        if let Some(w) = &warm {
-            result.stats.invalidated_verdicts = w.invalidated;
-        }
-        if request.retain {
-            retain_into(
-                &self.priors,
-                &self.analysis,
-                demo_fingerprint(&request.task),
-                &request.task.demo,
-                self.register(&request.task),
-                result.solutions.clone(),
-            );
-        }
-        Ok(result)
+        )
     }
 
     /// Starts a request on a background thread and returns a
@@ -1061,31 +778,15 @@ impl Session {
     /// (before any thread is spawned).
     pub fn submit(&self, request: SynthRequest) -> Result<SolutionStream, SickleError> {
         request.validate()?;
-        // The warm-edit preamble runs synchronously: an unknown prior
-        // must surface as InvalidRequest *here* (the wire layer's
-        // structured rejection), and the purge/re-verify pass is cheap —
-        // a sequential acceptance check of at most the retained solution
-        // list, no skeleton enumeration.
-        let warm = match request.prior {
-            Some(fp) => Some(self.warm_edit(&request, fp, self.take_prior(fp)?)?),
-            None => None,
-        };
         self.served.fetch_add(1, Ordering::Relaxed);
         let cancel = request.cancel.clone().unwrap_or_default();
         let started = Instant::now();
         let config = request.effective_config(&cancel, started);
         let shared = Arc::new(SharedStats::default());
-        if let Some(w) = &warm {
-            shared
-                .live
-                .invalidated_verdicts
-                .store(w.invalidated as u64, Ordering::Relaxed);
-        }
         let (tx, rx) = mpsc::channel();
 
         let pool = Arc::clone(&self.pool);
         let analysis = Arc::clone(&self.analysis);
-        let priors = Arc::clone(&self.priors);
         let worker_shared = Arc::clone(&shared);
         let handle = std::thread::spawn(move || {
             let found = AtomicUsize::new(0);
@@ -1110,31 +811,13 @@ impl Session {
                     )));
                     false
                 },
-                Arc::clone(&pool),
-                Arc::clone(&analysis),
+                pool,
+                analysis,
                 &worker_shared,
                 request.seeds.clone(),
             );
             let _ = tx.send(match result {
-                Ok(mut result) => {
-                    if let Some(w) = &warm {
-                        result.stats.invalidated_verdicts = w.invalidated;
-                    }
-                    if request.retain {
-                        let universe = RefUniverse::from_tables(&request.task.inputs);
-                        let id_grid = demo_ref_sets(&request.task.demo, &universe)
-                            .map(|s| pool.intern(s.clone()));
-                        retain_into(
-                            &priors,
-                            &analysis,
-                            demo_fingerprint(&request.task),
-                            &request.task.demo,
-                            analysis.register_demo(&id_grid),
-                            result.solutions.clone(),
-                        );
-                    }
-                    SolutionEvent::Done(result)
-                }
+                Ok(result) => SolutionEvent::Done(result),
                 Err(e) => SolutionEvent::Failed(e),
             });
         });
@@ -1304,25 +987,6 @@ mod tests {
     }
 
     #[test]
-    fn unknown_prior_is_an_invalid_request() {
-        let session = Session::new();
-        let request = SynthRequest::new(vec![table()], demo())
-            .with_max_depth(1)
-            .with_prior(0xDEAD);
-        let err = session.solve(&request).unwrap_err();
-        assert_eq!(err.kind(), "invalid_request");
-        assert!(err.to_string().contains("unknown prior"), "{err}");
-        let err = session
-            .submit(
-                SynthRequest::new(vec![table()], demo())
-                    .with_max_depth(1)
-                    .with_prior(0xDEAD),
-            )
-            .unwrap_err();
-        assert_eq!(err.kind(), "invalid_request");
-    }
-
-    #[test]
     fn warm_edit_matches_cold_solve_of_the_edited_demo() {
         let render = |r: &SynthResult| {
             r.solutions
@@ -1330,59 +994,22 @@ mod tests {
                 .map(ToString::to_string)
                 .collect::<Vec<_>>()
         };
-        // Base demo, retained; then a single-cell edit (row 3 instead of
-        // rows 1+2 in the aggregate) re-solved warm via the prior.
+        // Base demo, then a single-cell edit (row 3 instead of rows 1+2 in
+        // the aggregate) solved on the same session: an edit is a plain
+        // solve, warm only through the session's pool and analysis cache.
         let edited = Demo::parse(&[
             &["T[1,1]", "sum(T[1,2], T[2,2])"],
             &["T[3,1]", "sum(T[3,2], T[3,2])"],
         ])
         .unwrap();
         let session = Session::new();
-        let base = SynthRequest::new(vec![table()], demo())
-            .with_max_depth(1)
-            .with_retain(true);
-        let base_result = session.solve(&base).unwrap();
-        assert!(!base_result.solutions.is_empty());
-        let retained_bytes = session.mem_bytes();
-        let fp = demo_fingerprint(&base.task);
-
-        let warm_request = SynthRequest::new(vec![table()], edited.clone())
-            .with_max_depth(1)
-            .with_prior(fp);
-        let warm = session.solve(&warm_request).unwrap();
-
-        let cold_session = Session::new();
-        let cold = cold_session
-            .solve(&SynthRequest::new(vec![table()], edited).with_max_depth(1))
-            .unwrap();
+        let base = SynthRequest::new(vec![table()], demo()).with_max_depth(1);
+        assert!(!session.solve(&base).unwrap().solutions.is_empty());
+        let edit = SynthRequest::new(vec![table()], edited).with_max_depth(1);
+        let warm = session.solve(&edit).unwrap();
+        let cold = Session::new().solve(&edit).unwrap();
         assert_eq!(render(&warm), render(&cold));
-        // The superseded retained entry is gone; the new one replaced it
-        // (one entry either way — no byte leak across the chain).
-        assert!(session.mem_bytes() > 0);
-        let _ = retained_bytes;
-        // The chain continues: the edited demo's fingerprint is now the
-        // retained prior.
-        let fp2 = demo_fingerprint(&warm_request.task);
-        assert!(session.take_prior(fp2).is_ok());
-        if fp != fp2 {
-            assert!(session.take_prior(fp).is_err(), "superseded prior kept");
-        }
-    }
-
-    #[test]
-    fn retention_is_opt_in_and_byte_accounted() {
-        let session = Session::new();
-        let plain = SynthRequest::new(vec![table()], demo()).with_max_depth(1);
-        session.solve(&plain).unwrap();
-        let baseline = session.mem_bytes();
-        assert_eq!(
-            session.priors.lock().unwrap().bytes,
-            0,
-            "no retained bytes without retain"
-        );
-        session.solve(&plain.clone().with_retain(true)).unwrap();
-        assert!(session.mem_bytes() > baseline, "retained entry is charged");
-        assert!(session.priors.lock().unwrap().bytes > 0);
+        assert_eq!(session.served(), 2);
     }
 
     #[test]

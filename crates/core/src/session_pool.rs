@@ -230,12 +230,15 @@ impl SessionPool {
     /// Touches `key`'s LRU slot without creating a session; returns
     /// whether a warm session is pooled under the key.
     ///
-    /// This is the edit-chain guard of the warm-edit path: the server
-    /// calls it the moment a request *names* a prior (at `"prior"` id
-    /// resolution, before admission or any other pool traffic for the
+    /// This is the edit-chain guard: an edit runs on the session that
+    /// served the request it names, because that session's analysis
+    /// cache already holds the verdicts the edit can reuse. The server
+    /// calls `touch` the moment a request *names* a prior (at `"prior"`
+    /// id resolution, before admission or any other pool traffic for the
     /// request), so a session that is actively being edited is never the
     /// LRU victim between two requests of one chain just because other
-    /// demos churned the pool in the gap.
+    /// demos churned the pool in the gap. A miss is harmless: the edit
+    /// then runs on a fresh session and answers the same, only colder.
     pub fn touch(&self, key: u64) -> bool {
         let mut inner = self.inner.lock().expect("session pool lock");
         inner.tick += 1;
@@ -438,7 +441,7 @@ mod tests {
             "the edit-chain session survived the churn"
         );
         // Touching an unknown key reports the miss without creating a
-        // session (the server then rejects the unknown prior id).
+        // session.
         assert!(!pool.touch(99));
         assert_eq!(pool.len(), 2);
     }

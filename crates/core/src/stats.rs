@@ -211,9 +211,6 @@ counters! {
     /// Def. 3 verdicts this run served from the session-wide analysis
     /// cache instead of recomputing (set when the run ends).
     reused_verdicts: Count, "reused_verdicts", sum, live = true;
-    /// Memo entries invalidated on behalf of this request by a warm edit
-    /// superseding its prior demo (set before the search; 0 when cold).
-    invalidated_verdicts: Count, "invalidated_verdicts", sum, live = true;
     /// Approximate resident bytes attributable to the run: the shared
     /// pool and analysis-cache footprint plus the live engine-cache bytes
     /// (charged − released). Workers share the pool, so the merge takes

@@ -146,10 +146,8 @@ pub struct SynthConfig {
     /// as soon as this is set. [`crate::Session`] wires a request's
     /// [`crate::CancelToken`] here.
     pub cancel: Option<Arc<AtomicBool>>,
-    /// Eviction policy of each worker's engine [`EvalCache`] (cap,
-    /// hysteresis low-water mark, cost-aware victim ordering,
-    /// star-channel spilling). [`CachePolicy::legacy`] restores the flat
-    /// second-chance sweep for A/B runs.
+    /// Eviction policy of each worker's engine [`EvalCache`] (cap and
+    /// hysteresis low-water mark).
     pub cache: CachePolicy,
 }
 

@@ -24,10 +24,9 @@
 //! component of every verdict key, so verdicts for different
 //! demonstrations never alias. Demo *columns* are fingerprinted by
 //! content, not position: two registered demos that share an unchanged
-//! column share its column-layer memos, which is what lets a warm edit
-//! keep the memos an edit did not touch. [`AnalysisCache::purge_demo`]
-//! drops a superseded demo's verdicts and any column memos no remaining
-//! demo can reach, refunding their bytes.
+//! column share its column-layer memos, so re-solving an edited
+//! demonstration on the same session keeps the memos the edit did not
+//! touch. Both layers are bounded per shard.
 //!
 //! A cache is `Sync` and is shared across the parallel search workers —
 //! every map is sharded behind short-lived locks, so there is no global
@@ -43,14 +42,6 @@ use sickle_table::Grid;
 use crate::matching::{find_table_match_with_candidates, MatchDims};
 use crate::pool::{FxBuild, FxMap, RefSetPool, SetId};
 use crate::ref_set::RefSet;
-
-/// Escape hatch for perf diagnosis: `SICKLE_NO_ANALYSIS_CACHE=1` bypasses
-/// both memo layers (the verdict is computed directly; results are
-/// identical by construction).
-fn no_cache() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var_os("SICKLE_NO_ANALYSIS_CACHE").is_some())
-}
 
 /// Number of lock shards per memo layer (power of two).
 const SHARDS: usize = 16;
@@ -131,8 +122,6 @@ struct Registry {
     demos: FxMap<(u32, Box<[SetId]>), DemoToken>,
     /// Demo-column contents → content token.
     cols: FxMap<Box<[SetId]>, u64>,
-    /// Content token → number of registered demos carrying the column.
-    col_refs: FxMap<u64, usize>,
     next_demo: u64,
     next_col: u64,
 }
@@ -142,26 +131,9 @@ impl Registry {
         Registry {
             demos: FxMap::default(),
             cols: FxMap::default(),
-            col_refs: FxMap::default(),
             next_demo: 0,
             next_col: 0,
         }
-    }
-}
-
-/// What [`AnalysisCache::purge_demo`] removed.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PurgeStats {
-    /// Verdict-layer entries dropped (keyed by the purged fingerprint).
-    pub verdicts: usize,
-    /// Column-layer entries dropped (content token now unreachable).
-    pub columns: usize,
-}
-
-impl PurgeStats {
-    /// Total memo entries invalidated by the purge.
-    pub fn total(&self) -> usize {
-        self.verdicts + self.columns
     }
 }
 
@@ -246,7 +218,6 @@ impl AnalysisCache {
                     tok
                 }
             };
-            *reg.col_refs.entry(tok).or_insert(0) += 1;
             cols.push(tok);
         }
         let token = DemoToken {
@@ -255,77 +226,6 @@ impl AnalysisCache {
         };
         reg.demos.insert(key, token.clone());
         token
-    }
-
-    /// Unregisters a demonstration and drops the memo entries only it
-    /// could reach: its verdicts, and the column memos of any column
-    /// content no remaining registered demo carries. Bytes are refunded;
-    /// the counts feed the `invalidated_verdicts` observability counter.
-    ///
-    /// Purging a token that was never registered (or already purged) is a
-    /// no-op.
-    pub fn purge_demo(&self, token: &DemoToken) -> PurgeStats {
-        let orphaned: Vec<u64> = {
-            let mut reg = self.registry.lock().expect("analysis registry lock");
-            let key = reg
-                .demos
-                .iter()
-                .find(|(_, t)| t.demo == token.demo)
-                .map(|(k, _)| (k.0, k.1.clone()));
-            let Some(key) = key else {
-                return PurgeStats::default();
-            };
-            reg.demos.remove(&key);
-            let mut orphaned = Vec::new();
-            for &tok in token.cols.iter() {
-                let refs = reg
-                    .col_refs
-                    .get_mut(&tok)
-                    .expect("registered column token has a refcount");
-                *refs -= 1;
-                if *refs == 0 {
-                    reg.col_refs.remove(&tok);
-                    orphaned.push(tok);
-                }
-            }
-            reg.cols.retain(|_, tok| !orphaned.contains(tok));
-            orphaned
-        };
-
-        let mut purged = PurgeStats::default();
-        for shard in &self.verdicts {
-            let mut map = shard.lock().expect("analysis verdict lock");
-            let before = map.len();
-            let mut freed = 0usize;
-            map.retain(|k, _| {
-                if k.demo == token.demo {
-                    freed += entry_bytes(k.ids.len());
-                    false
-                } else {
-                    true
-                }
-            });
-            purged.verdicts += before - map.len();
-            self.bytes.fetch_sub(freed, Ordering::Relaxed);
-        }
-        if !orphaned.is_empty() {
-            for shard in &self.columns {
-                let mut map = shard.lock().expect("analysis column lock");
-                let before = map.len();
-                let mut freed = 0usize;
-                map.retain(|(tok, ids), _| {
-                    if orphaned.contains(tok) {
-                        freed += entry_bytes(ids.len());
-                        false
-                    } else {
-                        true
-                    }
-                });
-                purged.columns += before - map.len();
-                self.bytes.fetch_sub(freed, Ordering::Relaxed);
-            }
-        }
-        purged
     }
 
     fn shard_of<K: Hash>(&self, key: &K) -> usize {
@@ -364,7 +264,7 @@ impl AnalysisCache {
         // For small abstract tables, running the matcher outright is
         // cheaper than building and probing grid-content keys: the memo
         // layers only engage where matching is genuinely expensive.
-        if no_cache() || dims.table_rows * dims.table_cols < MEMO_MIN_CELLS {
+        if dims.table_rows * dims.table_cols < MEMO_MIN_CELLS {
             return self.check(dims, token, demo, abs, pool, false);
         }
         let key = GridKey {
@@ -474,9 +374,6 @@ impl AnalysisCache {
         abs_ids: &[SetId],
         compute: impl FnOnce() -> bool,
     ) -> bool {
-        if no_cache() {
-            return compute();
-        }
         let key = (col_token, abs_ids.to_vec().into_boxed_slice());
         let shard = self.shard_of(&key);
         if let Some(&v) = self.columns[shard]
@@ -701,54 +598,16 @@ mod tests {
         assert!(cache2.consistent(&tok_a2, &demo_a, &abs, &pool));
     }
 
-    /// Registering the same grid twice returns the same token; a purge
-    /// then drops its verdicts and refunds their bytes.
+    /// Demos that share an unchanged column share its column-layer memos
+    /// — what keeps an edited demonstration warm on the session that
+    /// solved its predecessor.
     #[test]
-    fn purge_drops_verdicts_and_refunds_bytes() {
+    fn edited_demos_share_unchanged_column_memos() {
         let (u, pool) = setup();
-        let cache = AnalysisCache::new();
-        let r = |i: usize, j: usize| CellRef::new(0, i, j);
-        let demo = grid(&pool, &u, &[&[&[r(0, 0)]]]);
-        let token = cache.register_demo(&demo);
-        assert_eq!(cache.register_demo(&demo), token);
-        let abs: Grid<SetId> = Grid::from_rows(
-            (0..16)
-                .map(|i| {
-                    (0..4)
-                        .map(|j| pool.intern_refs(&u, [r(i % 4, j % 3), r(0, 0)]))
-                        .collect()
-                })
-                .collect(),
-        )
-        .unwrap();
-        assert!(cache.consistent(&token, &demo, &abs, &pool));
-        assert!(cache.approx_bytes() > 0);
-        let purged = cache.purge_demo(&token);
-        assert!(purged.verdicts >= 1, "verdict entry must be purged");
-        assert!(purged.columns >= 1, "orphaned column memo must be purged");
-        assert_eq!(cache.approx_bytes(), 0);
-        // Double purge is a no-op.
-        assert_eq!(cache.purge_demo(&token), PurgeStats::default());
-        // The grid can be re-registered and gets a fresh fingerprint.
-        let again = cache.register_demo(&demo);
-        assert_ne!(again.id(), token.id());
-    }
-
-    /// A purge keeps column memos whose content another registered demo
-    /// still carries — the survival that makes warm edits cheap.
-    #[test]
-    fn purge_keeps_columns_shared_with_surviving_demos() {
-        let (u, pool) = setup();
-        let cache = AnalysisCache::new();
         let r = |i: usize, j: usize| CellRef::new(0, i, j);
         // Same first column, different second column.
         let old = grid(&pool, &u, &[&[&[r(0, 0)], &[r(1, 1)]]]);
         let new = grid(&pool, &u, &[&[&[r(0, 0)], &[r(2, 1)]]]);
-        let tok_old = cache.register_demo(&old);
-        let tok_new = cache.register_demo(&new);
-        // The shared column content resolves to the same content token.
-        assert_eq!(tok_old.cols[0], tok_new.cols[0]);
-        assert_ne!(tok_old.cols[1], tok_new.cols[1]);
         let abs: Grid<SetId> = Grid::from_rows(
             (0..16)
                 .map(|i| {
@@ -759,16 +618,23 @@ mod tests {
                 .collect(),
         )
         .unwrap();
+        // The edited demo alone, on a fresh cache.
+        let fresh = AnalysisCache::new();
+        let tok = fresh.register_demo(&new);
+        assert!(fresh.consistent(&tok, &new, &abs, &pool));
+        let alone = fresh.approx_bytes();
+        // The same check after the original demo warmed a shared cache.
+        let cache = AnalysisCache::new();
+        let tok_old = cache.register_demo(&old);
+        let tok_new = cache.register_demo(&new);
+        assert_eq!(tok_old.cols[0], tok_new.cols[0]);
+        assert_ne!(tok_old.cols[1], tok_new.cols[1]);
         assert!(cache.consistent(&tok_old, &old, &abs, &pool));
-        let bytes_before = cache.approx_bytes();
-        let purged = cache.purge_demo(&tok_old);
-        assert_eq!(purged.verdicts, 1);
-        // Column 1's memos are orphaned; column 0's survive (shared), so
-        // the cache is smaller but not empty.
-        assert!(purged.columns >= 1);
-        assert!(cache.approx_bytes() < bytes_before);
-        assert!(cache.approx_bytes() > 0, "shared column memos survive");
-        // The surviving demo still answers correctly after the purge.
+        let warmed = cache.approx_bytes();
         assert!(cache.consistent(&tok_new, &new, &abs, &pool));
+        assert!(
+            cache.approx_bytes() - warmed < alone,
+            "the shared column's memos must be reused, not rebuilt"
+        );
     }
 }

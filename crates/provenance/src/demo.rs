@@ -304,96 +304,6 @@ impl fmt::Display for Demo {
     }
 }
 
-/// What a demonstration edit changed, computed structurally between the
-/// prior demo of an edit chain and its successor.
-///
-/// Dimensions are compared first (`rows_added` / `rows_removed`,
-/// `cols_added` / `cols_removed`), then every cell of the common
-/// `min(rows) × min(cols)` prefix is compared for equality
-/// (`cells_edited`). `touched_cols` is the set of column indices whose
-/// *content* is no longer what the prior demo had: the columns hosting
-/// edited cells, any added/removed columns, and — because a row change
-/// alters every column — all columns when the row count changed. The
-/// warm-edit path uses the delta descriptively (column-memo survival is
-/// decided by content tokens in the analysis cache) and to decide whether
-/// prior solutions are worth re-verifying at all.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct DemoDelta {
-    /// Rows the new demo has beyond the old one (output extended).
-    pub rows_added: usize,
-    /// Rows the old demo had beyond the new one.
-    pub rows_removed: usize,
-    /// Columns the new demo has beyond the old one.
-    pub cols_added: usize,
-    /// Columns the old demo had beyond the new one.
-    pub cols_removed: usize,
-    /// `(row, col)` cells of the common prefix whose expressions differ.
-    pub cells_edited: Vec<(usize, usize)>,
-    /// Ascending distinct column indices whose content changed.
-    pub touched_cols: Vec<usize>,
-}
-
-impl DemoDelta {
-    /// Computes the delta from `old` to `new`.
-    ///
-    /// ```
-    /// use sickle_provenance::{Demo, DemoDelta};
-    ///
-    /// let old = Demo::parse(&[&["T[1,1]", "sum(T[1,2])"]]).unwrap();
-    /// let new = Demo::parse(&[&["T[2,1]", "sum(T[1,2])"]]).unwrap();
-    /// let delta = DemoDelta::between(&old, &new);
-    /// assert_eq!(delta.cells_edited, vec![(0, 0)]);
-    /// assert_eq!(delta.touched_cols, vec![0]);
-    /// assert!(!delta.is_empty());
-    /// ```
-    pub fn between(old: &Demo, new: &Demo) -> DemoDelta {
-        let mut delta = DemoDelta {
-            rows_added: new.n_rows().saturating_sub(old.n_rows()),
-            rows_removed: old.n_rows().saturating_sub(new.n_rows()),
-            cols_added: new.n_cols().saturating_sub(old.n_cols()),
-            cols_removed: old.n_cols().saturating_sub(new.n_cols()),
-            cells_edited: Vec::new(),
-            touched_cols: Vec::new(),
-        };
-        let rows = old.n_rows().min(new.n_rows());
-        let cols = old.n_cols().min(new.n_cols());
-        for i in 0..rows {
-            for j in 0..cols {
-                if old.cell(i, j) != new.cell(i, j) {
-                    delta.cells_edited.push((i, j));
-                }
-            }
-        }
-        let max_cols = old.n_cols().max(new.n_cols());
-        if delta.rows_added > 0 || delta.rows_removed > 0 {
-            // A row change alters every column's content.
-            delta.touched_cols = (0..max_cols).collect();
-        } else {
-            let mut touched: Vec<usize> = delta.cells_edited.iter().map(|&(_, j)| j).collect();
-            touched.extend(cols..max_cols);
-            touched.sort_unstable();
-            touched.dedup();
-            delta.touched_cols = touched;
-        }
-        delta
-    }
-
-    /// `true` when the demos are structurally identical.
-    pub fn is_empty(&self) -> bool {
-        self.rows_added == 0
-            && self.rows_removed == 0
-            && self.cols_added == 0
-            && self.cols_removed == 0
-            && self.cells_edited.is_empty()
-    }
-
-    /// Whether the edit changed column `col`'s content.
-    pub fn touches_col(&self, col: usize) -> bool {
-        self.touched_cols.binary_search(&col).is_ok()
-    }
-}
-
 /// Error produced by the demonstration formula parser.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -819,52 +729,5 @@ mod tests {
         let err = parse_expr("sum(T[1,1]").unwrap_err();
         assert!(err.to_string().contains("parse error"));
         assert!(err.pos >= 9);
-    }
-
-    #[test]
-    fn delta_of_identical_demos_is_empty() {
-        let demo = Demo::parse(&[&["T[1,1]", "sum(T[1,2])"], &["T[2,1]", "sum(T[2,2])"]]).unwrap();
-        let delta = DemoDelta::between(&demo, &demo.clone());
-        assert!(delta.is_empty());
-        assert!(delta.touched_cols.is_empty());
-        assert!(!delta.touches_col(0));
-    }
-
-    #[test]
-    fn delta_tracks_single_cell_edits() {
-        let old = Demo::parse(&[&["T[1,1]", "sum(T[1,2])"], &["T[2,1]", "sum(T[2,2])"]]).unwrap();
-        let new = Demo::parse(&[&["T[1,1]", "sum(T[1,2])"], &["T[2,1]", "sum(T[3,2])"]]).unwrap();
-        let delta = DemoDelta::between(&old, &new);
-        assert!(!delta.is_empty());
-        assert_eq!(delta.cells_edited, vec![(1, 1)]);
-        assert_eq!(delta.touched_cols, vec![1]);
-        assert!(delta.touches_col(1));
-        assert!(!delta.touches_col(0));
-        assert_eq!((delta.rows_added, delta.rows_removed), (0, 0));
-    }
-
-    #[test]
-    fn delta_row_extension_touches_every_column() {
-        let old = Demo::parse(&[&["T[1,1]", "sum(T[1,2])"]]).unwrap();
-        let new = Demo::parse(&[&["T[1,1]", "sum(T[1,2])"], &["T[2,1]", "sum(T[2,2])"]]).unwrap();
-        let delta = DemoDelta::between(&old, &new);
-        assert_eq!(delta.rows_added, 1);
-        assert_eq!(delta.rows_removed, 0);
-        assert!(delta.cells_edited.is_empty());
-        assert_eq!(delta.touched_cols, vec![0, 1]);
-        // The reverse edit (row dropped) mirrors the counts.
-        let back = DemoDelta::between(&new, &old);
-        assert_eq!(back.rows_removed, 1);
-        assert_eq!(back.touched_cols, vec![0, 1]);
-    }
-
-    #[test]
-    fn delta_column_change_touches_only_the_tail() {
-        let old = Demo::parse(&[&["T[1,1]"]]).unwrap();
-        let new = Demo::parse(&[&["T[1,1]", "sum(T[1,2])"]]).unwrap();
-        let delta = DemoDelta::between(&old, &new);
-        assert_eq!(delta.cols_added, 1);
-        assert!(delta.cells_edited.is_empty());
-        assert_eq!(delta.touched_cols, vec![1]);
     }
 }

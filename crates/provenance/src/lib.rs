@@ -21,8 +21,7 @@
 //! * [`AnalysisCache`] — sharded cross-sibling memo of Def. 3 analyses
 //!   (column candidates + verdicts), keyed by interned id grids plus a
 //!   collision-free per-demo fingerprint ([`DemoToken`]) so one cache
-//!   serves a whole session of demonstrations; [`DemoDelta`] describes
-//!   what a demonstration edit changed;
+//!   serves a whole session of demonstrations;
 //! * [`find_table_match`] — the shared injective subtable matcher.
 //!
 //! # Examples
@@ -54,9 +53,9 @@ mod matching;
 mod pool;
 mod ref_set;
 
-pub use analysis::{AnalysisCache, AnalysisCacheStats, DemoToken, PurgeStats};
+pub use analysis::{AnalysisCache, AnalysisCacheStats, DemoToken};
 pub use consistency::{demo_consistent, demo_consistent_with_candidates, expr_consistent};
-pub use demo::{parse_expr, Demo, DemoDelta, DemoExpr, ParseError};
+pub use demo::{parse_expr, Demo, DemoExpr, ParseError};
 pub use expr::{CellRef, Expr, FuncName};
 pub use matching::{
     find_table_match, find_table_match_seeded, find_table_match_with_candidates,

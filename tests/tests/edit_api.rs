@@ -1,19 +1,20 @@
-//! Property harness for incremental re-synthesis: random single-cell and
-//! row edits on suite demonstrations, each re-solved as a warm edit over
-//! the retained prior, must produce solution lists byte-identical to a
-//! cold solve of the edited demonstration. Warm-edit reuse is a pure
-//! speedup — any rendered divergence here is an unsoundness in the
-//! fingerprinted analysis cache or the demo-delta invalidation.
+//! Property harness for re-solving edited demonstrations: random
+//! single-cell and row edits on suite demonstrations, each solved on the
+//! session that solved its predecessor, must produce solution lists
+//! byte-identical to a cold solve of the edited demonstration. The
+//! session-wide analysis cache is a pure speedup — any rendered
+//! divergence here is an unsoundness in its demo fingerprinting.
 //!
 //! A deterministic LCG drives the edit script so failures replay
-//! exactly; edits chain (each edit's result is the next edit's prior),
-//! exercising superseded-state purging along the walk. A separate test
-//! interleaves structurally-similar demonstrations through one session —
-//! the adversarial shape behind the analysis cache's divergence test —
-//! to prove verdicts never leak across demos that share a session.
+//! exactly; edits chain (each edit starts from the previous one), so the
+//! chain's session accumulates the verdicts of every demo along the
+//! walk. A separate test interleaves structurally-similar
+//! demonstrations through one session — the adversarial shape behind the
+//! analysis cache's divergence test — to prove verdicts never leak
+//! across demos that share a session.
 
 use sickle_benchmarks::all_benchmarks;
-use sickle_core::{demo_fingerprint, Budget, Session, SynthRequest, SynthResult, SynthTask};
+use sickle_core::{Budget, Session, SynthRequest, SynthResult, SynthTask};
 use sickle_provenance::Demo;
 use sickle_table::{Table, Value};
 
@@ -87,7 +88,7 @@ fn oracle_request(task: SynthTask, id: usize, max_visited: usize) -> SynthReques
 }
 
 /// The `solutions`-oracle rendering (counters + ranked solution list):
-/// warm-edit reuse must leave every byte of this unchanged.
+/// cache reuse must leave every byte of this unchanged.
 fn render(result: &SynthResult) -> String {
     let mut out = format!(
         "visited={} pruned={} solutions={}\n",
@@ -111,15 +112,13 @@ fn random_edit_chains_match_cold_solves() {
         let b = suite.iter().find(|b| b.id == id).unwrap();
         let (base, _) = b.task(2022).expect("demo generates");
 
-        // One warm session per task; the base solve is retained so the
-        // first edit has a prior, and each edit's retained result backs
-        // the next (a chain, like a user iterating on one demo).
+        // One warm session per task, serving the base and then every edit
+        // of the chain (like a user iterating on one demo).
         let session = Session::new();
         session
-            .solve(&oracle_request(base.clone(), id, BUDGET).with_retain(true))
+            .solve(&oracle_request(base.clone(), id, BUDGET))
             .expect("base solves");
         let mut current = base;
-        let mut prior_fp = demo_fingerprint(&current);
         let mut applied = 0;
         let mut draws = 0;
         while applied < EDITS_PER_TASK && draws < 50 {
@@ -131,8 +130,8 @@ fn random_edit_chains_match_cold_solves() {
             edited.demo = demo;
 
             let warm = session
-                .solve(&oracle_request(edited.clone(), id, BUDGET).with_prior(prior_fp))
-                .expect("warm edit solves");
+                .solve(&oracle_request(edited.clone(), id, BUDGET))
+                .expect("edit solves on the chain's session");
             let cold = Session::new()
                 .solve(&oracle_request(edited.clone(), id, BUDGET))
                 .expect("cold solve");
@@ -142,7 +141,6 @@ fn random_edit_chains_match_cold_solves() {
                 "task {id} edit #{applied} (draw {draws}): warm edit diverged from cold solve"
             );
 
-            prior_fp = demo_fingerprint(&edited);
             current = edited;
             applied += 1;
         }
@@ -180,8 +178,8 @@ fn inline_request(demo_rows: &[&[&str]]) -> SynthRequest {
 fn similar_demos_through_one_session_never_share_verdicts() {
     // Same table, same demo shape, different reference structure — the
     // adversarial setup of the analysis cache's divergence test, now
-    // end-to-end: interleaved through one session (as a warm-edit chain
-    // would be), each demo must answer exactly as on a fresh session.
+    // end-to-end: interleaved through one session (as an edit chain a ->
+    // b -> a is), each demo must answer exactly as on a fresh session.
     let demo_a: &[&[&str]] = &[
         &["T[1,1]", "sum(T[1,2], T[2,2])"],
         &["T[3,1]", "sum(T[3,2])"],
@@ -201,15 +199,4 @@ fn similar_demos_through_one_session_never_share_verdicts() {
         let warm = render(&session.solve(&inline_request(rows)).unwrap());
         assert_eq!(warm, cold(rows), "demo {label} leaked verdicts");
     }
-    // And as an explicit retained chain: a -> b -> a must round-trip.
-    let chain = Session::new();
-    let base = inline_request(demo_a).with_retain(true);
-    chain.solve(&base).unwrap();
-    let fp_a = demo_fingerprint(&base.task);
-    let edit_b = inline_request(demo_b).with_prior(fp_a);
-    let warm_b = render(&chain.solve(&edit_b).unwrap());
-    assert_eq!(warm_b, cold(demo_b), "warm edit a->b diverged");
-    let back = inline_request(demo_a).with_prior(demo_fingerprint(&edit_b.task));
-    let warm_a = render(&chain.solve(&back).unwrap());
-    assert_eq!(warm_a, cold(demo_a), "warm edit b->a diverged");
 }
