@@ -65,7 +65,7 @@ fn accept_blind(
     universe: &RefUniverse,
     star: &ProvTable,
 ) -> bool {
-    let sets: Grid<RefSet> = star.map(|e| universe.set_from(e.refs()));
+    let sets: Grid<RefSet> = star.map_columns(|col| universe.column_sets(col));
     let dims = MatchDims {
         demo_rows: demo_refs.n_rows(),
         demo_cols: demo_refs.n_cols(),
@@ -141,11 +141,7 @@ impl<'a> StagedMatcher<'a> {
                         match self.col_sets.get(&key) {
                             Some((_, sets)) => Arc::clone(sets),
                             None => {
-                                let sets = Arc::new(
-                                    arc.iter()
-                                        .map(|e| self.universe.set_from(e.refs()))
-                                        .collect::<Vec<RefSet>>(),
-                                );
+                                let sets = Arc::new(self.universe.column_sets(arc.iter()));
                                 self.col_sets
                                     .insert(key, (Arc::clone(arc), Arc::clone(&sets)));
                                 sets
@@ -155,7 +151,7 @@ impl<'a> StagedMatcher<'a> {
                     &col[$ti]
                 } else {
                     local[$ti * n_cols + $tj]
-                        .get_or_insert_with(|| self.universe.set_from(star[($ti, $tj)].refs()))
+                        .get_or_insert_with(|| self.universe.set_of(&star[($ti, $tj)]))
                 };
                 self.demo_refs[($di, $dj)].is_subset_of(set)
             }};

@@ -157,7 +157,7 @@ mod legacy {
                 } else {
                     FuncName::DenseRank
                 };
-                Expr::Apply(f, args)
+                Expr::Apply(f, args.into())
             }
         }
     }
@@ -165,7 +165,7 @@ mod legacy {
     /// The old abstract evaluation of the depth-2 partial query
     /// `partition(group(T, keys, α(t)), pkeys, □)`: the concrete inner
     /// group is evaluated precisely (row-major provenance + per-cell
-    /// `refs()` sets + per-cell `eval()` concretization), then the strong
+    /// `set_of` sets + per-cell `eval()` concretization), then the strong
     /// partition rule unions per-group sets.
     pub fn abstract_depth2(
         group_q: &Query,
@@ -177,7 +177,7 @@ mod legacy {
         let star = prov_evaluate(group_q, inputs);
         let sets: Vec<Vec<RefSet>> = star
             .iter()
-            .map(|row| row.iter().map(|e| universe.set_from(e.refs())).collect())
+            .map(|row| row.iter().map(|e| universe.set_of(e)).collect())
             .collect();
         let conc_rows: Vec<Vec<Value>> = star
             .iter()

@@ -324,7 +324,7 @@ fn abstract_evaluate_uncached(
 /// Precomputes, for every demonstration cell, the set of referenced input
 /// cells (`ref(E[i,j])` of Def. 3).
 pub fn demo_ref_sets(demo: &Demo, universe: &RefUniverse) -> Grid<RefSet> {
-    demo.grid().map(|e| universe.set_from(e.refs()))
+    demo.grid().map_columns(|col| universe.column_sets(col))
 }
 
 /// The abstract provenance consistency check `E ◁ T◦` (Def. 3): does an

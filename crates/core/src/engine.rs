@@ -45,7 +45,9 @@ use std::hash::BuildHasher;
 
 use crate::ast::{Pred, Query};
 use crate::eval::EvalError;
-use crate::prov_eval::{expand_arith, window_term, ProvTable};
+use crate::prov_eval::{
+    aggregate_column, expand_arith, group_key_column, window_column, ProvTable,
+};
 
 /// Which channels of an [`ExecTable`] a caller needs.
 ///
@@ -119,7 +121,7 @@ impl ExecTable {
     /// Panics if the result was computed at [`Semantics::Values`].
     pub fn sets(&self, universe: &RefUniverse) -> &Grid<RefSet> {
         self.sets
-            .get_or_init(|| self.star().map(|e| universe.set_from(e.refs())))
+            .get_or_init(|| self.star().map_columns(|col| universe.column_sets(col)))
     }
 
     /// The reference set of one star cell, converted on demand and
@@ -141,7 +143,7 @@ impl ExecTable {
         let cells = self
             .cell_sets
             .get_or_init(|| vec![OnceCell::new(); star.n_rows() * star.n_cols()]);
-        cells[row * star.n_cols() + col].get_or_init(|| universe.set_from(star[(row, col)].refs()))
+        cells[row * star.n_cols() + col].get_or_init(|| universe.set_of(&star[(row, col)]))
     }
 
     /// Per-cell reference sets interned into `pool`, computed from
@@ -825,29 +827,12 @@ fn exec_group(
     // Star channel: group{…} key terms and α(members…) aggregates.
     let star = sem.wants_star().then(|| {
         let sg = src.star();
-        let mut cols: Vec<Vec<Expr>> = Vec::with_capacity(keys.len() + 1);
-        for &k in keys {
-            let col = sg.column(k);
-            cols.push(
-                groups
-                    .iter()
-                    .map(|g| Expr::group(g.iter().map(|&i| col[i].clone()).collect()))
-                    .collect(),
-            );
-        }
-        let tcol = sg.column(target);
-        cols.push(
-            groups
-                .iter()
-                .map(|g| {
-                    Expr::apply(
-                        sickle_provenance::FuncName::Agg(agg),
-                        g.iter().map(|&i| tcol[i].clone()).collect(),
-                    )
-                })
-                .collect(),
-        );
-        Grid::from_columns(cols.into_iter().map(std::sync::Arc::new).collect())
+        let mut cols: Vec<Arc<Vec<Expr>>> = keys
+            .iter()
+            .map(|&k| Arc::new(group_key_column(sg.column(k), &groups)))
+            .collect();
+        cols.push(Arc::new(aggregate_column(agg, sg.column(target), &groups)));
+        Grid::from_columns(cols)
     });
 
     Ok(table(values, star))
@@ -860,12 +845,22 @@ fn exec_partition(
     func: AnalyticFunc,
     target: usize,
 ) -> Result<ExecTable, EvalError> {
-    let n_cols = src.values.n_cols();
-    check_cols(keys, n_cols, "partition")?;
-    check_cols(&[target], n_cols, "partition")?;
-    let n_rows = src.values.n_rows();
+    check_cols(keys, src.values.n_cols(), "partition")?;
+    check_cols(&[target], src.values.n_cols(), "partition")?;
     let groups = group_rows_by_keys(src.values.grid(), keys);
+    Ok(partition_over(sem, src, &groups, keys, func, target))
+}
 
+/// The `partition` step over an already-computed row partition `groups`
+/// of `src` by `keys` (whose columns the caller has checked).
+fn partition_over(
+    sem: Semantics,
+    src: &ExecTable,
+    groups: &[Vec<usize>],
+    keys: &[usize],
+    func: AnalyticFunc,
+    target: usize,
+) -> ExecTable {
     let mut names = src.values.names().to_vec();
     names.push(format!(
         "{func}({}) over {keys:?}",
@@ -874,8 +869,8 @@ fn exec_partition(
 
     // Values channel: existing columns shared, one window column appended.
     let target_col = src.values.column(target);
-    let mut new_col: Vec<Value> = vec![Value::Null; n_rows];
-    for g in &groups {
+    let mut new_col: Vec<Value> = vec![Value::Null; src.values.n_rows()];
+    for g in groups {
         for (&i, v) in g.iter().zip(func.apply_indexed(target_col, g)) {
             new_col[i] = v;
         }
@@ -885,23 +880,10 @@ fn exec_partition(
     // Star channel: per-row window terms over the partition's members.
     let star = sem.wants_star().then(|| {
         let sg = src.star();
-        let tcol = sg.column(target);
-        let mut new_col: Vec<Option<Expr>> = vec![None; n_rows];
-        for g in &groups {
-            let members: Vec<Expr> = g.iter().map(|&i| tcol[i].clone()).collect();
-            for (pos, &i) in g.iter().enumerate() {
-                new_col[i] = Some(window_term(func, &members, pos));
-            }
-        }
-        sg.with_column(
-            new_col
-                .into_iter()
-                .map(|e| e.expect("every row belongs to a group"))
-                .collect(),
-        )
+        sg.with_column(window_column(func, sg.column(target), groups))
     });
 
-    Ok(table(values, star))
+    table(values, star)
 }
 
 fn exec_arith(
@@ -1592,12 +1574,7 @@ impl EvalCache {
         if let Some((_, sets)) = self.star_cols.borrow().get(&key) {
             return Arc::clone(sets);
         }
-        let sets = Arc::new(
-            col_arc
-                .iter()
-                .map(|e| universe.set_from(e.refs()))
-                .collect::<Vec<RefSet>>(),
-        );
+        let sets = Arc::new(universe.column_sets(col_arc.iter()));
         let mut map = self.star_cols.borrow_mut();
         if map.len() >= COLUMN_MEMO_CAP {
             map.clear();
@@ -1644,17 +1621,7 @@ impl EvalCache {
                 let key_stars: Vec<Arc<Vec<Expr>>> = if sem.wants_star() {
                     let sg = child.star();
                     keys.iter()
-                        .map(|&k| {
-                            let col = sg.column(k);
-                            Arc::new(
-                                groups
-                                    .iter()
-                                    .map(|g| {
-                                        Expr::group(g.iter().map(|&i| col[i].clone()).collect())
-                                    })
-                                    .collect(),
-                            )
-                        })
+                        .map(|&k| Arc::new(group_key_column(sg.column(k), &groups)))
                         .collect()
                 } else {
                     Vec::new()
@@ -1693,19 +1660,12 @@ impl EvalCache {
         let values = Table::from_named_grid(names, Grid::from_columns(value_cols));
 
         let star = sem.wants_star().then(|| {
-            let tcol = child.star().column(target);
             let mut cols = key_stars;
-            cols.push(Arc::new(
-                groups
-                    .iter()
-                    .map(|g| {
-                        Expr::apply(
-                            sickle_provenance::FuncName::Agg(agg),
-                            g.iter().map(|&i| tcol[i].clone()).collect(),
-                        )
-                    })
-                    .collect(),
-            ));
+            cols.push(Arc::new(aggregate_column(
+                agg,
+                child.star().column(target),
+                &groups,
+            )));
             Grid::from_columns(cols)
         });
 
@@ -1725,46 +1685,10 @@ impl EvalCache {
         func: AnalyticFunc,
         target: usize,
     ) -> Result<ExecTable, EvalError> {
-        let n_cols = child.values.n_cols();
-        check_cols(keys, n_cols, "partition")?;
-        check_cols(&[target], n_cols, "partition")?;
-        let n_rows = child.values.n_rows();
+        check_cols(keys, child.values.n_cols(), "partition")?;
+        check_cols(&[target], child.values.n_cols(), "partition")?;
         let groups = self.groups_of(child, keys);
-
-        let mut names = child.values.names().to_vec();
-        names.push(format!(
-            "{func}({}) over {keys:?}",
-            child.values.names()[target]
-        ));
-
-        let target_col = child.values.column(target);
-        let mut new_col: Vec<Value> = vec![Value::Null; n_rows];
-        for g in groups.iter() {
-            for (&i, v) in g.iter().zip(func.apply_indexed(target_col, g)) {
-                new_col[i] = v;
-            }
-        }
-        let values = Table::from_named_grid(names, child.values.grid().with_column(new_col));
-
-        let star = sem.wants_star().then(|| {
-            let sg = child.star();
-            let tcol = sg.column(target);
-            let mut new_col: Vec<Option<Expr>> = vec![None; n_rows];
-            for g in groups.iter() {
-                let members: Vec<Expr> = g.iter().map(|&i| tcol[i].clone()).collect();
-                for (pos, &i) in g.iter().enumerate() {
-                    new_col[i] = Some(window_term(func, &members, pos));
-                }
-            }
-            sg.with_column(
-                new_col
-                    .into_iter()
-                    .map(|e| e.expect("every row belongs to a group"))
-                    .collect(),
-            )
-        });
-
-        Ok(table(values, star))
+        Ok(partition_over(sem, child, &groups, keys, func, target))
     }
 
     /// Memoized `extract_groups` over a concrete engine result (see
@@ -2137,12 +2061,73 @@ mod tests {
             ),
             cols: vec![4, 2],
         };
+        // The second input is wider than the 128 inline bits, so the
+        // late rows' sets use the shared word storage.
+        let wide = Table::new(
+            ["city", "quarter", "enrolled", "pop"],
+            (0..40)
+                .map(|i| {
+                    let city = if i % 3 == 0 { "A" } else { "B" };
+                    vec![city.into(), (i % 4).into(), i.into(), 100.into()]
+                })
+                .collect(),
+        )
+        .unwrap();
+        for inputs in [[input()], [wide]] {
+            let u = RefUniverse::from_tables(&inputs);
+            let out = AnalysisEngine { universe: &u }.exec(&q, &inputs).unwrap();
+            // The lazily-derived sets equal ref-collection over star, and
+            // the direct term walk equals collecting the references; both
+            // equal a set grown one `insert` at a time.
+            let from_star = out.star().map(|e| u.set_from(e.refs()));
+            assert_eq!(*out.sets(&u), from_star);
+            for col in out.star().columns() {
+                for e in col.iter() {
+                    let mut inserted = u.empty_set();
+                    e.refs().into_iter().for_each(|r| inserted.insert(&u, r));
+                    assert_eq!(u.set_of(e), u.set_from(e.refs()), "{e}");
+                    assert_eq!(u.set_of(e), inserted, "{e}");
+                }
+            }
+            let high = |s: &RefSet| s.iter(&u).any(|r| u.index(r).is_some_and(|b| b >= 128));
+            let any_high = from_star.columns().any(|col| col.iter().any(high));
+            assert_eq!(any_high, u.n_bits() > 128);
+        }
+    }
+
+    #[test]
+    fn window_rows_share_their_group_term() {
         let inputs = [input()];
-        let u = RefUniverse::from_tables(&inputs);
-        let out = AnalysisEngine { universe: &u }.exec(&q, &inputs).unwrap();
-        // The lazily-derived sets equal ref-collection over star.
-        let from_star = out.star().map(|e| u.set_from(e.refs()));
-        assert_eq!(*out.sets(&u), from_star);
+        let cache = EvalCache::new();
+        let window = |func| Query::Partition {
+            src: Box::new(Query::Input(0)),
+            keys: vec![0],
+            func,
+            target: 2,
+        };
+        // Cached and uncached paths build one column, equal to the
+        // values channel.
+        for func in AnalyticFunc::ALL {
+            let q = window(func);
+            let cached = cache.exec(&q, Semantics::Provenance, &inputs).unwrap();
+            let uncached = crate::prov_evaluate(&q, &inputs).unwrap();
+            assert_eq!(*cached.star(), uncached, "{q}");
+            let via_star = crate::prov_eval::concretize(&uncached, &inputs);
+            assert!(via_star.bag_eq(cached.table()), "{q}");
+        }
+        // One `sum(…)` node per group (rows 0–1 are city A, 2–3 city B),
+        // shared by the group's rows on both paths.
+        let q = window(AnalyticFunc::Agg(AggFunc::Sum));
+        let cached = cache.exec(&q, Semantics::Provenance, &inputs).unwrap();
+        for star in [cached.star(), &crate::prov_evaluate(&q, &inputs).unwrap()] {
+            let args = |i: usize| match &star[(i, 4)] {
+                Expr::Apply(_, args) => Arc::clone(args),
+                other => panic!("expected a sum term, got {other}"),
+            };
+            assert!(Arc::ptr_eq(&args(0), &args(1)));
+            assert!(Arc::ptr_eq(&args(2), &args(3)));
+            assert!(!Arc::ptr_eq(&args(0), &args(2)));
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! cell's expression, which the old row-major interpreter did on every
 //! consultation.
 
-use sickle_table::{AnalyticFunc, ArithExpr, Grid, Table};
+use sickle_table::{AggFunc, AnalyticFunc, ArithExpr, Grid, Table};
 
 use sickle_provenance::{Expr, FuncName};
 
@@ -68,32 +68,78 @@ pub fn concretize(star: &ProvTable, inputs: &[Table]) -> Table {
     Table::from_grid(grid)
 }
 
-/// The window term for row `pos` of a partition whose target-column member
-/// expressions are `members`:
+/// The aggregate term `α(member₁, …)` over the rows `g` of `col`.
+fn aggregate(agg: AggFunc, col: &[Expr], g: &[usize]) -> Expr {
+    Expr::apply(
+        FuncName::Agg(agg),
+        g.iter().map(|&i| col[i].clone()).collect(),
+    )
+}
+
+/// The aggregate column of `group`: one `α(member₁, …)` term per group of
+/// the target column `col`.
+pub(crate) fn aggregate_column(agg: AggFunc, col: &[Expr], groups: &[Vec<usize>]) -> Vec<Expr> {
+    groups.iter().map(|g| aggregate(agg, col, g)).collect()
+}
+
+/// A key column of `group`: one `group{member₁, …}` term per group of the
+/// key column `col`.
+pub(crate) fn group_key_column(col: &[Expr], groups: &[Vec<usize>]) -> Vec<Expr> {
+    groups
+        .iter()
+        .map(|g| Expr::group(g.iter().map(|&i| col[i].clone()).collect()))
+        .collect()
+}
+
+/// The window column `partition` appends: for every row, the window term
+/// over its group's members in the target column `col` (`groups`
+/// partitions the rows of `col`):
 ///
-/// * aggregates broadcast — `α(member₁, …)` for every row;
+/// * aggregates broadcast — one `α(member₁, …)` term per group, shared by
+///   every row of the group;
 /// * `cumsum` takes the prefix — `sum(member₁, …, member_pos)`;
 /// * `rank`/`dense_rank` prepend the row's own value — `rank(own, peers…)`.
-pub(crate) fn window_term(func: AnalyticFunc, members: &[Expr], pos: usize) -> Expr {
-    match func {
-        AnalyticFunc::Agg(a) => Expr::apply(FuncName::Agg(a), members.to_vec()),
-        AnalyticFunc::CumSum => Expr::apply(
-            FuncName::Agg(sickle_table::AggFunc::Sum),
-            members[..=pos].to_vec(),
-        ),
-        AnalyticFunc::Rank => {
-            let mut args = Vec::with_capacity(members.len() + 1);
-            args.push(members[pos].clone());
-            args.extend(members.iter().cloned());
-            Expr::Apply(FuncName::Rank, args)
-        }
-        AnalyticFunc::DenseRank => {
-            let mut args = Vec::with_capacity(members.len() + 1);
-            args.push(members[pos].clone());
-            args.extend(members.iter().cloned());
-            Expr::Apply(FuncName::DenseRank, args)
+///
+/// Members enter every term as shared handles, never as copied trees.
+pub(crate) fn window_column(func: AnalyticFunc, col: &[Expr], groups: &[Vec<usize>]) -> Vec<Expr> {
+    let mut out: Vec<Option<Expr>> = vec![None; col.len()];
+    for g in groups {
+        match func {
+            AnalyticFunc::Agg(a) => {
+                let term = aggregate(a, col, g);
+                for &i in g {
+                    out[i] = Some(term.clone());
+                }
+            }
+            AnalyticFunc::CumSum => {
+                // The flattened argument list grows by one member per row,
+                // exactly as `Expr::apply` would flatten each prefix.
+                let sum = FuncName::Agg(AggFunc::Sum);
+                let mut prefix = Vec::new();
+                for &i in g {
+                    match &col[i] {
+                        Expr::Apply(f, inner) if *f == sum => prefix.extend(inner.iter().cloned()),
+                        m => prefix.push(m.clone()),
+                    }
+                    out[i] = Some(Expr::Apply(sum, prefix.as_slice().into()));
+                }
+            }
+            AnalyticFunc::Rank | AnalyticFunc::DenseRank => {
+                let f = if func == AnalyticFunc::Rank {
+                    FuncName::Rank
+                } else {
+                    FuncName::DenseRank
+                };
+                for &i in g {
+                    let args = std::iter::once(i).chain(g.iter().copied());
+                    out[i] = Some(Expr::Apply(f, args.map(|j| col[j].clone()).collect()));
+                }
+            }
         }
     }
+    out.into_iter()
+        .map(|e| e.expect("every row belongs to a group"))
+        .collect()
 }
 
 /// Expands an arithmetic function body into a provenance term over the
@@ -115,7 +161,7 @@ mod tests {
     use crate::ast::Pred;
     use crate::eval::evaluate;
     use sickle_provenance::CellRef;
-    use sickle_table::{AggFunc, ArithOp, CmpOp, Value};
+    use sickle_table::{ArithOp, CmpOp, Value};
 
     /// Fig. 1's input table (8 rows of city A and 2 of city B for brevity
     /// in some tests; the full running example lives in the integration

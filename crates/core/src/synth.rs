@@ -292,7 +292,9 @@ const COL_HOSTS_CAP: usize = 16_384;
 /// which also churn through the engine cache) convert per probed cell
 /// through the result-local [`crate::ExecTable::cell_set`] — no
 /// cross-candidate pinning, and only cells the matcher touches are
-/// materialized. Public so the `accept` micro-bench mirrors the shipped
+/// materialized. The threshold is measured: bulk-converting every column
+/// instead made the suite's 14 join tasks (20k visits, 2-core x86-64 VM)
+/// 3–20% slower. Public so the `accept` micro-bench mirrors the shipped
 /// policy instead of hard-coding a copy.
 pub const BULK_COL_ROWS: usize = 128;
 
@@ -361,9 +363,9 @@ impl<'a> StarSets<'a> {
     /// embeds into some cell of it), memoized by column identity across
     /// candidates (see [`TaskContext::col_hosts`]) — pass-through columns
     /// shared between sibling candidates resolve to one map probe. Large
-    /// columns are not memoized: the memo pins its column, and pinning
-    /// multi-megabyte join columns past engine-cache eviction costs far
-    /// more (allocator pressure) than the scan it saves.
+    /// columns are not memoized, by the same threshold
+    /// ([`BULK_COL_ROWS`]): the memo would pin them past engine-cache
+    /// eviction, which measured slower than rescanning.
     fn column_hosts(&mut self, dj: usize, tj: usize) -> bool {
         let (demo_rows, table_rows) = (self.ctx.demo_refs.n_rows(), self.star.n_rows());
         if table_rows > BULK_COL_ROWS {

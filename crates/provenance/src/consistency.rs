@@ -58,7 +58,10 @@ pub fn expr_consistent(e: &DemoExpr, star: &Expr) -> bool {
                 (false, true) => subsequence_args_match(args, sargs),
                 (false, false) => {
                     args.len() == sargs.len()
-                        && args.iter().zip(sargs).all(|(a, s)| expr_consistent(a, s))
+                        && args
+                            .iter()
+                            .zip(sargs.iter())
+                            .all(|(a, s)| expr_consistent(a, s))
                 }
             }
         }
@@ -282,6 +285,7 @@ mod tests {
     use crate::demo::parse_expr;
     use crate::expr::{CellRef, FuncName};
     use sickle_table::{AggFunc, ArithOp, Value};
+    use std::sync::Arc;
 
     fn r(row: usize, col: usize) -> Expr {
         Expr::Ref(CellRef::new(0, row, col))
@@ -384,7 +388,10 @@ mod tests {
     fn omission_in_middle_of_ordered_function() {
         // rank is non-commutative; demo omits middle peers.
         let d = parse_expr("rank(T[1,2], ..., T[4,2])").unwrap();
-        let s = Expr::Apply(FuncName::Rank, vec![r(0, 1), r(1, 1), r(2, 1), r(3, 1)]);
+        let s = Expr::Apply(
+            FuncName::Rank,
+            vec![r(0, 1), r(1, 1), r(2, 1), r(3, 1)].into(),
+        );
         assert!(expr_consistent(&d, &s));
         // Order must be preserved: T[4,2] before T[1,2] fails.
         let d2 = parse_expr("rank(T[4,2], ..., T[1,2])").unwrap();
@@ -429,7 +436,7 @@ mod tests {
     #[test]
     fn subsequence_omissions_at_both_ends() {
         // rank is positional; star term lists rows 1..=5 of column 2.
-        let s = Expr::Apply(FuncName::Rank, (0..5).map(|i| r(i, 1)).collect::<Vec<_>>());
+        let s = Expr::Apply(FuncName::Rank, (0..5).map(|i| r(i, 1)).collect::<Arc<_>>());
         // Omissions at head and tail around a middle subsequence.
         let d = parse_expr("rank(..., T[2,2], T[4,2], ...)").unwrap();
         assert!(expr_consistent(&d, &s));
@@ -470,16 +477,22 @@ mod tests {
     /// assume canonical input.
     #[test]
     fn nested_group_members_match_through_nesting() {
-        let nested = Expr::Group(vec![
-            Expr::Group(vec![r(0, 0), Expr::Group(vec![r(1, 0)])]),
-            r(2, 0),
-        ]);
+        let nested = Expr::Group(
+            vec![
+                Expr::Group(vec![r(0, 0), Expr::Group(vec![r(1, 0)].into())].into()),
+                r(2, 0),
+            ]
+            .into(),
+        );
         for (cell, expect) in [("T[2,1]", true), ("T[3,1]", true), ("T[4,1]", false)] {
             let d = parse_expr(cell).unwrap();
             assert_eq!(expr_consistent(&d, &nested), expect, "{cell}");
         }
         // A nested group as an aggregate argument behaves identically.
-        let s = sum(vec![Expr::Group(vec![Expr::Group(vec![r(0, 1)])]), r(2, 1)]);
+        let s = sum(vec![
+            Expr::Group(vec![Expr::Group(vec![r(0, 1)].into())].into()),
+            r(2, 1),
+        ]);
         let d = parse_expr("sum(T[1,2], T[3,2])").unwrap();
         assert!(expr_consistent(&d, &s));
     }
@@ -512,10 +525,13 @@ mod tests {
                 Expr::group(vec![r(0, 1)]),
             ])]])
             .unwrap(),
-            Grid::from_rows(vec![vec![Expr::Group(vec![
-                Expr::Group(vec![r(0, 0), Expr::Group(vec![r(1, 0)])]),
-                r(2, 0),
-            ])]])
+            Grid::from_rows(vec![vec![Expr::Group(
+                vec![
+                    Expr::Group(vec![r(0, 0), Expr::Group(vec![r(1, 0)].into())].into()),
+                    r(2, 0),
+                ]
+                .into(),
+            )]])
             .unwrap(),
         ];
         let demos = [

@@ -21,7 +21,7 @@ use std::fmt;
 
 use sickle_table::{AggFunc, ArithOp, Grid, Value};
 
-use crate::expr::{CellRef, FuncName};
+use crate::expr::{CellRef, FuncName, RefTerm};
 
 /// A demonstration expression `e` (Fig. 8, right).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -64,16 +64,8 @@ impl DemoExpr {
     /// Collects every [`CellRef`] in the expression (the paper's `ref(·)`).
     pub fn refs(&self) -> Vec<CellRef> {
         let mut out = Vec::new();
-        self.collect_refs(&mut out);
+        self.for_each_ref(&mut |r| out.push(r));
         out
-    }
-
-    fn collect_refs(&self, out: &mut Vec<CellRef>) {
-        match self {
-            DemoExpr::Const(_) => {}
-            DemoExpr::Ref(r) => out.push(*r),
-            DemoExpr::Apply { args, .. } => args.iter().for_each(|a| a.collect_refs(out)),
-        }
     }
 
     /// Number of explicit leaf values (refs + consts); the demonstration
@@ -183,6 +175,16 @@ impl fmt::Display for DemoExpr {
                     write!(f, ")")
                 }
             }
+        }
+    }
+}
+
+impl RefTerm for DemoExpr {
+    fn for_each_ref(&self, f: &mut impl FnMut(CellRef)) {
+        match self {
+            DemoExpr::Const(_) => {}
+            DemoExpr::Ref(r) => f(*r),
+            DemoExpr::Apply { args, .. } => args.iter().for_each(|a| a.for_each_ref(f)),
         }
     }
 }

@@ -7,6 +7,7 @@
 //! `group{e…}` (Fig. 8, left).
 
 use std::fmt;
+use std::sync::Arc;
 
 use sickle_table::{AggFunc, ArithOp, Table, Value};
 
@@ -105,16 +106,24 @@ impl fmt::Display for FuncName {
 }
 
 /// A provenance expression `e★` (Fig. 8, left).
+///
+/// Interior nodes hold their children behind an [`Arc`], so a term is a
+/// DAG of shared subterms: cloning a cell copies one node and bumps one
+/// reference count, and the engine hands the same window or aggregate
+/// term to every row that carries it. Equality, hashing and printing see
+/// only the contents, never the sharing.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// A constant that does not originate from an input cell.
     Const(Value),
     /// A reference to an input cell.
     Ref(CellRef),
-    /// A function application `f(e₁, …, e_l)`.
-    Apply(FuncName, Vec<Expr>),
-    /// A grouping term `group{e₁, …, e_l}` produced by `group` key columns.
-    Group(Vec<Expr>),
+    /// A function application `f(e₁, …, e_l)`; the argument slice is
+    /// shared between clones.
+    Apply(FuncName, Arc<[Expr]>),
+    /// A grouping term `group{e₁, …, e_l}` produced by `group` key columns;
+    /// the member slice is shared between clones.
+    Group(Arc<[Expr]>),
 }
 
 impl Expr {
@@ -123,31 +132,34 @@ impl Expr {
     /// the same function are spliced into the parent; nested `group` terms
     /// flatten likewise via [`Expr::group`].
     pub fn apply(f: FuncName, args: Vec<Expr>) -> Expr {
-        if f.flattens() {
-            let mut flat = Vec::with_capacity(args.len());
-            for a in args {
-                match a {
-                    Expr::Apply(g, inner) if g == f => flat.extend(inner),
-                    other => flat.push(other),
-                }
-            }
-            Expr::Apply(f, flat)
-        } else {
-            Expr::Apply(f, args)
+        let nested = |a: &Expr| matches!(a, Expr::Apply(g, _) if *g == f);
+        if !f.flattens() || !args.iter().any(nested) {
+            return Expr::Apply(f, args.into());
         }
+        let mut flat = Vec::with_capacity(args.len());
+        for a in args {
+            match a {
+                Expr::Apply(g, inner) if g == f => flat.extend(inner.iter().cloned()),
+                other => flat.push(other),
+            }
+        }
+        Expr::Apply(f, flat.into())
     }
 
     /// Builds a `group{…}` term, flattening nested groups (all members of a
     /// group cell carry equal values, so nesting carries no information).
     pub fn group(members: Vec<Expr>) -> Expr {
+        if !members.iter().any(|m| matches!(m, Expr::Group(_))) {
+            return Expr::Group(members.into());
+        }
         let mut flat = Vec::with_capacity(members.len());
         for m in members {
             match m {
-                Expr::Group(inner) => flat.extend(inner),
+                Expr::Group(inner) => flat.extend(inner.iter().cloned()),
                 other => flat.push(other),
             }
         }
-        Expr::Group(flat)
+        Expr::Group(flat.into())
     }
 
     /// Evaluates the expression to a concrete [`Value`] against the inputs
@@ -182,25 +194,52 @@ impl Expr {
     /// `ref(·)` for `e★`).
     pub fn refs(&self) -> Vec<CellRef> {
         let mut out = Vec::new();
-        self.collect_refs(&mut out);
+        self.for_each_ref(&mut |r| out.push(r));
         out
-    }
-
-    fn collect_refs(&self, out: &mut Vec<CellRef>) {
-        match self {
-            Expr::Const(_) => {}
-            Expr::Ref(r) => out.push(*r),
-            Expr::Apply(_, args) => args.iter().for_each(|a| a.collect_refs(out)),
-            Expr::Group(ms) => ms.iter().for_each(|m| m.collect_refs(out)),
-        }
     }
 
     /// Size of the term (number of nodes); used in tests and diagnostics.
     pub fn size(&self) -> usize {
         match self {
             Expr::Const(_) | Expr::Ref(_) => 1,
-            Expr::Apply(_, args) => 1 + args.iter().map(Expr::size).sum::<usize>(),
-            Expr::Group(ms) => 1 + ms.iter().map(Expr::size).sum::<usize>(),
+            Expr::Apply(_, args) | Expr::Group(args) => {
+                1 + args.iter().map(Expr::size).sum::<usize>()
+            }
+        }
+    }
+}
+
+/// A term over input-cell references: a provenance term ([`Expr`]) or a
+/// demonstration cell ([`crate::DemoExpr`]). This is what
+/// [`crate::RefUniverse::set_of`] converts to a reference set.
+pub trait RefTerm {
+    /// Calls `f` on every [`CellRef`] in the term, in the order the
+    /// term's `refs()` lists them, without collecting them.
+    fn for_each_ref(&self, f: &mut impl FnMut(CellRef));
+
+    /// True when `self` and `other` are one shared node, so data derived
+    /// from one (its reference set) holds for the other. A cheap,
+    /// sufficient test: equal terms built apart answer `false`.
+    fn same_node(&self, _other: &Self) -> bool {
+        false
+    }
+}
+
+impl RefTerm for Expr {
+    fn for_each_ref(&self, f: &mut impl FnMut(CellRef)) {
+        match self {
+            Expr::Const(_) => {}
+            Expr::Ref(r) => f(*r),
+            Expr::Apply(_, args) | Expr::Group(args) => args.iter().for_each(|a| a.for_each_ref(f)),
+        }
+    }
+
+    /// Both interior, with the same symbol and one argument allocation.
+    fn same_node(&self, other: &Expr) -> bool {
+        match (self, other) {
+            (Expr::Apply(f, a), Expr::Apply(g, b)) => f == g && Arc::ptr_eq(a, b),
+            (Expr::Group(a), Expr::Group(b)) => Arc::ptr_eq(a, b),
+            _ => false,
         }
     }
 }
@@ -324,7 +363,10 @@ mod tests {
     #[test]
     fn rank_term_evaluates() {
         // own = 20, peers = {10, 20, 5} -> rank 3
-        let e = Expr::Apply(FuncName::Rank, vec![r(1, 1), r(0, 1), r(1, 1), r(2, 1)]);
+        let e = Expr::Apply(
+            FuncName::Rank,
+            vec![r(1, 1), r(0, 1), r(1, 1), r(2, 1)].into(),
+        );
         assert_eq!(e.eval(&[input()]), Value::Int(3));
     }
 

@@ -56,7 +56,7 @@ mod ref_set;
 pub use analysis::{AnalysisCache, AnalysisCacheStats, DemoToken};
 pub use consistency::{demo_consistent, demo_consistent_with_candidates, expr_consistent};
 pub use demo::{parse_expr, Demo, DemoExpr, ParseError};
-pub use expr::{CellRef, Expr, FuncName};
+pub use expr::{CellRef, Expr, FuncName, RefTerm};
 pub use matching::{
     find_table_match, find_table_match_seeded, find_table_match_with_candidates,
     find_table_match_with_report, match_seed_rows, MatchDims, MatchReport, MatchSeed, TableMatch,

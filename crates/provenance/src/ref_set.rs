@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use sickle_table::Table;
 
-use crate::expr::CellRef;
+use crate::expr::{CellRef, RefTerm};
 
 /// Dimensions and starting bit offset of one input table, packed into a
 /// single slot so [`RefUniverse::index`] resolves a reference with one
@@ -115,23 +115,83 @@ impl RefUniverse {
     /// references are ignored (they can never be satisfied anyway and the
     /// caller detects that via subset checks against non-full sets).
     pub fn set_from<I: IntoIterator<Item = CellRef>>(&self, refs: I) -> RefSet {
-        if self.n_bits <= 64 * INLINE_WORDS {
-            // Small universe: stays inline, no allocation at all.
-            let mut s = RefSet::empty();
-            for r in refs {
-                s.insert(self, r);
-            }
-            return s;
+        let mut acc = Accumulator::Inline([0; INLINE_WORDS]);
+        refs.into_iter().for_each(|r| acc.add(self, r));
+        acc.finish()
+    }
+
+    /// The set of references of one term (`ref(e)`), ORed straight into
+    /// the set's words as the term is walked — equal to
+    /// `set_from(e.refs())` without collecting the references.
+    pub fn set_of<T: RefTerm>(&self, e: &T) -> RefSet {
+        let mut acc = Accumulator::Inline([0; INLINE_WORDS]);
+        e.for_each_ref(&mut |r| acc.add(self, r));
+        acc.finish()
+    }
+
+    /// The reference sets of a column of terms, one per cell, through
+    /// [`RefUniverse::set_of`]. A cell that is the same shared node as the
+    /// cell before it (neighbouring rows of one window aggregate) reuses
+    /// that cell's set instead of walking the term again.
+    pub fn column_sets<'e, T: RefTerm + 'e>(
+        &self,
+        cells: impl IntoIterator<Item = &'e T>,
+    ) -> Vec<RefSet> {
+        let mut out: Vec<RefSet> = Vec::new();
+        let mut prev: Option<&T> = None;
+        for e in cells {
+            let set = match (prev, out.last()) {
+                (Some(p), Some(s)) if p.same_node(e) => s.clone(),
+                _ => self.set_of(e),
+            };
+            out.push(set);
+            prev = Some(e);
         }
-        // Large universe: build at full width once (insert-by-insert
-        // growth would realloc repeatedly), canonicalize at the end.
-        let mut words = vec![0u64; self.n_bits.div_ceil(64)];
-        for r in refs {
-            if let Some(bit) = self.index(r) {
-                words[bit / 64] |= 1 << (bit % 64);
+        out
+    }
+}
+
+/// A set under construction by [`RefUniverse::set_from`] /
+/// [`RefUniverse::set_of`]: inline while every bit fits (no allocation
+/// for small sets), then widened once to the universe's full width
+/// (bit-by-bit growth would realloc repeatedly), canonicalized at the end.
+enum Accumulator {
+    Inline([u64; INLINE_WORDS]),
+    Wide(Vec<u64>),
+}
+
+impl Accumulator {
+    #[inline]
+    fn add(&mut self, universe: &RefUniverse, r: CellRef) {
+        let Some(bit) = universe.index(r) else {
+            return;
+        };
+        let (w, mask) = (bit / 64, 1u64 << (bit % 64));
+        match self {
+            Accumulator::Inline(words) if w < INLINE_WORDS => words[w] |= mask,
+            Accumulator::Inline(words) => {
+                let mut wide = vec![0u64; universe.n_bits.div_ceil(64)];
+                wide[..INLINE_WORDS].copy_from_slice(words);
+                wide[w] |= mask;
+                *self = Accumulator::Wide(wide);
             }
+            Accumulator::Wide(words) => words[w] |= mask,
         }
-        RefSet::from_words(words)
+    }
+
+    fn finish(self) -> RefSet {
+        match self {
+            Accumulator::Inline(words) => {
+                let len = words.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1);
+                RefSet {
+                    repr: Words::Inline {
+                        len: len as u8,
+                        words,
+                    },
+                }
+            }
+            Accumulator::Wide(words) => RefSet::from_words(words),
+        }
     }
 }
 

@@ -397,13 +397,23 @@ impl<C> Grid<C> {
     /// Applies `f` to every cell, producing a grid of the same shape. Cells
     /// are visited column by column.
     pub fn map<D>(&self, mut f: impl FnMut(&C) -> D) -> Grid<D> {
+        self.map_columns(|col| col.iter().map(&mut f).collect())
+    }
+
+    /// Applies `f` to every column, producing a grid of the same shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` returns a column of the wrong length.
+    pub fn map_columns<D>(&self, mut f: impl FnMut(&[C]) -> Vec<D>) -> Grid<D> {
+        let cols = self.cols.iter().map(|col| {
+            let out = f(col);
+            assert_eq!(out.len(), self.n_rows, "mapped column has wrong length");
+            Arc::new(out)
+        });
         Grid {
             n_rows: self.n_rows,
-            cols: self
-                .cols
-                .iter()
-                .map(|col| Arc::new(col.iter().map(&mut f).collect()))
-                .collect(),
+            cols: cols.collect(),
         }
     }
 }

@@ -229,23 +229,39 @@ fn abstraction_is_sound_on_random_queries() {
 }
 
 /// The engine's directly-computed ref-set channel must agree exactly with
-/// collecting `ref(·)` over the star channel, on every random query.
+/// collecting `ref(·)` over the star channel, on every random query, and
+/// so must the direct term walk `set_of` on every cell (checked against
+/// sets grown one `insert` at a time, too). Each query also
+/// runs on the table's rows repeated past 128 cells, where sets spill out
+/// of inline storage.
 #[test]
 fn engine_sets_channel_matches_star_refs() {
     for seed in 0..CASES {
         let mut rng = Rng::seed_from_u64(seed);
         let t = random_table(&mut rng);
         let q = random_query(&mut rng, 2);
-        let inputs = [t];
-        let universe = RefUniverse::from_tables(&inputs);
-        let Ok(exec) = (AnalysisEngine {
-            universe: &universe,
-        })
-        .exec_with_sets(&q, &inputs) else {
-            continue;
-        };
-        let from_star = exec.star().map(|e| universe.set_from(e.refs()));
-        assert_eq!(*exec.sets(&universe), from_star, "seed {seed}: query {q}");
+        let copies = 129 / (t.n_rows() * t.n_cols()) + 1;
+        let rows = (0..copies).flat_map(|_| t.grid().rows().map(|r| r.to_vec()));
+        let wide = Table::from_grid(Grid::from_rows(rows.collect()).expect("rectangular"));
+        for inputs in [[t], [wide]] {
+            let universe = RefUniverse::from_tables(&inputs);
+            let Ok(exec) = (AnalysisEngine {
+                universe: &universe,
+            })
+            .exec_with_sets(&q, &inputs) else {
+                continue;
+            };
+            let from_star = exec.star().map(|e| universe.set_from(e.refs()));
+            assert_eq!(*exec.sets(&universe), from_star, "seed {seed}: query {q}");
+            let from_walk = exec.star().map(|e| universe.set_of(e));
+            assert_eq!(from_walk, from_star, "seed {seed}: query {q}");
+            let inserted = exec.star().map(|e| {
+                let mut s = universe.empty_set();
+                e.refs().into_iter().for_each(|r| s.insert(&universe, r));
+                s
+            });
+            assert_eq!(from_walk, inserted, "seed {seed}: query {q}");
+        }
     }
 }
 
