@@ -1,22 +1,23 @@
 //! # sickle-bench
 //!
 //! Experiment harness regenerating every table and figure of the Sickle
-//! paper's evaluation (§5) on the reproduction benchmark suite. See
-//! `EXPERIMENTS.md` at the workspace root for the per-experiment index and
-//! recorded results.
+//! paper's evaluation (§5) on the reproduction benchmark suite.
 //!
-//! Binaries (`cargo run -p sickle-bench --release --bin <name>`):
+//! `cargo run -p sickle-bench --release --bin experiments [<name>]` runs
+//! the whole evaluation, or one experiment of it:
 //!
-//! | bin        | reproduces            |
-//! |------------|-----------------------|
-//! | `experiments` | everything below in one pass |
-//! | `fig12`    | Fig. 12 solve-rate-vs-time curves |
-//! | `fig13`    | Fig. 13 explored-query distributions |
-//! | `obs1`     | Observation #1 headline numbers |
-//! | `ranking`  | §5.2 ground-truth ranking table |
-//! | `specsize` | §5.2 demo size vs full-example size |
-//! | `userstudy`| §5.3 specification-effort model (substituted) |
-//! | `census`   | §5.1 benchmark feature census |
+//! | name        | reproduces            |
+//! |-------------|-----------------------|
+//! | `fig12`     | Fig. 12 solve-rate-vs-time curves |
+//! | `fig13`     | Fig. 13 explored-query distributions |
+//! | `obs1`      | Observation #1 headline numbers |
+//! | `ranking`   | §5.2 ground-truth ranking table |
+//! | `specsize`  | §5.2 demo size vs full-example size |
+//! | `userstudy` | §5.3 specification-effort model (substituted) |
+//! | `census`    | §5.1 benchmark feature census |
+//!
+//! The `solutions` binary dumps every task's ranked solutions
+//! deterministically (the committed oracle's format).
 //!
 //! Beyond the paper's evaluation, `sickle-serve` is a JSON-lines
 //! synthesis service over warm [`sickle_core::Session`]s: one request per

@@ -6,9 +6,10 @@
 //! generated programmatically with the paper's procedure
 //! ([`generate_demo`]).
 //!
-//! The paper's raw corpora are not redistributable; see `DESIGN.md` for the
-//! substitution argument (schemas, operator counts and feature mix match
-//! the published distribution).
+//! The paper's raw corpora are not redistributable, so the tasks are
+//! hand-ported substitutes whose schemas, operator counts and feature mix
+//! match the published distribution (`experiments census` prints the
+//! mix next to the paper's).
 //!
 //! # Examples
 //!

@@ -1,16 +1,12 @@
 //! The unified execution engine behind all three query semantics.
 //!
-//! Historically this crate had three independent tree-walking interpreters
-//! (`eval`, `prov_eval`, `abstract_eval`), each re-implementing every
-//! operator over row-major tables. The engine replaces them with *one*
-//! columnar operator pipeline: every operator is implemented once, over
-//! [`Table`]s with `Arc`-shared columns, and produces an [`ExecTable`] whose
-//! channels are filled according to the requested [`Semantics`]:
+//! One columnar operator pipeline implements every operator once, over
+//! [`Table`]s with `Arc`-shared columns, and produces an [`ExecTable`]
+//! whose channels are filled according to the requested [`Semantics`]:
 //!
 //! * **values** — the concrete output `[[q]]` (always computed; it also
-//!   drives filtering, sorting and grouping for the star channel, which
-//!   removes the per-cell `Expr::eval` calls the old provenance interpreter
-//!   performed);
+//!   drives filtering, sorting and grouping for the star channel, so no
+//!   provenance term is ever evaluated to make those decisions);
 //! * **star** — the provenance-embedded output `[[q]]★` (Fig. 9), on
 //!   request;
 //! * **sets** — per-cell reference bitsets (`ref` of each star cell), the
@@ -19,12 +15,13 @@
 //!   pipelines that never reach the abstract analysis pay nothing for
 //!   them.
 //!
-//! [`Engine`] is the trait over the pipeline; [`ConcreteEngine`],
-//! [`ProvenanceEngine`] and [`AnalysisEngine`] are its three
-//! instantiations, backing `evaluate`, `prov_evaluate` and the concrete
-//! leaves of `abstract_evaluate` respectively. [`EvalCache`] memoizes
-//! engine results keyed by `(query, semantics)` so skeleton refinement
-//! reuses inner-subquery evaluations across sibling expansions.
+//! [`exec`] runs the pipeline over a whole query: at
+//! [`Semantics::Values`] it backs `evaluate`, at
+//! [`Semantics::Provenance`] it backs `prov_evaluate` and, through the
+//! sets channel, the concrete leaves of `abstract_evaluate`.
+//! [`EvalCache`] memoizes engine results keyed by `(query, semantics)` so
+//! skeleton refinement reuses inner-subquery evaluations across sibling
+//! expansions.
 //!
 //! The pipeline also fuses `filter ∘ join`: the cross product is never
 //! materialized — a selection-vector pair is built from the predicate and
@@ -36,8 +33,8 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use sickle_table::{
-    cross_selection, group_rows_by_keys, AnalyticFunc, CmpOp, Grid, Table, Value, ValueInterner,
-    ValueKey,
+    cross_selection, group_rows_by_keys, AggFunc, AnalyticFunc, CmpOp, Grid, Table, Value,
+    ValueInterner, ValueKey,
 };
 
 use sickle_provenance::{CellRef, Expr, FxBuild, FxMap, RefSet, RefSetPool, RefUniverse, SetId};
@@ -45,6 +42,7 @@ use std::hash::BuildHasher;
 
 use crate::ast::{Pred, Query};
 use crate::eval::EvalError;
+use crate::memo::Memo;
 use crate::prov_eval::{
     aggregate_column, expand_arith, group_key_column, window_column, ProvTable,
 };
@@ -187,104 +185,27 @@ impl ExecTable {
     }
 }
 
-/// An execution engine: one of the three semantics of the paper, as an
-/// instantiation of the shared columnar operator pipeline.
-pub trait Engine {
-    /// Which channels this engine fills.
-    fn semantics(&self) -> Semantics;
-
-    /// Evaluates a whole query tree (recursively, with `filter ∘ join`
-    /// fusion).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EvalError`] when the query references missing inputs or
-    /// out-of-range columns.
-    fn exec(&self, q: &Query, inputs: &[Table]) -> Result<ExecTable, EvalError> {
-        let sem = self.semantics();
-        if let Some((left, right, pred)) = fused_filter_join(q) {
-            let l = self.exec(left, inputs)?;
-            let r = self.exec(right, inputs)?;
-            return exec_filtered_join(&l, &r, pred);
-        }
-        let children = q
-            .children()
-            .into_iter()
-            .map(|c| self.exec(c, inputs))
-            .collect::<Result<Vec<_>, _>>()?;
-        let child_refs: Vec<&ExecTable> = children.iter().collect();
-        exec_step(sem, q, &child_refs, inputs)
+/// Evaluates a whole query tree through the shared pipeline at semantics
+/// level `sem` (recursively, with `filter ∘ join` fusion). Nothing is
+/// memoized; the search goes through [`EvalCache::exec`] instead.
+///
+/// # Errors
+///
+/// Returns [`EvalError`] when the query references missing inputs or
+/// out-of-range columns.
+pub fn exec(sem: Semantics, q: &Query, inputs: &[Table]) -> Result<ExecTable, EvalError> {
+    if let Some((left, right, pred)) = fused_filter_join(q) {
+        let l = exec(sem, left, inputs)?;
+        let r = exec(sem, right, inputs)?;
+        return exec_filtered_join(&l, &r, pred);
     }
-
-    /// Applies the rule of `q`'s *top* operator, given the already-evaluated
-    /// results of its children (empty for `Input`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EvalError`] for out-of-range table/column references.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `children` does not match the operator's arity.
-    fn exec_step(
-        &self,
-        q: &Query,
-        children: &[&ExecTable],
-        inputs: &[Table],
-    ) -> Result<ExecTable, EvalError> {
-        exec_step(self.semantics(), q, children, inputs)
-    }
-}
-
-/// The standard semantics `[[q]]`: concrete values only.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ConcreteEngine;
-
-impl Engine for ConcreteEngine {
-    fn semantics(&self) -> Semantics {
-        Semantics::Values
-    }
-}
-
-/// The provenance-tracking semantics `[[q]]★` (Fig. 9): values plus
-/// provenance terms.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ProvenanceEngine;
-
-impl Engine for ProvenanceEngine {
-    fn semantics(&self) -> Semantics {
-        Semantics::Provenance
-    }
-}
-
-/// The analysis semantics: the precise leaves of the abstract evaluation
-/// (Fig. 11). Runs the pipeline with the star channel enabled; per-cell
-/// reference bitsets are then derived through
-/// [`ExecTable::sets`]`(universe)`.
-#[derive(Debug, Clone, Copy)]
-pub struct AnalysisEngine<'u> {
-    /// The reference universe of the task's input tables.
-    pub universe: &'u RefUniverse,
-}
-
-impl<'u> AnalysisEngine<'u> {
-    /// Evaluates `q` and returns the result together with its materialized
-    /// reference sets.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EvalError`] as [`Engine::exec`] does.
-    pub fn exec_with_sets(&self, q: &Query, inputs: &[Table]) -> Result<ExecTable, EvalError> {
-        let out = self.exec(q, inputs)?;
-        out.sets(self.universe);
-        Ok(out)
-    }
-}
-
-impl<'u> Engine for AnalysisEngine<'u> {
-    fn semantics(&self) -> Semantics {
-        Semantics::Provenance
-    }
+    let children = q
+        .children()
+        .into_iter()
+        .map(|c| exec(sem, c, inputs))
+        .collect::<Result<Vec<_>, _>>()?;
+    let child_refs: Vec<&ExecTable> = children.iter().collect();
+    exec_step(sem, q, &child_refs, inputs)
 }
 
 // ---------------------------------------------------------------------------
@@ -302,7 +223,17 @@ fn fused_filter_join(q: &Query) -> Option<(&Query, &Query, &Pred)> {
     None
 }
 
-/// One-operator step of the shared pipeline.
+/// Applies the rule of `q`'s *top* operator, given the already-evaluated
+/// results of its children (empty for `Input`): one step of the shared
+/// pipeline.
+///
+/// # Errors
+///
+/// Returns [`EvalError`] for out-of-range table/column references.
+///
+/// # Panics
+///
+/// Panics if `children` does not match the operator's arity.
 pub fn exec_step(
     sem: Semantics,
     q: &Query,
@@ -792,14 +723,57 @@ fn exec_group(
     sem: Semantics,
     src: &ExecTable,
     keys: &[usize],
-    agg: sickle_table::AggFunc,
+    agg: AggFunc,
     target: usize,
 ) -> Result<ExecTable, EvalError> {
-    let n_cols = src.values.n_cols();
-    check_cols(keys, n_cols, "group")?;
-    check_cols(&[target], n_cols, "group")?;
+    check_cols(keys, src.values.n_cols(), "group")?;
+    check_cols(&[target], src.values.n_cols(), "group")?;
     let groups = group_rows_by_keys(src.values.grid(), keys);
+    let key_cols = key_columns(sem, src, &groups, keys);
+    Ok(group_over(sem, src, &groups, keys, &key_cols, agg, target))
+}
 
+/// The key columns of a `group` over the row partition `groups` of `src`
+/// by `keys`: each group's representative key values and, when `sem`
+/// wants the star channel, its `group{…}` key terms. They depend on the
+/// partition and keys only, not on the aggregation.
+fn key_columns(
+    sem: Semantics,
+    src: &ExecTable,
+    groups: &[Vec<usize>],
+    keys: &[usize],
+) -> KeyColumns {
+    let values = keys
+        .iter()
+        .map(|&k| {
+            let col = src.values.column(k);
+            Arc::new(groups.iter().map(|g| col[g[0]].clone()).collect())
+        })
+        .collect();
+    let stars = if sem.wants_star() {
+        let sg = src.star();
+        keys.iter()
+            .map(|&k| Arc::new(group_key_column(sg.column(k), groups)))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    (values, stars)
+}
+
+/// The `group` step over an already-computed row partition `groups` of
+/// `src` by `keys` (whose columns the caller has checked) and its
+/// [`key_columns`]: the key columns are shared into the output as-is and
+/// only the aggregate column is built here.
+fn group_over(
+    sem: Semantics,
+    src: &ExecTable,
+    groups: &[Vec<usize>],
+    keys: &[usize],
+    (key_values, key_stars): &KeyColumns,
+    agg: AggFunc,
+    target: usize,
+) -> ExecTable {
     let mut names: Vec<String> = keys
         .iter()
         .map(|&k| src.values.names()[k].clone())
@@ -807,35 +781,30 @@ fn exec_group(
     names.push(format!("{agg}({})", src.values.names()[target]));
 
     // Values channel: representative key cells + the aggregate.
-    let mut value_cols: Vec<Vec<Value>> = Vec::with_capacity(keys.len() + 1);
-    for &k in keys {
-        let col = src.values.column(k);
-        value_cols.push(groups.iter().map(|g| col[g[0]].clone()).collect());
-    }
     let target_col = src.values.column(target);
-    value_cols.push(
+    let mut value_cols = Vec::with_capacity(keys.len() + 1);
+    value_cols.extend(key_values.iter().cloned());
+    value_cols.push(Arc::new(
         groups
             .iter()
             .map(|g| agg.apply_indexed(target_col, g))
             .collect(),
-    );
-    let values = Table::from_named_grid(
-        names,
-        Grid::from_columns(value_cols.into_iter().map(std::sync::Arc::new).collect()),
-    );
+    ));
+    let values = Table::from_named_grid(names, Grid::from_columns(value_cols));
 
     // Star channel: group{…} key terms and α(members…) aggregates.
     let star = sem.wants_star().then(|| {
-        let sg = src.star();
-        let mut cols: Vec<Arc<Vec<Expr>>> = keys
-            .iter()
-            .map(|&k| Arc::new(group_key_column(sg.column(k), &groups)))
-            .collect();
-        cols.push(Arc::new(aggregate_column(agg, sg.column(target), &groups)));
+        let mut cols = Vec::with_capacity(keys.len() + 1);
+        cols.extend(key_stars.iter().cloned());
+        cols.push(Arc::new(aggregate_column(
+            agg,
+            src.star().column(target),
+            groups,
+        )));
         Grid::from_columns(cols)
     });
 
-    Ok(table(values, star))
+    table(values, star)
 }
 
 fn exec_partition(
@@ -972,16 +941,12 @@ pub struct EvalCache {
     /// this cache. Shared (`Arc`) so parallel search workers intern into
     /// one pool and see identical ids for identical sets.
     pool: Arc<RefSetPool>,
-    /// Column-union memo keyed by column identity (the `Arc` address; the
-    /// entry holds the `Arc`, pinning the address). Sibling partial
-    /// queries union the same shared child columns over and over — the
-    /// memo reduces each repeat to one map probe, with no locking (the
-    /// engine cache is thread-local).
-    col_unions: RefCell<ColUnionMemo>,
-    /// `extract_groups` memo keyed by (concrete result identity, keys):
-    /// the strong abstraction re-derives the same grouping for every
-    /// sibling instantiation above one concrete subquery.
-    groups: RefCell<FxMap<GroupsKey, (Rc<ExecTable>, Groups)>>,
+    /// Column-union memo keyed by column identity (the `Arc` address;
+    /// the entry pins the column). Sibling partial queries union the
+    /// same shared child columns over and over — the memo reduces each
+    /// repeat to one map probe, with no locking (the engine cache is
+    /// thread-local).
+    col_unions: Memo<usize, SetId, MEMO_CAP, SetColumn>,
     /// Star-column reference-set memo keyed by column identity. Sibling
     /// concrete candidates over one subquery share its star columns by
     /// `Arc` (structure-preserving operators append a column and pass
@@ -991,30 +956,38 @@ pub struct EvalCache {
     /// converts a column once (bulk, on first probe) and every later
     /// candidate's probes reduce to one map probe per column. Columns
     /// the matcher never probes are never converted.
-    star_cols: RefCell<StarColsMemo>,
-    /// Grouping-skeleton memo keyed by (child result identity, key
-    /// columns, star wanted): the representative key value columns and
-    /// `group{…}` star key columns of a `group` operator depend on the
-    /// child and keys only — every sibling aggregation choice shares
-    /// them, and `Arc`-sharing the columns also lets [`EvalCache::star_sets`]
-    /// hits carry across those siblings.
-    group_parts: RefCell<FxMap<GroupPartsKey, GroupPartsEntry>>,
-    /// Canonicalization of groupings by content: different key subsets
-    /// frequently induce the *same* row partition (a key column constant
-    /// within groups adds nothing), and handing back one shared `Rc` per
-    /// distinct partition lets the per-group union memo hit across them.
-    groups_canon: RefCell<FxMap<(usize, Groups), Groups>>,
+    star_cols: Memo<usize, Arc<Vec<RefSet>>, COLUMN_MEMO_CAP, Arc<Vec<Expr>>>,
+    /// Grouping-skeleton memo keyed by `[child result identity, star
+    /// wanted, key columns…]` (one slice, so a probe borrows the reusable
+    /// [`EvalCache::parts_probe`] buffer): the row partition and
+    /// [`key_columns`] of a `group` operator depend on the child and keys
+    /// only — every sibling aggregation choice shares them, and
+    /// `Arc`-sharing the columns also lets [`EvalCache::star_cols`] hits
+    /// carry across those siblings. Holding the partition here lets
+    /// sibling `group` candidates skip [`EvalCache::groups_of`]:
+    /// recomputing it per candidate made the benchmark's `suite`
+    /// workload 5–8% slower (`pass_norm_s`, 2-vCPU x86-64 VM).
+    group_parts: Memo<Box<[usize]>, (Groups, KeyColumns), COLUMN_MEMO_CAP, Rc<ExecTable>>,
+    /// Probe buffer of [`EvalCache::group_parts`], reused so a hit does
+    /// not allocate.
+    parts_probe: RefCell<Vec<usize>>,
+    /// Canonicalization of row partitions by content, per concrete
+    /// result (pinned): different key subsets frequently induce the
+    /// *same* partition (a key column constant within groups adds
+    /// nothing), and handing back one shared `Rc` per distinct partition
+    /// lets the per-group union memo hit across them.
+    groups_canon: Memo<(usize, Groups), Groups, MEMO_CAP, Rc<ExecTable>>,
     /// Per-group column unions keyed by (column identity, groups
-    /// identity), the inner loop of the strong rules.
-    group_unions: RefCell<FxMap<(usize, usize), GroupUnionEntry>>,
+    /// identity), the inner loop of the strong rules. Pins both.
+    group_unions: Memo<(usize, usize), SetColumn, MEMO_CAP, (SetColumn, Groups)>,
     /// Output row counts of every query ever evaluated through this
     /// cache, keyed by the query itself (no hashes: a collision would
     /// mis-reject a valid candidate). Entries survive eviction of the
     /// result they describe — the acceptance path's demo-dims fast
-    /// reject reads row counts from here, so its hit rate is immune to
-    /// cache pressure (a `u32` per query instead of a pinned table).
-    /// Cleared, not evicted, at [`ROWS_MEMO_CAP`].
-    row_counts: RefCell<FxMap<Query, u32>>,
+    /// reject ([`EvalCache::row_bound`]) reads row counts from here, so
+    /// its hit rate is immune to cache pressure (a `u32` per query
+    /// instead of a pinned table).
+    row_counts: Memo<Query, u32, ROWS_MEMO_CAP>,
     /// Group counts keyed by child query, then key columns: the output
     /// row count of a `group` operator depends on the child and keys
     /// only, so one evaluated sibling aggregation choice lets every
@@ -1022,7 +995,7 @@ pub struct EvalCache {
     /// (not tuple-keyed) so probes borrow the candidate's child instead
     /// of cloning it. Same bound and survival rules as
     /// [`EvalCache::row_counts`].
-    group_counts: RefCell<GroupCountsMemo>,
+    group_counts: Memo<Query, Vec<(Vec<usize>, u32)>, ROWS_MEMO_CAP>,
     /// Pooled scratch of the chunked filter/join paths: selection vectors
     /// and key buffers reused across every candidate evaluated through
     /// this cache, so per-candidate allocation stops scaling with row
@@ -1033,20 +1006,24 @@ pub struct EvalCache {
     /// Eviction / demotion / re-evaluation counters (see [`CacheStats`]).
     stats: Cell<CacheStats>,
     /// Hashes of fully evicted queries, consumed on re-insert to count
-    /// churn-induced re-evaluations. Bounded by [`EVICTED_TRACK_CAP`]
-    /// (cleared when full, which undercounts) and keyed by a 64-bit
-    /// fingerprint (a collision can overcount a never-evicted query) —
-    /// a diagnostic counter, deliberately cheap rather than exact.
-    evicted: RefCell<FxMap<u64, ()>>,
+    /// churn-induced re-evaluations. Cleared when full, which
+    /// undercounts, and keyed by a 64-bit fingerprint (a collision can
+    /// overcount a never-evicted query) — a diagnostic counter,
+    /// deliberately cheap rather than exact.
+    evicted: Memo<u64, (), EVICTED_TRACK_CAP>,
     /// Hasher for the evicted-query fingerprints.
     hasher: FxBuild,
 }
 
-/// A shared row partition (`extract_groups` output).
+/// A shared row partition (`group_rows_by_keys` output).
 type Groups = Rc<Vec<Vec<usize>>>;
 
-/// Group-count memo: child query → [(key columns, group count)].
-type GroupCountsMemo = FxMap<Query, Vec<(Vec<usize>, u32)>>;
+/// A shared column of interned reference-set ids.
+type SetColumn = Arc<Vec<SetId>>;
+
+/// The [`key_columns`] of a `group` output: representative key values,
+/// plus `group{…}` key terms when the star channel is wanted.
+type KeyColumns = (Vec<Arc<Vec<Value>>>, Vec<Arc<Vec<Expr>>>);
 
 /// One exec-cache slot: per-semantics-level results plus the
 /// second-chance bit and the recompute-cost estimate consumed by the
@@ -1073,39 +1050,6 @@ struct ExecSlot {
     /// full on eviction and partially on demotion, so cumulative releases
     /// never exceed cumulative charges.
     bytes: Cell<u64>,
-}
-
-/// Column-union memo: column `Arc` address → (pinned column, union id).
-type ColUnionMemo = FxMap<usize, (Arc<Vec<SetId>>, SetId)>;
-
-/// Key of the grouping memo: (concrete result identity, key columns).
-type GroupsKey = (usize, Vec<usize>);
-
-/// Star-column set memo: column identity → (pinned column, its sets).
-type StarColsMemo = FxMap<usize, (Arc<Vec<Expr>>, Arc<Vec<RefSet>>)>;
-
-/// Key of the grouping-skeleton memo: (child result identity, key
-/// columns, whether star key columns were built).
-type GroupPartsKey = (usize, Vec<usize>, bool);
-
-/// Entry of the grouping-skeleton memo: the pinned child plus the shared
-/// row partition and key columns of every sibling `group` candidate.
-#[derive(Debug)]
-struct GroupPartsEntry {
-    _child: Rc<ExecTable>,
-    _groups: Groups,
-    key_values: Vec<Arc<Vec<Value>>>,
-    /// Present when the entry was built for a star-channel request.
-    key_stars: Vec<Arc<Vec<Expr>>>,
-}
-
-/// Entry of the per-group union memo: the pinned column and groups plus
-/// the per-group union column (shareable into result grids as-is).
-#[derive(Debug)]
-struct GroupUnionEntry {
-    _col: Arc<Vec<SetId>>,
-    _groups: Groups,
-    unions: Arc<Vec<SetId>>,
 }
 
 /// Bound on the concrete exec-table cache (entries hold full provenance
@@ -1141,8 +1085,8 @@ const DEMOTE_RELEASE_DIV: u64 = 2;
 const EVICTED_TRACK_CAP: usize = 65_536;
 
 /// Bound on the row-count and group-count memos behind the demo-dims
-/// fast reject (a full memo is cleared, not evicted — entries are one
-/// `u32` plus a query key and are recomputed on the next evaluation).
+/// fast reject (entries are one `u32` plus a query key and are
+/// recomputed on the next evaluation).
 const ROWS_MEMO_CAP: usize = 65_536;
 
 /// Eviction policy of the concrete [`EvalCache`] store.
@@ -1275,8 +1219,8 @@ fn second_chance_sweep<K, V>(map: &mut FxMap<K, Warm<V>>, cap: usize) {
     });
 }
 
-/// Bound on the identity-keyed analysis memos (column unions, groupings,
-/// per-group unions); full memos are cleared, not evicted.
+/// Bound on the identity-keyed analysis memos (column unions, partition
+/// canonicalization, per-group unions).
 const MEMO_CAP: usize = 16_384;
 
 /// Bound on the memos that pin whole columns or grouping skeletons
@@ -1289,15 +1233,6 @@ impl EvalCache {
     /// Creates an empty cache with a private [`RefSetPool`].
     pub fn new() -> EvalCache {
         EvalCache::default()
-    }
-
-    /// Creates an empty cache resolving set ids through a shared pool
-    /// (the parallel search hands every worker the same pool).
-    pub fn with_pool(pool: Arc<RefSetPool>) -> EvalCache {
-        EvalCache {
-            pool,
-            ..EvalCache::default()
-        }
     }
 
     /// Creates an empty cache with a private pool and the given eviction
@@ -1334,66 +1269,88 @@ impl EvalCache {
         self.stats.get()
     }
 
-    /// The output row count of `q`, if it was ever evaluated through
-    /// this cache — survives eviction of the result itself. The
-    /// acceptance path's demo-dims fast reject runs on this, so a
-    /// too-small candidate is rejected without any evaluation even when
-    /// its child was swept out long ago.
-    pub(crate) fn known_rows(&self, q: &Query) -> Option<usize> {
-        self.row_counts.borrow().get(q).map(|&n| n as usize)
+    /// An upper bound on `q`'s output row count read from the row-count
+    /// memos, without evaluating anything — the acceptance path's
+    /// demo-dims fast reject. The memos record every evaluation and
+    /// *survive eviction* of the results they describe, so a child swept
+    /// out long ago still bounds its siblings. Row-preserving top
+    /// operators (sort / partition / arithmetic / projection) have
+    /// exactly their source's row count, and a `group`'s output rows are
+    /// its group count. Filter and join tops take an exact memo for the
+    /// candidate itself if any sibling shape evaluated it, otherwise a
+    /// *sound upper bound* from the operand memos: a filter never has
+    /// more rows than its child, a cross join has exactly |L|·|R|, and a
+    /// left join keeps every left row at least once, so it has at most
+    /// |L|·max(1, |R|). `None` when nothing is known (including
+    /// out-of-range group keys, which never get a memo entry and fall
+    /// through to evaluation, where they fail as an [`EvalError`]).
+    pub(crate) fn row_bound(&self, q: &Query) -> Option<usize> {
+        // |L|·max(floor, |R|) from the operand memos.
+        let product = |left: &Query, right: &Query, floor: usize| {
+            Some(
+                self.known_rows(left)?
+                    .saturating_mul(self.known_rows(right)?.max(floor)),
+            )
+        };
+        match q {
+            Query::Sort { src, .. }
+            | Query::Partition { src, .. }
+            | Query::Arith { src, .. }
+            | Query::Proj { src, .. } => self.known_rows(src),
+            Query::Group { src, keys, .. } => self.known_group_rows(src, keys),
+            Query::Filter { src, .. } => self.known_rows(q).or_else(|| match &**src {
+                Query::Join { left, right } => product(left, right, 0),
+                _ => self.known_rows(src),
+            }),
+            Query::Join { left, right } => self.known_rows(q).or_else(|| product(left, right, 0)),
+            Query::LeftJoin { left, right, .. } => {
+                self.known_rows(q).or_else(|| product(left, right, 1))
+            }
+            Query::Input(_) => None,
+        }
     }
 
-    /// The number of groups `extract_groups(child, keys)` produces — the
-    /// output row count of any sibling `group` candidate over the same
-    /// (child, keys) — if any such sibling was ever evaluated.
-    pub(crate) fn known_group_rows(&self, child: &Query, keys: &[usize]) -> Option<usize> {
-        self.group_counts.borrow().get(child).and_then(|entries| {
-            entries
-                .iter()
-                .find(|(k, _)| k == keys)
-                .map(|&(_, n)| n as usize)
-        })
+    /// The output row count of `q`, if it was ever evaluated through
+    /// this cache (see [`EvalCache::row_counts`]).
+    fn known_rows(&self, q: &Query) -> Option<usize> {
+        self.row_counts.get(q, |&n| n as usize)
+    }
+
+    /// The number of groups `group_rows_by_keys(child, keys)` produces —
+    /// the output row count of any sibling `group` candidate over the
+    /// same (child, keys) — if any such sibling was ever evaluated.
+    fn known_group_rows(&self, child: &Query, keys: &[usize]) -> Option<usize> {
+        self.group_counts
+            .get(child, |entries| {
+                entries
+                    .iter()
+                    .find(|(k, _)| k == keys)
+                    .map(|&(_, n)| n as usize)
+            })
+            .flatten()
     }
 
     /// Records a query's output row count (see [`EvalCache::row_counts`]).
     fn note_rows(&self, q: &Query, rows: usize) {
-        let mut counts = self.row_counts.borrow_mut();
-        if counts.contains_key(q) {
-            return;
+        if self.row_counts.get(q, |_| ()).is_none() {
+            self.row_counts
+                .insert(q.clone(), rows.min(u32::MAX as usize) as u32);
         }
-        if counts.len() >= ROWS_MEMO_CAP {
-            counts.clear();
-        }
-        counts.insert(q.clone(), rows.min(u32::MAX as usize) as u32);
     }
 
     /// Records a (child, keys) group count (see
     /// [`EvalCache::group_counts`]).
     fn note_group_rows(&self, child: &Query, keys: &[usize], groups: usize) {
-        let mut counts = self.group_counts.borrow_mut();
-        if let Some(entries) = counts.get_mut(child) {
+        let n = groups.min(u32::MAX as usize) as u32;
+        let known = self.group_counts.update(child, |entries| {
             if !entries.iter().any(|(k, _)| k == keys) {
-                entries.push((keys.to_vec(), groups.min(u32::MAX as usize) as u32));
+                entries.push((keys.to_vec(), n));
             }
-            return;
+        });
+        if known.is_none() {
+            self.group_counts
+                .insert(child.clone(), vec![(keys.to_vec(), n)]);
         }
-        if counts.len() >= ROWS_MEMO_CAP {
-            counts.clear();
-        }
-        counts.insert(
-            child.clone(),
-            vec![(keys.to_vec(), groups.min(u32::MAX as usize) as u32)],
-        );
-    }
-
-    /// Fingerprints a fully evicted query so its eventual re-insert is
-    /// counted as a churn-induced re-evaluation.
-    fn note_evicted(&self, q: &Query) {
-        let mut evicted = self.evicted.borrow_mut();
-        if evicted.len() >= EVICTED_TRACK_CAP {
-            evicted.clear();
-        }
-        evicted.insert(self.hasher.hash_one(q), ());
     }
 
     /// The cost-aware, hysteresis-bounded sweep of the concrete store.
@@ -1439,7 +1396,7 @@ impl EvalCache {
                 if evict {
                     stats.evictions += 1;
                     stats.mem_released = stats.mem_released.saturating_add(slot.bytes.get());
-                    self.note_evicted(q);
+                    self.evicted.insert(self.hasher.hash_one(q), ());
                 }
                 !evict
             });
@@ -1473,9 +1430,8 @@ impl EvalCache {
         if !purge.is_empty() {
             purge.sort_unstable();
             let gone = |addr: usize| purge.binary_search(&addr).is_ok();
-            self.groups.borrow_mut().retain(|k, _| !gone(k.0));
-            self.groups_canon.borrow_mut().retain(|k, _| !gone(k.0));
-            self.group_parts.borrow_mut().retain(|k, _| !gone(k.0));
+            self.groups_canon.retain(|k| !gone(k.0));
+            self.group_parts.retain(|k| !gone(k[0]));
         }
         self.stats.set(stats);
     }
@@ -1502,11 +1458,10 @@ impl EvalCache {
             // strong counts = this entry's star grid plus the memo's own
             // pin; anything higher means someone else still uses it.
             if let Some(star) = rc.try_star() {
-                let mut cols = self.star_cols.borrow_mut();
                 for c in 0..star.n_cols() {
                     let col = star.column_arc(c);
                     if Arc::strong_count(col) <= 2
-                        && cols.remove(&(Arc::as_ptr(col) as usize)).is_some()
+                        && self.star_cols.remove(&(Arc::as_ptr(col) as usize))
                     {
                         any = true;
                     }
@@ -1545,17 +1500,13 @@ impl EvalCache {
 
     /// Memoized union of one shared column (see
     /// [`EvalCache::col_unions`]).
-    pub(crate) fn column_union(&self, col: &Arc<Vec<SetId>>) -> SetId {
+    pub(crate) fn column_union(&self, col: &SetColumn) -> SetId {
         let key = Arc::as_ptr(col) as usize;
-        if let Some((_, id)) = self.col_unions.borrow().get(&key) {
-            return *id;
+        if let Some(id) = self.col_unions.get(&key, |&id| id) {
+            return id;
         }
         let id = self.pool.union_slice(col);
-        let mut map = self.col_unions.borrow_mut();
-        if map.len() >= MEMO_CAP {
-            map.clear();
-        }
-        map.insert(key, (Arc::clone(col), id));
+        self.col_unions.insert_pinned(key, Arc::clone(col), id);
         id
     }
 
@@ -1571,21 +1522,18 @@ impl EvalCache {
     ) -> Arc<Vec<RefSet>> {
         let col_arc = star.column_arc(col);
         let key = Arc::as_ptr(col_arc) as usize;
-        if let Some((_, sets)) = self.star_cols.borrow().get(&key) {
-            return Arc::clone(sets);
+        if let Some(sets) = self.star_cols.get(&key, Arc::clone) {
+            return sets;
         }
         let sets = Arc::new(universe.column_sets(col_arc.iter()));
-        let mut map = self.star_cols.borrow_mut();
-        if map.len() >= COLUMN_MEMO_CAP {
-            map.clear();
-        }
-        map.insert(key, (Arc::clone(col_arc), Arc::clone(&sets)));
+        self.star_cols
+            .insert_pinned(key, Arc::clone(col_arc), Arc::clone(&sets));
         sets
     }
 
     /// Engine step for a `group` operator through the grouping-skeleton
-    /// memo: the row partition and the representative/`group{…}` key
-    /// columns are computed once per (child, keys) and `Arc`-shared
+    /// memo ([`EvalCache::group_parts`]): the row partition and the
+    /// [`key_columns`] are computed once per (child, keys) and shared
     /// across every sibling aggregation choice — only the aggregate
     /// column is built per candidate. Output is identical to
     /// [`exec_step`] on a `group` query.
@@ -1594,86 +1542,34 @@ impl EvalCache {
         sem: Semantics,
         child: &Rc<ExecTable>,
         keys: &[usize],
-        agg: sickle_table::AggFunc,
+        agg: AggFunc,
         target: usize,
     ) -> Result<ExecTable, EvalError> {
-        let n_cols = child.values.n_cols();
-        check_cols(keys, n_cols, "group")?;
-        check_cols(&[target], n_cols, "group")?;
-        let groups = self.groups_of(child, keys);
-
-        let parts_key = (Rc::as_ptr(child) as usize, keys.to_vec(), sem.wants_star());
-        let cached = self
-            .group_parts
-            .borrow()
-            .get(&parts_key)
-            .map(|e| (e.key_values.clone(), e.key_stars.clone()));
-        let (key_values, key_stars) = match cached {
-            Some(parts) => parts,
-            None => {
-                let key_values: Vec<Arc<Vec<Value>>> = keys
-                    .iter()
-                    .map(|&k| {
-                        let col = child.values.column(k);
-                        Arc::new(groups.iter().map(|g| col[g[0]].clone()).collect())
-                    })
-                    .collect();
-                let key_stars: Vec<Arc<Vec<Expr>>> = if sem.wants_star() {
-                    let sg = child.star();
-                    keys.iter()
-                        .map(|&k| Arc::new(group_key_column(sg.column(k), &groups)))
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                let mut map = self.group_parts.borrow_mut();
-                if map.len() >= COLUMN_MEMO_CAP {
-                    map.clear();
-                }
-                map.insert(
-                    parts_key,
-                    GroupPartsEntry {
-                        _child: Rc::clone(child),
-                        _groups: Rc::clone(&groups),
-                        key_values: key_values.clone(),
-                        key_stars: key_stars.clone(),
-                    },
-                );
-                (key_values, key_stars)
-            }
+        check_cols(keys, child.values.n_cols(), "group")?;
+        check_cols(&[target], child.values.n_cols(), "group")?;
+        let mut probe = self.parts_probe.borrow_mut();
+        probe.clear();
+        probe.extend([Rc::as_ptr(child) as usize, usize::from(sem.wants_star())]);
+        probe.extend_from_slice(keys);
+        let over = |groups: &Groups, key_cols: &KeyColumns| {
+            group_over(sem, child, groups, keys, key_cols, agg, target)
         };
-
-        let mut names: Vec<String> = keys
-            .iter()
-            .map(|&k| child.values.names()[k].clone())
-            .collect();
-        names.push(format!("{agg}({})", child.values.names()[target]));
-
-        let target_col = child.values.column(target);
-        let mut value_cols = key_values;
-        value_cols.push(Arc::new(
-            groups
-                .iter()
-                .map(|g| agg.apply_indexed(target_col, g))
-                .collect(),
-        ));
-        let values = Table::from_named_grid(names, Grid::from_columns(value_cols));
-
-        let star = sem.wants_star().then(|| {
-            let mut cols = key_stars;
-            cols.push(Arc::new(aggregate_column(
-                agg,
-                child.star().column(target),
-                &groups,
-            )));
-            Grid::from_columns(cols)
-        });
-
-        Ok(table(values, star))
+        if let Some(out) = self.group_parts.get(probe.as_slice(), |(g, k)| over(g, k)) {
+            return Ok(out);
+        }
+        let groups = self.groups_of(child, keys);
+        let key_cols = key_columns(sem, child, &groups, keys);
+        let out = over(&groups, &key_cols);
+        self.group_parts.insert_pinned(
+            probe.as_slice().into(),
+            Rc::clone(child),
+            (groups, key_cols),
+        );
+        Ok(out)
     }
 
     /// Engine step for a `partition` operator through the shared grouping
-    /// memo: the row partition is computed once per (child, keys) and
+    /// memo: the row partition is canonicalized per (child, content) and
     /// shared across every sibling (function, target) choice — only the
     /// window column is built per candidate. Output is identical to
     /// [`exec_step`] on a `partition` query.
@@ -1691,48 +1587,29 @@ impl EvalCache {
         Ok(partition_over(sem, child, &groups, keys, func, target))
     }
 
-    /// Memoized `extract_groups` over a concrete engine result (see
-    /// [`EvalCache::groups`]).
-    pub(crate) fn groups_of(&self, conc: &Rc<ExecTable>, keys: &[usize]) -> Rc<Vec<Vec<usize>>> {
-        let key = (Rc::as_ptr(conc) as usize, keys.to_vec());
-        if let Some((_, g)) = self.groups.borrow().get(&key) {
-            return Rc::clone(g);
+    /// The row partition of a concrete engine result by `keys`,
+    /// canonicalized by content (see [`EvalCache::groups_canon`]): key
+    /// subsets that induce the same partition get the same `Rc`.
+    pub(crate) fn groups_of(&self, conc: &Rc<ExecTable>, keys: &[usize]) -> Groups {
+        let probe = (
+            Rc::as_ptr(conc) as usize,
+            Rc::new(group_rows_by_keys(conc.values.grid(), keys)),
+        );
+        if let Some(canon) = self.groups_canon.get(&probe, Rc::clone) {
+            return canon;
         }
-        let g = Rc::new(sickle_table::extract_groups(conc.table(), keys));
-        // Canonicalize by content so equal partitions from different key
-        // subsets share one identity (and thus one per-group union memo).
-        let canon_key = (Rc::as_ptr(conc) as usize, Rc::clone(&g));
-        let g = {
-            let mut canon = self.groups_canon.borrow_mut();
-            if canon.len() >= MEMO_CAP {
-                canon.clear();
-            }
-            match canon.get(&canon_key) {
-                Some(existing) => Rc::clone(existing),
-                None => {
-                    canon.insert(canon_key, Rc::clone(&g));
-                    g
-                }
-            }
-        };
-        let mut map = self.groups.borrow_mut();
-        if map.len() >= MEMO_CAP {
-            map.clear();
-        }
-        map.insert(key, (Rc::clone(conc), Rc::clone(&g)));
-        g
+        let groups = Rc::clone(&probe.1);
+        self.groups_canon
+            .insert_pinned(probe, Rc::clone(conc), Rc::clone(&groups));
+        groups
     }
 
     /// Memoized per-group unions of one shared column under one grouping
     /// (see [`EvalCache::group_unions`]).
-    pub(crate) fn group_unions(
-        &self,
-        col: &Arc<Vec<SetId>>,
-        groups: &Rc<Vec<Vec<usize>>>,
-    ) -> Arc<Vec<SetId>> {
+    pub(crate) fn group_unions(&self, col: &SetColumn, groups: &Groups) -> SetColumn {
         let key = (Arc::as_ptr(col) as usize, Rc::as_ptr(groups) as usize);
-        if let Some(entry) = self.group_unions.borrow().get(&key) {
-            return Arc::clone(&entry.unions);
+        if let Some(unions) = self.group_unions.get(&key, Arc::clone) {
+            return unions;
         }
         let unions = Arc::new(
             groups
@@ -1740,17 +1617,10 @@ impl EvalCache {
                 .map(|g| self.pool.union_rows(col, g))
                 .collect::<Vec<SetId>>(),
         );
-        let mut map = self.group_unions.borrow_mut();
-        if map.len() >= MEMO_CAP {
-            map.clear();
-        }
-        map.insert(
+        self.group_unions.insert_pinned(
             key,
-            GroupUnionEntry {
-                _col: Arc::clone(col),
-                _groups: Rc::clone(groups),
-                unions: Arc::clone(&unions),
-            },
+            (Arc::clone(col), Rc::clone(groups)),
+            Arc::clone(&unions),
         );
         unions
     }
@@ -1907,14 +1777,7 @@ impl EvalCache {
         // churn for work it did not cause. The emptiness guard keeps the
         // no-churn common case free of a second full-AST hash (separate
         // scope: a `Ref` alive across the `borrow_mut` would panic).
-        let ever_evicted = !self.evicted.borrow().is_empty();
-        if ever_evicted
-            && self
-                .evicted
-                .borrow_mut()
-                .remove(&self.hasher.hash_one(q))
-                .is_some()
-        {
+        if !self.evicted.is_empty() && self.evicted.remove(&self.hasher.hash_one(q)) {
             let mut stats = self.stats.get();
             stats.reevals += 1;
             stats.reeval_ns = stats.reeval_ns.saturating_add(step_ns);
@@ -1940,11 +1803,7 @@ impl EvalCache {
     }
 
     /// Probes the cache for `q` at any semantics level without computing
-    /// anything. The acceptance path's demo-dims fast reject used to run
-    /// on this; it now reads the eviction-immune
-    /// [`EvalCache::known_rows`] / [`EvalCache::known_group_rows`] memos
-    /// instead, so the probe remains as a test seam for inspecting
-    /// residency and demotion state.
+    /// anything: a test seam for inspecting residency and demotion state.
     #[cfg(test)]
     fn peek(&self, q: &Query) -> Option<Rc<ExecTable>> {
         let map = self.map.borrow();
@@ -2015,14 +1874,12 @@ mod tests {
     fn channels_match_requested_semantics() {
         let q = Query::Input(0);
         let inputs = [input()];
-        let v = ConcreteEngine.exec(&q, &inputs).unwrap();
+        let v = exec(Semantics::Values, &q, &inputs).unwrap();
         assert_eq!(v.semantics(), Semantics::Values);
-        let p = ProvenanceEngine.exec(&q, &inputs).unwrap();
+        let p = exec(Semantics::Provenance, &q, &inputs).unwrap();
         assert_eq!(p.semantics(), Semantics::Provenance);
         let u = RefUniverse::from_tables(&inputs);
-        let a = AnalysisEngine { universe: &u }
-            .exec_with_sets(&q, &inputs)
-            .unwrap();
+        let a = exec(Semantics::Provenance, &q, &inputs).unwrap();
         assert_eq!(a.sets(&u)[(0, 0)].len(), 1);
     }
 
@@ -2035,7 +1892,7 @@ mod tests {
             target: 2,
         };
         let inputs = [input()];
-        let out = ProvenanceEngine.exec(&q, &inputs).unwrap();
+        let out = exec(Semantics::Provenance, &q, &inputs).unwrap();
         let via_star = crate::prov_eval::concretize(out.star(), &inputs);
         assert!(via_star.bag_eq(out.table()));
     }
@@ -2075,7 +1932,7 @@ mod tests {
         .unwrap();
         for inputs in [[input()], [wide]] {
             let u = RefUniverse::from_tables(&inputs);
-            let out = AnalysisEngine { universe: &u }.exec(&q, &inputs).unwrap();
+            let out = exec(Semantics::Provenance, &q, &inputs).unwrap();
             // The lazily-derived sets equal ref-collection over star, and
             // the direct term walk equals collecting the references; both
             // equal a set grown one `insert` at a time.
@@ -2131,6 +1988,58 @@ mod tests {
     }
 
     #[test]
+    fn key_subsets_with_one_partition_share_it() {
+        // City and population induce the same partition (A → 100,
+        // B → 50); quarter induces another.
+        let inputs = [input()];
+        let cache = EvalCache::new();
+        let conc = cache
+            .exec(&Query::Input(0), Semantics::Provenance, &inputs)
+            .unwrap();
+        let by_city = cache.groups_of(&conc, &[0]);
+        assert_eq!(*by_city, vec![vec![0, 1], vec![2, 3]]);
+        assert!(Rc::ptr_eq(&by_city, &cache.groups_of(&conc, &[3])));
+        assert!(Rc::ptr_eq(&by_city, &cache.groups_of(&conc, &[0, 3])));
+        assert!(!Rc::ptr_eq(&by_city, &cache.groups_of(&conc, &[1])));
+    }
+
+    #[test]
+    fn sibling_groups_share_their_key_columns() {
+        let inputs = [input()];
+        let cache = EvalCache::new();
+        let group = |agg, target| Query::Group {
+            src: Box::new(Query::Input(0)),
+            keys: vec![0, 3],
+            agg,
+            target,
+        };
+        let sum = cache
+            .exec(&group(AggFunc::Sum, 2), Semantics::Provenance, &inputs)
+            .unwrap();
+        let max = cache
+            .exec(&group(AggFunc::Max, 1), Semantics::Provenance, &inputs)
+            .unwrap();
+        for k in 0..2 {
+            let values = |t: &ExecTable| Arc::clone(t.table().grid().column_arc(k));
+            let stars = |t: &ExecTable| Arc::clone(t.star().column_arc(k));
+            assert!(Arc::ptr_eq(&values(&sum), &values(&max)), "values {k}");
+            assert!(Arc::ptr_eq(&stars(&sum), &stars(&max)), "star {k}");
+        }
+        // The aggregate columns are the candidates' own, and the shared
+        // path builds what the uncached one does.
+        assert!(!Arc::ptr_eq(
+            sum.star().column_arc(2),
+            max.star().column_arc(2)
+        ));
+        for q in [group(AggFunc::Sum, 2), group(AggFunc::Max, 1)] {
+            let cached = cache.exec(&q, Semantics::Provenance, &inputs).unwrap();
+            let uncached = exec(Semantics::Provenance, &q, &inputs).unwrap();
+            assert_eq!(cached.table().grid(), uncached.table().grid(), "{q}");
+            assert_eq!(cached.star(), uncached.star(), "{q}");
+        }
+    }
+
+    #[test]
     fn lazy_cell_sets_agree_with_full_grid() {
         let q = Query::Group {
             src: Box::new(Query::Input(0)),
@@ -2140,8 +2049,8 @@ mod tests {
         };
         let inputs = [input()];
         let u = RefUniverse::from_tables(&inputs);
-        let lazy = ProvenanceEngine.exec(&q, &inputs).unwrap();
-        let eager = ProvenanceEngine.exec(&q, &inputs).unwrap();
+        let lazy = exec(Semantics::Provenance, &q, &inputs).unwrap();
+        let eager = exec(Semantics::Provenance, &q, &inputs).unwrap();
         let grid = eager.sets(&u);
         // Probe cells out of order before any full materialization.
         for (i, j) in [(1, 1), (0, 0), (1, 0), (0, 1)] {
@@ -2164,9 +2073,9 @@ mod tests {
             pred: Pred::ColCmp(0, CmpOp::Eq, 4),
         };
         let inputs = [input()];
-        let fused = ProvenanceEngine.exec(&q, &inputs).unwrap();
+        let fused = exec(Semantics::Provenance, &q, &inputs).unwrap();
         // Unfused: evaluate the join, then filter as a separate step.
-        let j = ProvenanceEngine.exec(&join, &inputs).unwrap();
+        let j = exec(Semantics::Provenance, &join, &inputs).unwrap();
         let unfused = exec_filter(&j, &Pred::ColCmp(0, CmpOp::Eq, 4)).unwrap();
         assert!(fused.table().bag_eq(unfused.table()));
         assert_eq!(fused.star(), unfused.star());
@@ -2380,14 +2289,14 @@ mod tests {
         let inputs = [input()];
         let u = RefUniverse::from_tables(&inputs);
         let cache = EvalCache::new();
-        // Materialize through the grouping memo so the child is pinned by
-        // `groups` / `group_parts` (and hold our own pin too).
+        // Materialize through the grouping memos so the child is pinned by
+        // `groups_canon` / `group_parts` (and hold our own pin too).
         let child = cache
             .exec(&Query::Input(0), Semantics::Provenance, &inputs)
             .unwrap();
         cache.exec(&group, Semantics::Provenance, &inputs).unwrap();
         child.sets(&u);
-        assert!(!cache.groups.borrow().is_empty());
+        assert!(!cache.groups_canon.is_empty());
         {
             // Everything is cold: the real sweep path demotes and batch-
             // purges the replaced entries' memos.
@@ -2403,8 +2312,8 @@ mod tests {
         let replaced = cache.peek(&Query::Input(0)).unwrap();
         assert!(!Rc::ptr_eq(&child, &replaced));
         assert!(replaced.sets.get().is_none());
-        assert!(cache.groups.borrow().is_empty());
-        assert!(cache.group_parts.borrow().is_empty());
+        assert!(cache.groups_canon.is_empty());
+        assert!(cache.group_parts.is_empty());
         // Re-derived sets equal the pinned originals.
         assert_eq!(*replaced.sets(&u), *child.sets(&u));
     }
@@ -2455,8 +2364,8 @@ mod tests {
     #[test]
     fn hash_join_matches_cross_loop_on_every_strategy_relevant_pred() {
         let inputs = [input()];
-        let l = ProvenanceEngine.exec(&Query::Input(0), &inputs).unwrap();
-        let r = ProvenanceEngine.exec(&Query::Input(0), &inputs).unwrap();
+        let l = exec(Semantics::Provenance, &Query::Input(0), &inputs).unwrap();
+        let r = exec(Semantics::Provenance, &Query::Input(0), &inputs).unwrap();
         let preds = [
             // Single equi key, both orientations.
             Pred::ColCmp(0, CmpOp::Eq, 4),
@@ -2565,9 +2474,7 @@ mod tests {
 
     #[test]
     fn missing_input_errors() {
-        let err = ConcreteEngine
-            .exec(&Query::Input(3), &[input()])
-            .unwrap_err();
+        let err = exec(Semantics::Values, &Query::Input(3), &[input()]).unwrap_err();
         assert!(matches!(err, EvalError::NoSuchInput { index: 3, .. }));
     }
 }

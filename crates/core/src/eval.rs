@@ -1,19 +1,19 @@
 //! Standard (concrete) evaluation of analytical SQL queries.
 //!
 //! This is the `[[q(T̄)]]` semantics: the conventional meaning of the Fig. 7
-//! language as implemented by modern databases. Since the engine refactor,
-//! [`evaluate`] is a thin wrapper over the values channel of the shared
-//! columnar pipeline ([`crate::engine::ConcreteEngine`]); the
-//! provenance-tracking semantics is the same pipeline with its star channel
-//! enabled, and the two agree by construction (a property test in the
-//! integration suite still checks exactly that).
+//! language as implemented by modern databases. [`evaluate`] is the values
+//! channel of the shared columnar pipeline ([`crate::exec`] at
+//! [`crate::Semantics::Values`]); the provenance-tracking semantics is the
+//! same pipeline with its star channel enabled, and the two agree by
+//! construction (a property test in the integration suite still checks
+//! exactly that).
 
 use std::fmt;
 
 use sickle_table::Table;
 
 use crate::ast::Query;
-use crate::engine::{ConcreteEngine, Engine};
+use crate::engine::{exec, Semantics};
 
 /// Error raised when a query is ill-formed for its inputs (out-of-range
 /// table or column indices).
@@ -95,7 +95,7 @@ impl std::error::Error for EvalError {}
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn evaluate(q: &Query, inputs: &[Table]) -> Result<Table, EvalError> {
-    Ok(ConcreteEngine.exec(q, inputs)?.into_table())
+    Ok(exec(Semantics::Values, q, inputs)?.into_table())
 }
 
 #[cfg(test)]

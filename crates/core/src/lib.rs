@@ -9,13 +9,11 @@
 //!
 //! * [`Query`] / [`PQuery`] (`ast`) — the Fig. 7 language and partial
 //!   queries with holes;
-//! * [`Engine`] / [`ExecTable`] (`engine`) — the shared columnar operator
+//! * [`exec`] / [`ExecTable`] (`engine`) — the shared columnar operator
 //!   pipeline. Every operator (`group`, `partition`, `arithmetic`,
 //!   `filter`, `sort`, joins) is implemented *once*; an [`ExecTable`]
 //!   carries the concrete values plus optional provenance-term and
-//!   abstract-ref-set side-channels, selected by [`Semantics`]. The three
-//!   instantiations are [`ConcreteEngine`], [`ProvenanceEngine`] and
-//!   [`AnalysisEngine`];
+//!   abstract-ref-set side-channels, selected by [`Semantics`];
 //! * [`evaluate`] (`eval`) — standard semantics `[[q(T̄)]]`, the values
 //!   channel of the pipeline;
 //! * [`prov_evaluate`] (`prov_eval`) — provenance-tracking semantics
@@ -77,6 +75,7 @@ mod ast;
 mod engine;
 mod error;
 mod eval;
+mod memo;
 mod prov_eval;
 mod session;
 mod session_pool;
@@ -88,8 +87,8 @@ pub use abstract_eval::{
 };
 pub use ast::{PQuery, Pred, Query};
 pub use engine::{
-    exec_filtered_join_strategy, exec_step, AnalysisEngine, CachePolicy, CacheStats,
-    ConcreteEngine, Engine, EvalCache, ExecTable, JoinStrategy, ProvenanceEngine, Semantics,
+    exec, exec_filtered_join_strategy, exec_step, CachePolicy, CacheStats, EvalCache, ExecTable,
+    JoinStrategy, Semantics,
 };
 pub use error::SickleError;
 pub use eval::{evaluate, EvalError};

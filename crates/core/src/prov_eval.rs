@@ -11,19 +11,18 @@
 //!   `rank(own, peers…)`;
 //! * `arithmetic` expands the function body `γ` into nested applications.
 //!
-//! Since the engine refactor, [`prov_evaluate`] is the star channel of the
-//! shared columnar pipeline ([`crate::engine::ProvenanceEngine`]). The
-//! order- and value-sensitive operators (`filter`, `sort`, grouping) read
-//! the pipeline's *values* channel directly instead of re-evaluating each
-//! cell's expression, which the old row-major interpreter did on every
-//! consultation.
+//! [`prov_evaluate`] is the star channel of the shared columnar pipeline
+//! ([`crate::exec`] at [`crate::Semantics::Provenance`]). The order- and
+//! value-sensitive operators (`filter`, `sort`, grouping) read the
+//! pipeline's *values* channel directly instead of evaluating each cell's
+//! expression.
 
 use sickle_table::{AggFunc, AnalyticFunc, ArithExpr, Grid, Table};
 
 use sickle_provenance::{Expr, FuncName};
 
 use crate::ast::Query;
-use crate::engine::{Engine, ProvenanceEngine};
+use crate::engine::{exec, Semantics};
 use crate::eval::EvalError;
 
 /// A provenance-embedded table `T★`: a grid of expressions.
@@ -58,7 +57,7 @@ pub type ProvTable = Grid<Expr>;
 /// # Ok::<(), sickle_core::EvalError>(())
 /// ```
 pub fn prov_evaluate(q: &Query, inputs: &[Table]) -> Result<ProvTable, EvalError> {
-    Ok(ProvenanceEngine.exec(q, inputs)?.star().clone())
+    Ok(exec(Semantics::Provenance, q, inputs)?.star().clone())
 }
 
 /// Evaluates every cell of a provenance table, recovering the concrete

@@ -37,6 +37,7 @@ use crate::abstract_eval::{abstract_evaluate_rc, demo_ref_sets};
 use crate::ast::{PQuery, Pred, Query};
 use crate::engine::{CachePolicy, CacheStats, EvalCache, Semantics};
 use crate::error::SickleError;
+use crate::memo::Memo;
 use crate::stats::{SearchStats, SharedStats};
 
 /// A primary/foreign-key pair declared on the inputs; join predicates are
@@ -275,16 +276,10 @@ pub struct TaskContext {
     /// `Arc`, so most of each candidate's column-candidate derivation is
     /// map probes. The entry pins its column `Arc`, keeping the address
     /// key valid.
-    col_hosts: std::cell::RefCell<ColHostsMemo>,
+    col_hosts: Memo<(u32, usize), bool, COL_HOSTS_CAP, Arc<Vec<sickle_provenance::Expr>>>,
 }
 
-/// Prefilter column-feasibility memo: (demo column, star column
-/// identity) → (pinned column, verdict).
-type ColHostsMemo =
-    sickle_provenance::FxMap<(u32, usize), (Arc<Vec<sickle_provenance::Expr>>, bool)>;
-
-/// Bound on the prefilter column-feasibility memo; like the engine memos,
-/// a full map is cleared, not evicted (entries are recomputable).
+/// Bound on the prefilter column-feasibility memo.
 const COL_HOSTS_CAP: usize = 16_384;
 
 /// Columns up to this many rows convert through the cross-candidate bulk
@@ -373,16 +368,12 @@ impl<'a> StarSets<'a> {
                 .all(|di| (0..table_rows).any(|ti| self.subset_ok(di, dj, ti, tj)));
         }
         let key = (dj as u32, Arc::as_ptr(self.star.column_arc(tj)) as usize);
-        if let Some((_, v)) = self.ctx.col_hosts.borrow().get(&key) {
-            return *v;
+        if let Some(v) = self.ctx.col_hosts.get(&key, |&v| v) {
+            return v;
         }
         let v = (0..demo_rows).all(|di| (0..table_rows).any(|ti| self.subset_ok(di, dj, ti, tj)));
         let pin = Arc::clone(self.star.column_arc(tj));
-        let mut map = self.ctx.col_hosts.borrow_mut();
-        if map.len() >= COL_HOSTS_CAP {
-            map.clear();
-        }
-        map.insert(key, (pin, v));
+        self.ctx.col_hosts.insert_pinned(key, pin, v);
         v
     }
 }
@@ -391,11 +382,7 @@ impl TaskContext {
     /// Prepares the shared context for a task with a private set pool and
     /// analysis cache.
     pub fn new(task: SynthTask) -> TaskContext {
-        TaskContext::with_shared(
-            task,
-            Arc::new(RefSetPool::new()),
-            Arc::new(AnalysisCache::new()),
-        )
+        TaskContext::with_policy(task, CachePolicy::default())
     }
 
     /// Prepares a context with a private pool and analysis cache and the
@@ -412,16 +399,7 @@ impl TaskContext {
     /// Prepares a context whose set pool and analysis cache are shared
     /// with other contexts for the *same task* (the parallel search gives
     /// every worker the same pool and cache, so interned ids and cached
-    /// verdicts are exchanged across threads).
-    pub fn with_shared(
-        task: SynthTask,
-        pool: Arc<RefSetPool>,
-        analysis: Arc<AnalysisCache>,
-    ) -> TaskContext {
-        TaskContext::with_shared_policy(task, pool, analysis, CachePolicy::default())
-    }
-
-    /// [`TaskContext::with_shared`] with an explicit engine-cache
+    /// verdicts are exchanged across threads), with the given engine-cache
     /// eviction policy (the search threads [`SynthConfig::cache`] through
     /// here).
     pub fn with_shared_policy(
@@ -449,7 +427,7 @@ impl TaskContext {
             eval_cache: EvalCache::with_pool_and_policy(pool, policy),
             analysis,
             demo_token,
-            col_hosts: std::cell::RefCell::new(sickle_provenance::FxMap::default()),
+            col_hosts: Memo::default(),
         }
     }
 
@@ -646,75 +624,11 @@ pub(crate) fn run_search(
 
             // Stage 1 — materialize the provenance star channel.
             let t0 = Instant::now();
-            // Demo-dims fast reject, part 2: row-preserving top operators
-            // (sort / partition / arithmetic / projection) have exactly
-            // their source's row count, and a `group`'s output rows are
-            // its group count — both read from the engine cache's
-            // row-count memos, which record every evaluation and
-            // *survive eviction* of the results they describe (a `u32`
-            // per query instead of a pinned table). The reject's hit
-            // rate is therefore immune to cache pressure: a child swept
-            // out long ago still rejects its too-small siblings without
-            // re-evaluating anything. Out-of-range group keys (possible
-            // via caller-supplied seeds) simply never have a memo entry
-            // and fall through to the exec path, which rejects them as
-            // an EvalError instead of panicking.
-            let too_small = match &q {
-                Query::Sort { src, .. }
-                | Query::Partition { src, .. }
-                | Query::Arith { src, .. }
-                | Query::Proj { src, .. } => ctx
-                    .eval_cache
-                    .known_rows(src)
-                    .is_some_and(|n| n < demo_rows),
-                Query::Group { src, keys, .. } => ctx
-                    .eval_cache
-                    .known_group_rows(src, keys)
-                    .is_some_and(|n| n < demo_rows),
-                // Filter and join tops: an exact memo for the candidate
-                // itself wins (recorded if any sibling shape evaluated
-                // it); otherwise a *sound upper bound* from the operand
-                // memos — a filter never has more rows than its child, a
-                // cross join has exactly |L|·|R|, and a left join keeps
-                // every left row at least once, so it has at most
-                // |L|·max(1, |R|). Upper bound < demo rows refutes the
-                // candidate before any star construction.
-                Query::Filter { src, .. } => ctx
-                    .eval_cache
-                    .known_rows(&q)
-                    .or_else(|| match &**src {
-                        Query::Join { left, right } => Some(
-                            ctx.eval_cache
-                                .known_rows(left)?
-                                .saturating_mul(ctx.eval_cache.known_rows(right)?),
-                        ),
-                        _ => ctx.eval_cache.known_rows(src),
-                    })
-                    .is_some_and(|n| n < demo_rows),
-                Query::Join { left, right } => ctx
-                    .eval_cache
-                    .known_rows(&q)
-                    .or_else(|| {
-                        Some(
-                            ctx.eval_cache
-                                .known_rows(left)?
-                                .saturating_mul(ctx.eval_cache.known_rows(right)?),
-                        )
-                    })
-                    .is_some_and(|n| n < demo_rows),
-                Query::LeftJoin { left, right, .. } => ctx
-                    .eval_cache
-                    .known_rows(&q)
-                    .or_else(|| {
-                        Some(
-                            ctx.eval_cache
-                                .known_rows(left)?
-                                .saturating_mul(ctx.eval_cache.known_rows(right)?.max(1)),
-                        )
-                    })
-                    .is_some_and(|n| n < demo_rows),
-                _ => false,
-            };
+            // Demo-dims fast reject, part 2: an upper bound on the
+            // candidate's rows from the engine cache's row-count memos
+            // (which survive eviction), below the demonstration's rows,
+            // refutes it before any evaluation or star construction.
+            let too_small = ctx.eval_cache.row_bound(&q).is_some_and(|n| n < demo_rows);
             let exec = if too_small {
                 None
             } else {

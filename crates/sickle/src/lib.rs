@@ -85,8 +85,8 @@
 //! * [`sickle_provenance`] — provenance expressions `e★`, demonstrations
 //!   `E`, the `≺` consistency rules;
 //! * [`sickle_core`] — the Fig. 7 query language, the unified execution
-//!   [`Engine`] behind the three semantics, the Algorithm 1 synthesizer
-//!   and the [`Session`] API in front of it;
+//!   engine ([`exec`]) behind the three semantics, the Algorithm 1
+//!   synthesizer and the [`Session`] API in front of it;
 //! * [`sickle_baselines`] — the type/value-abstraction baselines of §5;
 //! * [`sickle_benchmarks`] — the 80-task evaluation suite.
 
@@ -94,11 +94,11 @@
 
 pub use sickle_baselines::{TypeAnalyzer, ValueAnalyzer};
 pub use sickle_core::{
-    abstract_consistent, abstract_evaluate, concretize, evaluate, prov_evaluate, AnalysisEngine,
-    Analyzer, AnalyzerChoice, Budget, CancelToken, ConcreteEngine, Engine, EvalCache, EvalError,
-    ExecTable, JoinKey, NoPruneAnalyzer, OpKind, PQuery, Pred, ProgressSnapshot,
-    ProvenanceAnalyzer, ProvenanceEngine, Query, SearchStats, Semantics, Session, SickleError,
-    SolutionEvent, SolutionStream, SynthConfig, SynthRequest, SynthResult, SynthTask, TaskContext,
+    abstract_consistent, abstract_evaluate, concretize, evaluate, exec, prov_evaluate, Analyzer,
+    AnalyzerChoice, Budget, CancelToken, EvalCache, EvalError, ExecTable, JoinKey, NoPruneAnalyzer,
+    OpKind, PQuery, Pred, ProgressSnapshot, ProvenanceAnalyzer, Query, SearchStats, Semantics,
+    Session, SickleError, SolutionEvent, SolutionStream, SynthConfig, SynthRequest, SynthResult,
+    SynthTask, TaskContext,
 };
 pub use sickle_provenance::{
     demo_consistent, expr_consistent, parse_expr, CellRef, Demo, DemoExpr, Expr, FuncName,

@@ -16,7 +16,7 @@
 use sickle_benchmarks::{all_benchmarks, demo_expr_of, rng::Rng};
 use sickle_core::{
     abstract_consistent, abstract_evaluate, concretize, demo_ref_sets, evaluate, prov_evaluate,
-    AbsTable, AnalysisEngine, EvalCache, PQuery, Pred, Query,
+    AbsTable, EvalCache, PQuery, Pred, Query, Semantics,
 };
 use sickle_provenance::{expr_consistent, parse_expr, Demo, RefUniverse};
 use sickle_table::{AggFunc, AnalyticFunc, ArithExpr, ArithOp, CmpOp, Grid, Table, Value};
@@ -245,10 +245,7 @@ fn engine_sets_channel_matches_star_refs() {
         let wide = Table::from_grid(Grid::from_rows(rows.collect()).expect("rectangular"));
         for inputs in [[t], [wide]] {
             let universe = RefUniverse::from_tables(&inputs);
-            let Ok(exec) = (AnalysisEngine {
-                universe: &universe,
-            })
-            .exec_with_sets(&q, &inputs) else {
+            let Ok(exec) = sickle_core::exec(Semantics::Provenance, &q, &inputs) else {
                 continue;
             };
             let from_star = exec.star().map(|e| universe.set_from(e.refs()));
