@@ -1,14 +1,17 @@
 //! Micro-benchmarks of the concrete acceptance path: the staged,
-//! candidate-seeded pipeline (lazy per-cell set conversion → Def. 3
-//! prefilter with a [`MatchSeed`] report → seeded, pre-keyed Def. 1
-//! matching) vs the blind path it replaced (eager whole-grid conversion →
-//! blind prefilter → blind `demo_consistent` restart).
+//! candidate-seeded pipeline the search runs
+//! ([`TaskContext::accept_exec`]: lazy, cross-candidate-memoized set
+//! conversion → Def. 3 prefilter over column candidates → seeded,
+//! pre-keyed Def. 1 matching) vs the blind path it replaced (eager
+//! whole-grid conversion → blind prefilter → blind `demo_consistent`
+//! restart).
 //!
 //! Candidates are *suite-derived*: for a handful of benchmarks the search
 //! frontier is replayed exactly as `run_search` visits it (skeletons,
 //! analyzer pruning, hole expansion), and every concrete candidate's
-//! provenance star grid goes through both acceptance paths. Verdicts are
-//! cross-checked per candidate before timing counts for anything.
+//! materialized provenance result goes through both acceptance paths.
+//! Verdicts are cross-checked per candidate before timing counts for
+//! anything.
 //!
 //! Plain `harness = false` timing (the offline environment has no
 //! `criterion`):
@@ -20,39 +23,27 @@
 //! The run writes `BENCH_accept.json` (per-benchmark rows + geo-mean) for
 //! CI artifacts.
 
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use sickle_benchmarks::{all_benchmarks, frontier_candidates};
 use sickle_core::{
-    CachePolicy, CacheStats, ProvTable, Query, Semantics, SynthConfig, SynthTask, TaskContext,
-    BULK_COL_ROWS,
+    CachePolicy, CacheStats, ExecTable, ProvTable, Query, SearchStats, Semantics, SynthConfig,
+    SynthTask, TaskContext,
 };
-use sickle_provenance::{
-    demo_consistent, demo_consistent_with_candidates, find_table_match,
-    find_table_match_with_candidates, match_seed_rows, Demo, Expr, MatchDims, MatchSeed, RefSet,
-    RefUniverse,
-};
+use sickle_provenance::{demo_consistent, find_table_match, Demo, MatchDims, RefSet, RefUniverse};
 use sickle_table::Grid;
 
-/// One suite-derived acceptance instance: a candidate's star grid.
-struct Instance {
-    star: ProvTable,
-}
-
 /// Replays the search frontier of one benchmark (pruned exactly as the
-/// real search prunes it — [`frontier_candidates`]) and collects up to
-/// `cap` concrete candidates' star grids.
-fn collect_instances(ctx: &TaskContext, config: &SynthConfig, cap: usize) -> Vec<Instance> {
+/// real search prunes it — [`frontier_candidates`]) and materializes up
+/// to `cap` concrete candidates at the provenance level.
+fn collect_instances(ctx: &TaskContext, config: &SynthConfig, cap: usize) -> Vec<Rc<ExecTable>> {
     frontier_candidates(ctx, config, cap, 60_000)
         .into_iter()
         .filter_map(|q| {
             ctx.eval_cache
                 .exec(&q, Semantics::Provenance, ctx.inputs())
                 .ok()
-                .map(|exec| Instance {
-                    star: exec.star().clone(),
-                })
         })
         .collect()
 }
@@ -79,129 +70,17 @@ fn accept_blind(
     feasible && demo_consistent(demo, star).is_some()
 }
 
-/// The staged path as the search runs it: lazy, demo-targeted set
-/// conversion with cross-candidate sharing (bulk per-column sets and
-/// column-feasibility verdicts memoized by column identity — sibling
-/// candidates share pass-through columns by `Arc`), then the prefilter
-/// seeds the pre-keyed Def. 1 matcher with its surviving column/row
-/// candidates instead of restarting blind.
-struct StagedMatcher<'a> {
-    demo: &'a Demo,
-    demo_refs: &'a Grid<RefSet>,
-    universe: &'a RefUniverse,
-    /// Column identity → bulk-converted sets (small columns).
-    col_sets: ColSetsMemo,
-    /// (demo column, column identity) → column feasibility.
-    col_hosts: ColHostsMemo,
-}
-
-/// Bulk column-set memo: column identity → (pinned column, its sets).
-type ColSetsMemo = std::collections::HashMap<usize, (Arc<Vec<Expr>>, Arc<Vec<RefSet>>)>;
-
-/// Column-feasibility memo: (demo column, column identity) → verdict.
-type ColHostsMemo = std::collections::HashMap<(usize, usize), (Arc<Vec<Expr>>, bool)>;
-
-impl<'a> StagedMatcher<'a> {
-    fn new(demo: &'a Demo, demo_refs: &'a Grid<RefSet>, universe: &'a RefUniverse) -> Self {
-        StagedMatcher {
-            demo,
-            demo_refs,
-            universe,
-            col_sets: ColSetsMemo::new(),
-            col_hosts: ColHostsMemo::new(),
-        }
-    }
-
-    fn accept(&mut self, star: &ProvTable) -> bool {
-        let dims = MatchDims {
-            demo_rows: self.demo_refs.n_rows(),
-            demo_cols: self.demo_refs.n_cols(),
-            table_rows: star.n_rows(),
-            table_cols: star.n_cols(),
-        };
-        if dims.demo_rows > dims.table_rows || dims.demo_cols > dims.table_cols {
-            return false;
-        }
-        let bulk = star.n_rows() <= BULK_COL_ROWS;
-        // Per-candidate overlay: small columns resolve through the shared
-        // bulk memo, large ones convert per probed cell, locally.
-        let mut shared: Vec<Option<Arc<Vec<RefSet>>>> = vec![None; star.n_cols()];
-        let mut local: Vec<Option<RefSet>> = if bulk {
-            Vec::new()
-        } else {
-            vec![None; star.n_rows() * star.n_cols()]
-        };
-        let n_cols = star.n_cols();
-        macro_rules! subset_ok {
-            ($di:expr, $dj:expr, $ti:expr, $tj:expr) => {{
-                let set: &RefSet = if bulk {
-                    let col = shared[$tj].get_or_insert_with(|| {
-                        let arc = star.column_arc($tj);
-                        let key = Arc::as_ptr(arc) as usize;
-                        match self.col_sets.get(&key) {
-                            Some((_, sets)) => Arc::clone(sets),
-                            None => {
-                                let sets = Arc::new(self.universe.column_sets(arc.iter()));
-                                self.col_sets
-                                    .insert(key, (Arc::clone(arc), Arc::clone(&sets)));
-                                sets
-                            }
-                        }
-                    });
-                    &col[$ti]
-                } else {
-                    local[$ti * n_cols + $tj]
-                        .get_or_insert_with(|| self.universe.set_of(&star[($ti, $tj)]))
-                };
-                self.demo_refs[($di, $dj)].is_subset_of(set)
-            }};
-        }
-
-        let mut col_candidates: Vec<Vec<usize>> = Vec::with_capacity(dims.demo_cols);
-        for dj in 0..dims.demo_cols {
-            let mut cands = Vec::new();
-            for tj in 0..dims.table_cols {
-                let key = (dj, Arc::as_ptr(star.column_arc(tj)) as usize);
-                let feasible = match (bulk, self.col_hosts.get(&key)) {
-                    (true, Some((_, v))) => *v,
-                    _ => {
-                        let v = (0..dims.demo_rows)
-                            .all(|di| (0..dims.table_rows).any(|ti| subset_ok!(di, dj, ti, tj)));
-                        if bulk {
-                            self.col_hosts
-                                .insert(key, (Arc::clone(star.column_arc(tj)), v));
-                        }
-                        v
-                    }
-                };
-                if feasible {
-                    cands.push(tj);
-                }
-            }
-            if cands.is_empty() {
-                return false;
-            }
-            col_candidates.push(cands);
-        }
-
-        let found =
-            find_table_match_with_candidates(dims, &col_candidates, &mut |di, dj, ti, tj| {
-                subset_ok!(di, dj, ti, tj)
-            })
-            .is_some();
-        if !found {
-            return false;
-        }
-
-        let row_candidates = match_seed_rows(dims, &col_candidates, &mut |di, dj, ti, tj| {
-            subset_ok!(di, dj, ti, tj)
-        });
-        let seed = MatchSeed {
-            col_candidates,
-            row_candidates,
-        };
-        demo_consistent_with_candidates(self.demo, star, &seed).is_some()
-    }
+/// The shipped acceptance stages 2–3 over every instance, through `ctx`'s
+/// capped cross-candidate memos; returns the accepted count.
+fn accept_staged(ctx: &TaskContext, instances: &[Rc<ExecTable>]) -> usize {
+    let mut stats = SearchStats::default();
+    instances
+        .iter()
+        .filter(|exec| {
+            ctx.accept_exec(exec, &mut stats)
+                .expect("candidates are materialized with a star channel")
+        })
+        .count()
 }
 
 /// Deterministic stride interleave: walks the list with `ways` equally
@@ -394,18 +273,22 @@ fn main() {
         let (task, _) = b.task(2022).expect("benchmark demos generate");
         let demo = task.demo.clone();
         let config = b.config();
-        let ctx = TaskContext::new(task);
+        let ctx = TaskContext::new(task.clone());
         let instances = collect_instances(&ctx, &config, cap);
         total_instances += instances.len();
         let universe = &ctx.universe;
         let demo_refs = &ctx.demo_refs;
 
-        // Cross-check: both paths must agree on every instance.
+        // Cross-check: both paths must agree on every instance, with the
+        // staged side's memos warming across the stream as in the search.
         {
-            let mut m = StagedMatcher::new(&demo, demo_refs, universe);
-            for (i, inst) in instances.iter().enumerate() {
-                let blind = accept_blind(&demo, demo_refs, universe, &inst.star);
-                let staged = m.accept(&inst.star);
+            let staged_ctx = TaskContext::new(task.clone());
+            let mut stats = SearchStats::default();
+            for (i, exec) in instances.iter().enumerate() {
+                let blind = accept_blind(&demo, demo_refs, universe, exec.star());
+                let staged = staged_ctx
+                    .accept_exec(exec, &mut stats)
+                    .expect("candidates are materialized with a star channel");
                 assert_eq!(blind, staged, "verdict mismatch on {} #{i}", b.name);
             }
         }
@@ -413,15 +296,16 @@ fn main() {
         let blind = time_best(iters, || {
             instances
                 .iter()
-                .filter(|inst| accept_blind(&demo, demo_refs, universe, &inst.star))
+                .filter(|exec| accept_blind(&demo, demo_refs, universe, exec.star()))
                 .count()
         });
-        // Fresh memos per iteration: the measured quantity is one pass of
-        // the candidate stream through the shipped machinery, including
-        // its cold start.
+        // A fresh context per iteration: the measured quantity is one pass
+        // of the candidate stream through the shipped machinery, including
+        // its cold start. (A star over the bulk-conversion threshold would
+        // keep its result-local sets across iterations; none of these
+        // tasks produces one.)
         let staged = time_best(iters, || {
-            let mut m = StagedMatcher::new(&demo, demo_refs, universe);
-            instances.iter().filter(|inst| m.accept(&inst.star)).count()
+            accept_staged(&TaskContext::new(task.clone()), &instances)
         });
         report.row(&format!("accept/{:02}-{}", b.id, b.name), blind, staged);
     }

@@ -17,8 +17,7 @@
 //! cargo bench -p sickle-bench --bench scale [-- --quick]
 //! ```
 //!
-//! Knobs: `SICKLE_SCALE_ROWS=10000,100000` overrides the row-scale list;
-//! `SICKLE_CHUNK_ROWS` sets the engine's morsel size (default 4096).
+//! Knob: `SICKLE_SCALE_ROWS=10000,100000` overrides the row-scale list.
 //! The run writes `BENCH_scale.json` for CI artifacts.
 
 use std::collections::HashMap;
@@ -130,13 +129,8 @@ fn speedup(a: Duration, b: Duration) -> f64 {
 #[allow(clippy::too_many_lines)]
 fn run() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let chunk_rows = std::env::var("SICKLE_CHUNK_ROWS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(4096);
     println!(
-        "scale micro-benchmarks (best of N{}, chunk {chunk_rows}, debug assertions {})",
+        "scale micro-benchmarks (best of N{}, debug assertions {})",
         if quick { ", --quick" } else { "" },
         if cfg!(debug_assertions) {
             "ON — use --release"
@@ -343,9 +337,7 @@ fn run() {
 
     // BENCH_scale.json.
     let mut out = String::from("{\n  \"schema\": \"sickle-bench/scale/v1\",\n");
-    out.push_str(&format!(
-        "  \"quick\": {quick},\n  \"chunk_rows\": {chunk_rows},\n  \"joins\": [\n"
-    ));
+    out.push_str(&format!("  \"quick\": {quick},\n  \"joins\": [\n"));
     for (i, r) in joins.iter().enumerate() {
         let processed = (r.rows_left + r.rows_right + r.out_rows) as f64;
         out.push_str(&format!(

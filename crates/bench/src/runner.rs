@@ -269,13 +269,13 @@ impl SuiteResults {
     }
 }
 
-/// Runs the whole suite for the given techniques, printing progress.
+/// Runs the whole suite for the given techniques, printing progress, and
+/// returns the per-task records for the figure renderers.
 ///
-/// On completion the machine-readable per-task record set is written to
-/// `BENCH_synthesis.json` (override the path with `SICKLE_JSON`, disable
-/// with `SICKLE_JSON=`), so the performance trajectory — wall-clock,
-/// `time_analyze`, `time_eval`, candidates visited — is tracked across
-/// revisions.
+/// Writes no artifact: `BENCH_synthesis.json` belongs to the `solutions`
+/// dump (and its sharded form, `sickle-shard`), whose fixed technique and
+/// visit budget make records comparable across revisions; a figure run's
+/// technique set and budget differ.
 pub fn run_suite(techniques: &[Technique], hc: &HarnessConfig) -> SuiteResults {
     let mut results = SuiteResults::default();
     let suite = all_benchmarks();
@@ -316,11 +316,6 @@ pub fn run_suite(techniques: &[Technique], hc: &HarnessConfig) -> SuiteResults {
             );
             results.records.push(rec);
         }
-    }
-    match write_bench_json(&results, hc) {
-        Ok(Some(path)) => eprintln!("wrote {}", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("warning: could not write bench JSON: {e}"),
     }
     results
 }

@@ -29,7 +29,7 @@
 
 use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::Rc;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use sickle_table::{
@@ -76,10 +76,6 @@ pub struct ExecTable {
     star: Option<ProvTable>,
     sets: OnceCell<Grid<RefSet>>,
     set_ids: OnceCell<Grid<SetId>>,
-    /// Per-cell lazy ref sets (row-major `row * n_cols + col`), for probes
-    /// that touch only part of the grid (the acceptance prefilter); the
-    /// whole-grid channels above stay untouched until someone needs them.
-    cell_sets: OnceCell<Vec<OnceCell<RefSet>>>,
 }
 
 impl ExecTable {
@@ -122,28 +118,6 @@ impl ExecTable {
             .get_or_init(|| self.star().map_columns(|col| universe.column_sets(col)))
     }
 
-    /// The reference set of one star cell, converted on demand and
-    /// memoized per cell. Unlike [`ExecTable::sets`], probing a few cells
-    /// pays only for those cells — the acceptance prefilter touches a
-    /// small, data-dependent subset of a candidate's grid, and eagerly
-    /// converting the rest was pure waste. A whole-grid conversion that
-    /// already ran is reused.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the result was computed at [`Semantics::Values`], or if
-    /// `(row, col)` is out of range.
-    pub fn cell_set(&self, universe: &RefUniverse, row: usize, col: usize) -> &RefSet {
-        if let Some(grid) = self.sets.get() {
-            return &grid[(row, col)];
-        }
-        let star = self.star();
-        let cells = self
-            .cell_sets
-            .get_or_init(|| vec![OnceCell::new(); star.n_rows() * star.n_cols()]);
-        cells[row * star.n_cols() + col].get_or_init(|| universe.set_of(&star[(row, col)]))
-    }
-
     /// Per-cell reference sets interned into `pool`, computed from
     /// [`ExecTable::sets`] on first access and memoized. All accesses of
     /// one result must use the same pool (the engine cache guarantees
@@ -180,7 +154,6 @@ impl ExecTable {
             star: None,
             sets: OnceCell::new(),
             set_ids: OnceCell::new(),
-            cell_sets: OnceCell::new(),
         }
     }
 }
@@ -263,7 +236,6 @@ fn table(values: Table, star: Option<ProvTable>) -> ExecTable {
         star,
         sets: OnceCell::new(),
         set_ids: OnceCell::new(),
-        cell_sets: OnceCell::new(),
     }
 }
 
@@ -338,9 +310,9 @@ fn exec_filter(src: &ExecTable, pred: &Pred) -> Result<ExecTable, EvalError> {
     exec_filter_with(src, pred, &mut keep)
 }
 
-/// `filter` over morsel-sized row chunks, writing the surviving row
-/// indices into a caller-pooled buffer (cleared here) so per-candidate
-/// allocation amortizes across the search.
+/// `filter`, writing the surviving row indices into a caller-pooled
+/// buffer (cleared here) so per-candidate allocation amortizes across the
+/// search.
 fn exec_filter_with(
     src: &ExecTable,
     pred: &Pred,
@@ -349,11 +321,7 @@ fn exec_filter_with(
     check_pred(pred, src.values.n_cols(), "filter")?;
     let grid = src.values.grid();
     keep.clear();
-    let chunk = chunk_rows();
-    for start in (0..grid.n_rows()).step_by(chunk) {
-        let end = (start + chunk).min(grid.n_rows());
-        keep.extend((start..end).filter(|&r| pred_holds(pred, &RowAccess::One(grid, r))));
-    }
+    keep.extend((0..grid.n_rows()).filter(|&r| pred_holds(pred, &RowAccess::One(grid, r))));
     Ok(select_rows(src, keep, src.values.names().to_vec()))
 }
 
@@ -400,7 +368,7 @@ pub enum JoinStrategy {
     CrossLoop,
 }
 
-/// Reusable scratch of the chunked filter/join execution paths: selection
+/// Reusable scratch of the filter/join execution paths: selection
 /// vectors and key buffers, pooled in [`EvalCache`] so per-candidate
 /// allocation amortizes across the search instead of scaling with row
 /// count (buffers are cleared between uses, never shrunk).
@@ -410,21 +378,6 @@ struct ExecScratch {
     rsel: Vec<usize>,
     keep: Vec<usize>,
     probe: Vec<ValueKey>,
-}
-
-/// Default morsel size of the chunked row loops (filter and hash-probe).
-const DEFAULT_CHUNK_ROWS: usize = 4096;
-
-/// Rows per morsel, overridable with `SICKLE_CHUNK_ROWS` (read once).
-fn chunk_rows() -> usize {
-    static CHUNK: OnceLock<usize> = OnceLock::new();
-    *CHUNK.get_or_init(|| {
-        std::env::var("SICKLE_CHUNK_ROWS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_CHUNK_ROWS)
-    })
 }
 
 /// Splits a join predicate into hash-joinable equi keys and residual
@@ -462,7 +415,7 @@ fn split_equi_pred(pred: &Pred, left_cols: usize) -> (Vec<(usize, usize)>, Vec<&
 
 /// Hash join on extracted equi keys: builds a hash table over the interned
 /// key values of the *right* (build) side, probes with the left rows in
-/// morsel-sized chunks, and evaluates residual conjuncts on hash matches
+/// order, and evaluates residual conjuncts on hash matches
 /// only. Match lists hold right rows in ascending order and the probe walks
 /// left rows in order, so the emitted (lrow, rrow) pairs are exactly the
 /// legacy nested loop's lrow-major sequence — the gathered output is
@@ -492,24 +445,18 @@ fn exec_hash_join(
             residual.iter().all(|p| pred_holds(p, &row))
         }
     };
-    let chunk = chunk_rows();
     if let [(lc, rc)] = keys {
         // Single-key fast path: the interned key itself is the hash key.
         let mut build: FxMap<ValueKey, Vec<usize>> = FxMap::default();
         for (rrow, v) in rg.column(*rc).iter().enumerate() {
             build.entry(interner.key(v)).or_default().push(rrow);
         }
-        let lcol = lg.column(*lc);
-        for start in (0..lcol.len()).step_by(chunk) {
-            let end = (start + chunk).min(lcol.len());
-            for (off, v) in lcol[start..end].iter().enumerate() {
-                let lrow = start + off;
-                if let Some(rows) = build.get(&interner.key(v)) {
-                    for &rrow in rows {
-                        if residual_holds(lrow, rrow) {
-                            lsel.push(lrow);
-                            rsel.push(rrow);
-                        }
+        for (lrow, v) in lg.column(*lc).iter().enumerate() {
+            if let Some(rows) = build.get(&interner.key(v)) {
+                for &rrow in rows {
+                    if residual_holds(lrow, rrow) {
+                        lsel.push(lrow);
+                        rsel.push(rrow);
                     }
                 }
             }
@@ -528,17 +475,14 @@ fn exec_hash_join(
             }
         }
         let lcols: Vec<&[Value]> = keys.iter().map(|&(lc, _)| lg.column(lc)).collect();
-        for start in (0..lg.n_rows()).step_by(chunk) {
-            let end = (start + chunk).min(lg.n_rows());
-            for lrow in start..end {
-                probe.clear();
-                probe.extend(lcols.iter().map(|col| interner.key(&col[lrow])));
-                if let Some(rows) = build.get(probe.as_slice()) {
-                    for &rrow in rows {
-                        if residual_holds(lrow, rrow) {
-                            lsel.push(lrow);
-                            rsel.push(rrow);
-                        }
+        for lrow in 0..lg.n_rows() {
+            probe.clear();
+            probe.extend(lcols.iter().map(|col| interner.key(&col[lrow])));
+            if let Some(rows) = build.get(probe.as_slice()) {
+                for &rrow in rows {
+                    if residual_holds(lrow, rrow) {
+                        lsel.push(lrow);
+                        rsel.push(rrow);
                     }
                 }
             }
@@ -996,7 +940,7 @@ pub struct EvalCache {
     /// of cloning it. Same bound and survival rules as
     /// [`EvalCache::row_counts`].
     group_counts: Memo<Query, Vec<(Vec<usize>, u32)>, ROWS_MEMO_CAP>,
-    /// Pooled scratch of the chunked filter/join paths: selection vectors
+    /// Pooled scratch of the filter/join paths: selection vectors
     /// and key buffers reused across every candidate evaluated through
     /// this cache, so per-candidate allocation stops scaling with row
     /// count.
@@ -1467,16 +1411,12 @@ impl EvalCache {
                     }
                 }
             }
-            let has_derived = rc.sets.get().is_some()
-                || rc.set_ids.get().is_some()
-                || rc.cell_sets.get().is_some();
-            if !has_derived {
+            if rc.sets.get().is_none() && rc.set_ids.get().is_none() {
                 continue;
             }
             if let Some(table) = Rc::get_mut(rc) {
                 table.sets.take();
                 table.set_ids.take();
-                table.cell_sets.take();
             } else {
                 // Pinned elsewhere (a grouping memo, an in-flight sibling
                 // evaluation): swap in a shallow clone sharing the value
@@ -1489,7 +1429,6 @@ impl EvalCache {
                     star: rc.star.clone(),
                     sets: OnceCell::new(),
                     set_ids: OnceCell::new(),
-                    cell_sets: OnceCell::new(),
                 });
                 *level = Some(fresh);
             }
@@ -2040,29 +1979,6 @@ mod tests {
     }
 
     #[test]
-    fn lazy_cell_sets_agree_with_full_grid() {
-        let q = Query::Group {
-            src: Box::new(Query::Input(0)),
-            keys: vec![0],
-            agg: AggFunc::Sum,
-            target: 2,
-        };
-        let inputs = [input()];
-        let u = RefUniverse::from_tables(&inputs);
-        let lazy = exec(Semantics::Provenance, &q, &inputs).unwrap();
-        let eager = exec(Semantics::Provenance, &q, &inputs).unwrap();
-        let grid = eager.sets(&u);
-        // Probe cells out of order before any full materialization.
-        for (i, j) in [(1, 1), (0, 0), (1, 0), (0, 1)] {
-            assert_eq!(*lazy.cell_set(&u, i, j), grid[(i, j)]);
-        }
-        // After whole-grid materialization, per-cell probes serve from it.
-        let full = lazy.sets(&u).clone();
-        assert_eq!(full, *grid);
-        assert_eq!(*lazy.cell_set(&u, 1, 1), grid[(1, 1)]);
-    }
-
-    #[test]
     fn fused_filter_join_equals_unfused() {
         let join = Query::Join {
             left: Box::new(Query::Input(0)),
@@ -2273,9 +2189,6 @@ mod tests {
         assert!(demoted.set_ids.get().is_none(), "set ids must be freed");
         // Re-derivation is byte-identical to the never-evicted run.
         assert_eq!(*demoted.sets(&u), ref_sets);
-        for (i, j) in [(0, 0), (1, 1)] {
-            assert_eq!(*demoted.cell_set(&u, i, j), ref_sets[(i, j)]);
-        }
     }
 
     #[test]

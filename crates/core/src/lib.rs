@@ -101,5 +101,5 @@ pub use session_pool::{demo_fingerprint, SessionPool, SessionPoolConfig};
 pub use stats::{Counter, ProgressSnapshot, SearchStats, Unit};
 pub use synth::{
     construct_skeletons, expand, Analyzer, JoinKey, NoPruneAnalyzer, OpKind, ProvenanceAnalyzer,
-    SynthConfig, SynthResult, SynthTask, TaskContext, BULK_COL_ROWS,
+    SynthConfig, SynthResult, SynthTask, TaskContext,
 };

@@ -20,7 +20,7 @@
 //!    timeout, or when a caller-supplied stop predicate fires.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -29,13 +29,13 @@ use sickle_table::{
 };
 
 use sickle_provenance::{
-    demo_consistent_with_candidates, find_table_match_with_candidates, match_seed_rows,
-    AnalysisCache, Demo, DemoToken, MatchDims, MatchSeed, RefSetPool, RefUniverse,
+    column_candidates, demo_consistent_with_candidates, find_table_match_seeded, match_seed_rows,
+    AnalysisCache, Demo, DemoToken, MatchDims, MatchSeed, RefSet, RefSetPool, RefUniverse,
 };
 
 use crate::abstract_eval::{abstract_evaluate_rc, demo_ref_sets};
 use crate::ast::{PQuery, Pred, Query};
-use crate::engine::{CachePolicy, CacheStats, EvalCache, Semantics};
+use crate::engine::{CachePolicy, CacheStats, EvalCache, ExecTable, Semantics};
 use crate::error::SickleError;
 use crate::memo::Memo;
 use crate::stats::{SearchStats, SharedStats};
@@ -282,69 +282,49 @@ pub struct TaskContext {
 /// Bound on the prefilter column-feasibility memo.
 const COL_HOSTS_CAP: usize = 16_384;
 
-/// Columns up to this many rows convert through the cross-candidate bulk
-/// memo (`EvalCache::star_col_sets`); larger columns (join outputs,
-/// which also churn through the engine cache) convert per probed cell
-/// through the result-local [`crate::ExecTable::cell_set`] — no
-/// cross-candidate pinning, and only cells the matcher touches are
-/// materialized. The threshold is measured: bulk-converting every column
-/// instead made the suite's 14 join tasks (20k visits, 2-core x86-64 VM)
-/// 3–20% slower. Public so the `accept` micro-bench mirrors the shipped
-/// policy instead of hard-coding a copy.
-pub const BULK_COL_ROWS: usize = 128;
+/// Stars up to this many rows convert column by column through the
+/// cross-candidate memos (`EvalCache::star_col_sets` and
+/// [`TaskContext::col_hosts`]), which pin each column they key by
+/// identity. Taller stars stay out of them, so a large column is never
+/// held past its engine-cache entry's eviction: their cells read the
+/// result's own whole-grid `sets` channel, which lives and dies with the
+/// result, and their column host tests rescan.
+const BULK_COL_ROWS: usize = 128;
 
-/// A candidate's lazy view of its star grid's per-cell reference sets,
-/// plus the memoized column-feasibility test of the acceptance prefilter.
+/// A candidate's view of its star grid's per-cell reference sets, plus
+/// the memoized column-feasibility test of the acceptance prefilter.
 struct StarSets<'a> {
     ctx: &'a TaskContext,
-    exec: &'a crate::ExecTable,
+    exec: &'a ExecTable,
     star: &'a crate::prov_eval::ProvTable,
-    cols: Vec<ColSets>,
-}
-
-/// Per-column resolution state of [`StarSets`].
-enum ColSets {
-    /// Not probed yet.
-    Pending,
-    /// Small column: the shared, fully-converted cross-candidate entry.
-    Shared(Arc<Vec<sickle_provenance::RefSet>>),
-    /// Large column: converted per probed cell, memoized on the
-    /// candidate's own result ([`crate::ExecTable::cell_set`]).
-    Local,
+    /// Per-column shared conversions, resolved on a column's first probe
+    /// (stars up to [`BULK_COL_ROWS`] rows only).
+    cols: Vec<Option<Arc<Vec<RefSet>>>>,
 }
 
 impl<'a> StarSets<'a> {
     fn new(
         ctx: &'a TaskContext,
-        exec: &'a crate::ExecTable,
+        exec: &'a ExecTable,
         star: &'a crate::prov_eval::ProvTable,
     ) -> StarSets<'a> {
         StarSets {
             ctx,
             exec,
             star,
-            cols: (0..star.n_cols()).map(|_| ColSets::Pending).collect(),
+            cols: vec![None; star.n_cols()],
         }
     }
 
     /// The reference set of star cell `(ti, tj)`, converted on demand.
-    fn cell(&mut self, ti: usize, tj: usize) -> &sickle_provenance::RefSet {
-        if matches!(self.cols[tj], ColSets::Pending) {
-            self.cols[tj] = if self.star.n_rows() <= BULK_COL_ROWS {
-                ColSets::Shared(self.ctx.eval_cache.star_col_sets(
-                    self.star,
-                    &self.ctx.universe,
-                    tj,
-                ))
-            } else {
-                ColSets::Local
-            };
+    fn cell(&mut self, ti: usize, tj: usize) -> &RefSet {
+        let (ctx, star) = (self.ctx, self.star);
+        if star.n_rows() > BULK_COL_ROWS {
+            return &self.exec.sets(&ctx.universe)[(ti, tj)];
         }
-        match &self.cols[tj] {
-            ColSets::Shared(sets) => &sets[ti],
-            ColSets::Local => self.exec.cell_set(&self.ctx.universe, ti, tj),
-            ColSets::Pending => unreachable!("resolved above"),
-        }
+        let sets = self.cols[tj]
+            .get_or_insert_with(|| ctx.eval_cache.star_col_sets(star, &ctx.universe, tj));
+        &sets[ti]
     }
 
     /// `ref(E[di,dj]) ⊆` the set of star cell `(ti, tj)` — the
@@ -357,10 +337,9 @@ impl<'a> StarSets<'a> {
     /// Whether star column `tj` can host demo column `dj` (every demo row
     /// embeds into some cell of it), memoized by column identity across
     /// candidates (see [`TaskContext::col_hosts`]) — pass-through columns
-    /// shared between sibling candidates resolve to one map probe. Large
-    /// columns are not memoized, by the same threshold
-    /// ([`BULK_COL_ROWS`]): the memo would pin them past engine-cache
-    /// eviction, which measured slower than rescanning.
+    /// shared between sibling candidates resolve to one map probe. Stars
+    /// over [`BULK_COL_ROWS`] rows are not memoized: the memo would pin
+    /// their columns.
     fn column_hosts(&mut self, dj: usize, tj: usize) -> bool {
         let (demo_rows, table_rows) = (self.ctx.demo_refs.n_rows(), self.star.n_rows());
         if table_rows > BULK_COL_ROWS {
@@ -446,6 +425,122 @@ impl TaskContext {
     pub fn pool(&self) -> &Arc<RefSetPool> {
         self.eval_cache.pool()
     }
+
+    /// Acceptance of one concrete candidate (Algorithm 1, line 9): does
+    /// `q` realize the demonstration (Def. 1)? Stage 1 materializes the
+    /// candidate's provenance star channel through the engine cache —
+    /// unless the demo-dims fast reject refutes it first: an upper bound
+    /// on its rows from the cache's row-count memos (which survive
+    /// eviction) below the demonstration's. Stages 2–3 are
+    /// [`TaskContext::accept_exec`]. Each stage's wall-clock is added to
+    /// its `stats` timer and to `time_concrete`. A candidate that fails to
+    /// evaluate is rejected.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SickleError::Internal`] when provenance evaluation yields
+    /// no star channel.
+    pub fn accept(&self, q: &Query, stats: &mut SearchStats) -> Result<bool, SickleError> {
+        let t0 = Instant::now();
+        let too_small = self
+            .eval_cache
+            .row_bound(q)
+            .is_some_and(|n| n < self.demo_refs.n_rows());
+        let exec = if too_small {
+            None
+        } else {
+            self.eval_cache
+                .exec(q, Semantics::Provenance, self.inputs())
+                .ok()
+        };
+        charge(stats, |s| &mut s.time_materialize, t0);
+        match exec {
+            Some(exec) => self.accept_exec(&exec, stats),
+            None => Ok(false),
+        }
+    }
+
+    /// Acceptance stages 2–3 of an already materialized candidate result.
+    ///
+    /// Stage 2, the prefilter, is a cheap necessary condition: the
+    /// demonstration's references must embed into the exact per-cell
+    /// reference sets (Def. 3 on exact provenance). Cells convert lazily
+    /// through the cross-candidate star-column memo, and column
+    /// feasibility is memoized by column identity, so pass-through
+    /// columns shared between sibling candidates resolve without touching
+    /// a single cell. Direct matching, not the cross-sibling analysis
+    /// cache: every concrete query has distinct exact sets, so interning
+    /// them would only grow the pool for verdicts that can never be
+    /// shared.
+    ///
+    /// Stage 3 is Def. 1, seeded by the prefilter's surviving column
+    /// candidates and the per-demo-row candidate rows they induce (sound:
+    /// `≺` implies reference containment, so every Def. 1-feasible
+    /// column/row is among the prefilter's candidates). Only prefilter
+    /// survivors pay for the row pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SickleError::Internal`] when `exec` has no star channel
+    /// (it was computed at [`Semantics::Values`]).
+    pub fn accept_exec(
+        &self,
+        exec: &ExecTable,
+        stats: &mut SearchStats,
+    ) -> Result<bool, SickleError> {
+        let Some(star) = exec.try_star() else {
+            return Err(SickleError::Internal {
+                message: "acceptance of a result without a provenance star channel".to_string(),
+            });
+        };
+        let t1 = Instant::now();
+        let dims = MatchDims {
+            demo_rows: self.demo_refs.n_rows(),
+            demo_cols: self.demo_refs.n_cols(),
+            table_rows: star.n_rows(),
+            table_cols: star.n_cols(),
+        };
+        let mut sets = StarSets::new(self, exec, star);
+        let fits = dims.demo_rows <= dims.table_rows && dims.demo_cols <= dims.table_cols;
+        let columns = if fits {
+            column_candidates(dims, |dj, tj| sets.column_hosts(dj, tj))
+        } else {
+            None
+        };
+        let seed = columns
+            .map(|col_candidates| MatchSeed {
+                col_candidates,
+                row_candidates: None,
+            })
+            .filter(|seed| {
+                find_table_match_seeded(dims, seed, &mut |di, dj, ti, tj| {
+                    sets.subset_ok(di, dj, ti, tj)
+                })
+                .is_some()
+            });
+        charge(stats, |s| &mut s.time_prefilter, t1);
+        let Some(mut seed) = seed else {
+            return Ok(false);
+        };
+
+        let t2 = Instant::now();
+        seed.row_candidates = Some(match_seed_rows(
+            dims,
+            &seed.col_candidates,
+            &mut |di, dj, ti, tj| sets.subset_ok(di, dj, ti, tj),
+        ));
+        let consistent = demo_consistent_with_candidates(self.demo(), star, &seed).is_some();
+        charge(stats, |s| &mut s.time_match, t2);
+        Ok(consistent)
+    }
+}
+
+/// Adds the time since `since` to one acceptance-stage timer of `stats`
+/// and to `time_concrete`, their sum.
+fn charge(stats: &mut SearchStats, timer: fn(&mut SearchStats) -> &mut Duration, since: Instant) {
+    let d = since.elapsed();
+    *timer(stats) += d;
+    stats.time_concrete += d;
 }
 
 /// The pruning oracle consulted on every partial query (line 13 of
@@ -538,9 +633,6 @@ pub(crate) fn run_search(
     // pop_back consumes from the end: reverse so smaller skeletons run first.
     work.make_contiguous().reverse();
     let live = &shared.live;
-    let bump_time = |counter: &AtomicU64, d: Duration| {
-        counter.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    };
     // Engine-cache churn counters: the cache is thread-local, so its
     // totals are published to the shared live counters as deltas (once
     // per visited query — two `Cell` reads on the happy path).
@@ -607,12 +699,11 @@ pub(crate) fn run_search(
         if pq.is_concrete() {
             stats.concrete_checked += 1;
             live.concrete_checked.fetch_add(1, Ordering::Relaxed);
-            let (demo_rows, demo_cols) = (ctx.demo_refs.n_rows(), ctx.demo_refs.n_cols());
-
             // Demo-dims fast reject, part 1 (free): a candidate whose
             // static column arity is below the demonstration's can never
             // host it — skip evaluation (and star materialization)
-            // entirely.
+            // entirely. Part 2, on rows, opens `TaskContext::accept`.
+            let demo_cols = ctx.demo_refs.n_cols();
             if pq.n_cols(&ctx.input_arities).is_some_and(|n| n < demo_cols) {
                 continue;
             }
@@ -621,102 +712,10 @@ pub(crate) fn run_search(
                     message: format!("candidate {pq} reported concrete but failed to convert"),
                 });
             };
-
-            // Stage 1 — materialize the provenance star channel.
-            let t0 = Instant::now();
-            // Demo-dims fast reject, part 2: an upper bound on the
-            // candidate's rows from the engine cache's row-count memos
-            // (which survive eviction), below the demonstration's rows,
-            // refutes it before any evaluation or star construction.
-            let too_small = ctx.eval_cache.row_bound(&q).is_some_and(|n| n < demo_rows);
-            let exec = if too_small {
-                None
-            } else {
-                ctx.eval_cache
-                    .exec(&q, Semantics::Provenance, ctx.inputs())
-                    .ok()
-            };
-            let d_mat = t0.elapsed();
-            stats.time_materialize += d_mat;
-            stats.time_concrete += d_mat;
-            bump_time(&live.time_materialize, d_mat);
-            let Some(exec) = exec else { continue };
-            let Some(star) = exec.try_star() else {
-                return Err(SickleError::Internal {
-                    message: format!(
-                        "provenance evaluation of candidate {q} returned no star channel"
-                    ),
-                });
-            };
-
-            // Stage 2 — prefilter. Cheap necessary condition: the
-            // demonstration's references must embed into the exact
-            // per-cell reference sets (Def. 3 on exact provenance).
-            // Cells convert lazily through the cross-candidate star-cell
-            // memo, and column feasibility is memoized by column
-            // identity — pass-through columns shared between sibling
-            // candidates resolve without touching a single cell. Direct
-            // matching, not the cross-sibling analysis cache: every
-            // concrete query has distinct exact sets, so interning them
-            // would only grow the pool for verdicts that can never be
-            // shared.
-            let t1 = Instant::now();
-            let dims = MatchDims {
-                demo_rows,
-                demo_cols,
-                table_rows: star.n_rows(),
-                table_cols: star.n_cols(),
-            };
-            let mut sets = StarSets::new(ctx, &exec, star);
-            let mut col_candidates: Vec<Vec<usize>> = Vec::with_capacity(demo_cols);
-            let mut feasible =
-                dims.demo_rows <= dims.table_rows && dims.demo_cols <= dims.table_cols;
-            if feasible {
-                for dj in 0..demo_cols {
-                    let cands: Vec<usize> = (0..dims.table_cols)
-                        .filter(|&tj| sets.column_hosts(dj, tj))
-                        .collect();
-                    if cands.is_empty() {
-                        feasible = false;
-                        break;
-                    }
-                    col_candidates.push(cands);
-                }
-            }
-            let found = feasible
-                && find_table_match_with_candidates(
-                    dims,
-                    &col_candidates,
-                    &mut |di, dj, ti, tj| sets.subset_ok(di, dj, ti, tj),
-                )
-                .is_some();
-            let d_pre = t1.elapsed();
-            stats.time_prefilter += d_pre;
-            stats.time_concrete += d_pre;
-            bump_time(&live.time_prefilter, d_pre);
-            if !found {
-                continue;
-            }
-
-            // Stage 3 — Def. 1, seeded by the prefilter's surviving
-            // column candidates and the per-demo-row candidate rows they
-            // induce (sound: `≺` implies reference containment, so every
-            // Def. 1-feasible column/row is among the prefilter's
-            // candidates). Only prefilter survivors — a rare breed — pay
-            // for the row pass.
-            let t2 = Instant::now();
-            let row_candidates = match_seed_rows(dims, &col_candidates, &mut |di, dj, ti, tj| {
-                sets.subset_ok(di, dj, ti, tj)
-            });
-            let seed = MatchSeed {
-                col_candidates,
-                row_candidates,
-            };
-            let consistent = demo_consistent_with_candidates(ctx.demo(), star, &seed).is_some();
-            let d_match = t2.elapsed();
-            stats.time_match += d_match;
-            stats.time_concrete += d_match;
-            bump_time(&live.time_match, d_match);
+            let mut cost = SearchStats::default();
+            let consistent = ctx.accept(&q, &mut cost)?;
+            stats.merge(&cost);
+            live.add(&cost);
             if consistent {
                 let done = stop(&q);
                 solutions.push(q);

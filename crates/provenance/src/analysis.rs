@@ -39,7 +39,7 @@ use std::sync::{Arc, Mutex};
 
 use sickle_table::Grid;
 
-use crate::matching::{find_table_match_with_candidates, MatchDims};
+use crate::matching::{column_candidates, find_table_match_seeded, MatchDims, MatchSeed};
 use crate::pool::{FxBuild, FxMap, RefSetPool, SetId};
 use crate::ref_set::RefSet;
 
@@ -336,29 +336,23 @@ impl AnalysisCache {
         // Column candidates, each (demo column content, column-contents)
         // memoized across sibling tables that share the column (for
         // tables large enough that the key pays for itself).
-        let mut col_candidates: Vec<Vec<usize>> = Vec::with_capacity(dims.demo_cols);
-        for dj in 0..dims.demo_cols {
-            let mut cands = Vec::new();
-            for tj in 0..dims.table_cols {
-                let direct = || {
-                    (0..dims.demo_rows)
-                        .all(|di| acol(tj).iter().any(|t| dset(di, dj).is_subset_of(t)))
-                };
-                let feasible = if memo_columns && dj < token.cols.len() {
-                    self.column_feasible(token.cols[dj], abs.column(tj), direct)
-                } else {
-                    direct()
-                };
-                if feasible {
-                    cands.push(tj);
-                }
+        let Some(col_candidates) = column_candidates(dims, |dj, tj| {
+            let direct = || {
+                (0..dims.demo_rows).all(|di| acol(tj).iter().any(|t| dset(di, dj).is_subset_of(t)))
+            };
+            if memo_columns && dj < token.cols.len() {
+                self.column_feasible(token.cols[dj], abs.column(tj), direct)
+            } else {
+                direct()
             }
-            if cands.is_empty() {
-                return false;
-            }
-            col_candidates.push(cands);
-        }
-        find_table_match_with_candidates(dims, &col_candidates, &mut |di, dj, ti, tj| {
+        }) else {
+            return false;
+        };
+        let seed = MatchSeed {
+            col_candidates,
+            row_candidates: None,
+        };
+        find_table_match_seeded(dims, &seed, &mut |di, dj, ti, tj| {
             dset(di, dj).is_subset_of(&acol(tj)[ti])
         })
         .is_some()

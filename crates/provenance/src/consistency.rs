@@ -501,7 +501,7 @@ mod tests {
     /// matcher unchanged: verdicts agree with the blind [`demo_consistent`].
     #[test]
     fn seeded_matcher_preserves_edge_case_verdicts() {
-        use crate::matching::find_table_match_with_report;
+        use crate::matching::{column_candidates, match_seed_rows};
         use crate::ref_set::RefUniverse;
         use sickle_table::Table;
 
@@ -547,8 +547,9 @@ mod tests {
             for src in demos {
                 let demo = Demo::parse(&[&[src]]).unwrap();
                 let blind = demo_consistent(&demo, star);
-                // Prefilter over exact reference containment, as the
-                // acceptance path computes it.
+                // Prefilter over exact reference containment, composed as
+                // the acceptance path composes it: column candidates, the
+                // column-seeded search, then the rows they induce.
                 let demo_refs: Vec<_> = (0..demo.n_rows())
                     .map(|i| universe.set_from(demo.cell(i, 0).refs()))
                     .collect();
@@ -558,14 +559,25 @@ mod tests {
                     table_rows: star.n_rows(),
                     table_cols: star.n_cols(),
                 };
-                let report = find_table_match_with_report(dims, &mut |di, _, ti, tj| {
+                let mut subset = |di: usize, _: usize, ti: usize, tj: usize| {
                     demo_refs[di].is_subset_of(&universe.set_from(star[(ti, tj)].refs()))
-                });
-                let seeded = match report.seed {
-                    Some(seed) if report.found.is_some() => {
+                };
+                let prefiltered = column_candidates(dims, |dj, tj| {
+                    (0..dims.demo_rows)
+                        .all(|di| (0..dims.table_rows).any(|ti| subset(di, dj, ti, tj)))
+                })
+                .map(|col_candidates| MatchSeed {
+                    col_candidates,
+                    row_candidates: None,
+                })
+                .filter(|seed| find_table_match_seeded(dims, seed, &mut subset).is_some());
+                let seeded = match prefiltered {
+                    Some(mut seed) => {
+                        seed.row_candidates =
+                            Some(match_seed_rows(dims, &seed.col_candidates, &mut subset));
                         demo_consistent_with_candidates(&demo, star, &seed)
                     }
-                    _ => {
+                    None => {
                         // Prefilter rejected: Def. 1 must reject too.
                         assert!(blind.is_none(), "{src}");
                         None

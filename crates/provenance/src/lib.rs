@@ -22,7 +22,9 @@
 //!   (column candidates + verdicts), keyed by interned id grids plus a
 //!   collision-free per-demo fingerprint ([`DemoToken`]) so one cache
 //!   serves a whole session of demonstrations;
-//! * [`find_table_match`] — the shared injective subtable matcher.
+//! * [`find_table_match`] — the shared injective subtable matcher, plus the
+//!   staged pieces the acceptance path composes ([`column_candidates`],
+//!   [`match_seed_rows`], [`find_table_match_seeded`]).
 //!
 //! # Examples
 //!
@@ -58,8 +60,8 @@ pub use consistency::{demo_consistent, demo_consistent_with_candidates, expr_con
 pub use demo::{parse_expr, Demo, DemoExpr, ParseError};
 pub use expr::{CellRef, Expr, FuncName, RefTerm};
 pub use matching::{
-    find_table_match, find_table_match_seeded, find_table_match_with_candidates,
-    find_table_match_with_report, match_seed_rows, MatchDims, MatchReport, MatchSeed, TableMatch,
+    column_candidates, find_table_match, find_table_match_seeded, match_seed_rows, MatchDims,
+    MatchSeed, TableMatch,
 };
 pub use pool::{FxBuild, FxHasher, FxMap, RefSetPool, SetId};
 pub use ref_set::{RefSet, RefUniverse};

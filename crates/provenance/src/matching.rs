@@ -13,18 +13,24 @@
 //!
 //! The concrete acceptance path runs the same search *twice* per candidate
 //! — once over cheap reference-subset tests (the Def. 3 prefilter on exact
-//! provenance) and once over the expensive Def. 1 expression matching. The
-//! second run need not start blind: a [`MatchSeed`] (per-demo-column
-//! candidate lists + per-demo-row candidate rows) carries the first run's
-//! candidate structure into [`find_table_match_seeded`]. Self-contained
-//! callers get the seed from [`find_table_match_with_report`]; callers
-//! that derive column candidates through their own cross-candidate memos
-//! (the synthesizer's acceptance prefilter) combine
-//! [`find_table_match_with_candidates`] with [`match_seed_rows`]. Seeding
-//! is sound whenever the seeding oracle is *implied by* the seeded oracle
-//! (Def. 1 consistency implies reference containment), and the verdict is
-//! identical to the blind search — only the returned witness may differ
-//! (both are valid assignments).
+//! provenance) and once over the expensive Def. 1 expression matching —
+//! from three pieces:
+//!
+//! 1. [`column_candidates`] derives the table columns that can host each
+//!    demo column from a caller-supplied host test (the one place that
+//!    loop lives; callers memoize the test across candidates as they see
+//!    fit);
+//! 2. [`find_table_match_seeded`] runs the assignment search from a
+//!    [`MatchSeed`] — column candidates plus, optionally, per-demo-row
+//!    candidate rows;
+//! 3. [`match_seed_rows`] derives those rows from the column candidates,
+//!    so the second run need not start blind.
+//!
+//! Seeding is sound whenever the seeding oracle is *implied by* the seeded
+//! oracle (Def. 1 consistency implies reference containment), and the
+//! verdict is identical to the blind search — only the returned witness
+//! may differ (both are valid assignments). Without row candidates the
+//! seeded search is the blind search: same verdict, same witness.
 
 /// Dimensions of a matching problem.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,23 +61,13 @@ pub struct TableMatch {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatchSeed {
     /// `col_candidates[dj]` — table columns that can host demo column `dj`
-    /// (every demo row finds at least one compatible table row there).
+    /// (every demo row finds at least one compatible table row there), as
+    /// [`column_candidates`] derives them.
     pub col_candidates: Vec<Vec<usize>>,
     /// `row_candidates[di][ti]` — whether table row `ti` can host demo row
-    /// `di` under *some* candidate column choice for every demo column.
-    pub row_candidates: Vec<Vec<bool>>,
-}
-
-/// Result of [`find_table_match_with_report`]: the assignment (if any)
-/// plus the candidate seed, when one was fully computed. Trivial instances
-/// (empty demo, demo larger than table, an empty candidate list) resolve
-/// before candidates are complete and carry no seed.
-#[derive(Debug, Clone)]
-pub struct MatchReport {
-    /// The first assignment found, as [`find_table_match`] returns it.
-    pub found: Option<TableMatch>,
-    /// The surviving candidate structure, for seeding a follow-up search.
-    pub seed: Option<MatchSeed>,
+    /// `di` under *some* candidate column choice for every demo column
+    /// ([`match_seed_rows`]); `None` leaves every row open.
+    pub row_candidates: Option<Vec<Vec<bool>>>,
 }
 
 /// Lazily-memoized cell compatibility oracle. Verdicts are stored in a
@@ -131,92 +127,38 @@ pub fn find_table_match(
     dims: MatchDims,
     cell_ok: &mut dyn FnMut(usize, usize, usize, usize) -> bool,
 ) -> Option<TableMatch> {
-    match_with_report(dims, cell_ok, false).found
-}
-
-/// [`find_table_match`] additionally reporting the candidate structure it
-/// computed (see [`MatchReport`]). The verdict and witness are identical
-/// to [`find_table_match`] over the same oracle; the extra cost is the
-/// per-demo-row candidate pass, whose probes share the oracle memo with
-/// the search itself.
-pub fn find_table_match_with_report(
-    dims: MatchDims,
-    cell_ok: &mut dyn FnMut(usize, usize, usize, usize) -> bool,
-) -> MatchReport {
-    match_with_report(dims, cell_ok, true)
-}
-
-fn match_with_report(
-    dims: MatchDims,
-    cell_ok: &mut dyn FnMut(usize, usize, usize, usize) -> bool,
-    want_seed: bool,
-) -> MatchReport {
-    if dims.demo_rows > dims.table_rows || dims.demo_cols > dims.table_cols {
-        return MatchReport {
-            found: None,
-            seed: None,
-        };
-    }
-    if dims.demo_rows == 0 || dims.demo_cols == 0 {
-        return MatchReport {
-            found: Some(TableMatch {
-                row_map: Vec::new(),
-                col_map: Vec::new(),
-            }),
-            seed: None,
-        };
+    if let Some(resolved) = trivial_match(dims) {
+        return resolved;
     }
     let mut oracle = CellOracle::new(dims, cell_ok);
+    let col_candidates = column_candidates(dims, |dj, tj| {
+        (0..dims.demo_rows).all(|di| (0..dims.table_rows).any(|ti| oracle.ok(di, dj, ti, tj)))
+    })?;
+    search_assignment(&mut oracle, &col_candidates, None)
+}
 
-    // Feasible table columns per demo column: column tj is a candidate for
-    // dj iff every demo row has at least one compatible table row there.
-    let mut col_candidates: Vec<Vec<usize>> = Vec::with_capacity(dims.demo_cols);
-    for dj in 0..dims.demo_cols {
-        let mut cands = Vec::new();
-        'cols: for tj in 0..dims.table_cols {
-            for di in 0..dims.demo_rows {
-                if !(0..dims.table_rows).any(|ti| oracle.ok(di, dj, ti, tj)) {
-                    continue 'cols;
-                }
-            }
-            cands.push(tj);
-        }
-        if cands.is_empty() {
-            return MatchReport {
-                found: None,
-                seed: None,
-            };
-        }
-        col_candidates.push(cands);
-    }
-
-    let found = search_assignment(&mut oracle, &col_candidates, None);
-    if !want_seed || found.is_none() {
-        // Rejections never seed a follow-up search: skip the row pass.
-        return MatchReport { found, seed: None };
-    }
-
-    // Probes share the oracle memo with the search above, so most of the
-    // row pass is bit tests.
-    let row_candidates = match_seed_rows(dims, &col_candidates, &mut |di, dj, ti, tj| {
-        oracle.ok(di, dj, ti, tj)
-    });
-    MatchReport {
-        found,
-        seed: Some(MatchSeed {
-            col_candidates,
-            row_candidates,
-        }),
-    }
+/// The feasible table columns of every demo column: `tj` is a candidate
+/// for `dj` iff `hosts(dj, tj)` — for a cell oracle, every demo row has at
+/// least one compatible table row in column `tj`. Probes demo columns in
+/// order, each against every table column in order, and returns `None` at
+/// the first demo column no table column can host (no assignment exists).
+pub fn column_candidates(
+    dims: MatchDims,
+    mut hosts: impl FnMut(usize, usize) -> bool,
+) -> Option<Vec<Vec<usize>>> {
+    (0..dims.demo_cols)
+        .map(|dj| {
+            let cands: Vec<usize> = (0..dims.table_cols).filter(|&tj| hosts(dj, tj)).collect();
+            (!cands.is_empty()).then_some(cands)
+        })
+        .collect()
 }
 
 /// The per-demo-row candidate mask induced by column candidates: `ti` can
 /// host `di` only when, for every demo column, some candidate table
 /// column is compatible at `(di, ti)`. A valid assignment's rows always
 /// satisfy this (its columns are all candidates), so restricting a search
-/// to these rows is exact — this is the row side of a [`MatchSeed`],
-/// shared by [`find_table_match_with_report`] and callers that derive
-/// column candidates through their own cross-candidate memos.
+/// to these rows is exact — this is the row side of a [`MatchSeed`].
 pub fn match_seed_rows(
     dims: MatchDims,
     col_candidates: &[Vec<usize>],
@@ -236,64 +178,52 @@ pub fn match_seed_rows(
         .collect()
 }
 
-/// [`find_table_match`] with the per-demo-column candidate sets already
-/// known. The cross-sibling analysis cache computes (and caches) candidate
-/// sets per column, then hands them here so only the assignment search
-/// remains; results are identical to [`find_table_match`] given candidate
-/// sets computed by the same `cell_ok`.
+/// Runs the assignment search from a [`MatchSeed`], skipping the
+/// candidate-derivation pass entirely.
 ///
-/// `col_candidates[dj]` must list every feasible table column for demo
-/// column `dj` (callers detect an empty candidate list before calling).
-pub fn find_table_match_with_candidates(
-    dims: MatchDims,
-    col_candidates: &[Vec<usize>],
-    cell_ok: &mut dyn FnMut(usize, usize, usize, usize) -> bool,
-) -> Option<TableMatch> {
-    if dims.demo_rows > dims.table_rows || dims.demo_cols > dims.table_cols {
-        return None;
-    }
-    if dims.demo_rows == 0 || dims.demo_cols == 0 {
-        return Some(TableMatch {
-            row_map: Vec::new(),
-            col_map: Vec::new(),
-        });
-    }
-    debug_assert_eq!(col_candidates.len(), dims.demo_cols);
-    let mut oracle = CellOracle::new(dims, cell_ok);
-    search_assignment(&mut oracle, col_candidates, None)
-}
-
-/// Runs the assignment search from a [`MatchSeed`] computed by a previous
-/// (weaker-oracle) run, skipping the candidate-derivation pass entirely.
-///
-/// Sound whenever `cell_ok(c) ⇒ seed oracle(c)` cell-wise — then every
-/// feasible column/row under `cell_ok` is already in the seed, and the
-/// verdict equals a blind [`find_table_match`] over `cell_ok`. The
-/// returned witness may differ from the blind search's (candidate order
-/// differs), but any returned assignment satisfies `cell_ok` on every
-/// demonstration cell.
+/// `seed.col_candidates[dj]` must list every table column that can host
+/// demo column `dj` under `cell_ok` (callers reject an empty list before
+/// calling, as [`column_candidates`] does). Without row candidates the
+/// result — verdict and witness — is exactly [`find_table_match`]'s over
+/// `cell_ok`. Seeds derived from a *weaker* oracle are sound whenever
+/// `cell_ok(c) ⇒ seed oracle(c)` cell-wise: every feasible column/row
+/// under `cell_ok` is then already in the seed, and the verdict equals a
+/// blind [`find_table_match`] over `cell_ok`. The witness may then differ
+/// from the blind search's (candidate order differs), but any returned
+/// assignment satisfies `cell_ok` on every demonstration cell.
 pub fn find_table_match_seeded(
     dims: MatchDims,
     seed: &MatchSeed,
     cell_ok: &mut dyn FnMut(usize, usize, usize, usize) -> bool,
 ) -> Option<TableMatch> {
-    if dims.demo_rows > dims.table_rows || dims.demo_cols > dims.table_cols {
-        return None;
-    }
-    if dims.demo_rows == 0 || dims.demo_cols == 0 {
-        return Some(TableMatch {
-            row_map: Vec::new(),
-            col_map: Vec::new(),
-        });
+    if let Some(resolved) = trivial_match(dims) {
+        return resolved;
     }
     debug_assert_eq!(seed.col_candidates.len(), dims.demo_cols);
-    debug_assert_eq!(seed.row_candidates.len(), dims.demo_rows);
+    debug_assert!(seed
+        .row_candidates
+        .as_ref()
+        .is_none_or(|rows| rows.len() == dims.demo_rows));
     let mut oracle = CellOracle::new(dims, cell_ok);
     search_assignment(
         &mut oracle,
         &seed.col_candidates,
-        Some(&seed.row_candidates),
+        seed.row_candidates.as_deref(),
     )
+}
+
+/// Instances every entry point resolves without a search: a demo larger
+/// than the table never matches, an empty demo always does.
+fn trivial_match(dims: MatchDims) -> Option<Option<TableMatch>> {
+    if dims.demo_rows > dims.table_rows || dims.demo_cols > dims.table_cols {
+        return Some(None);
+    }
+    (dims.demo_rows == 0 || dims.demo_cols == 0).then(|| {
+        Some(TableMatch {
+            row_map: Vec::new(),
+            col_map: Vec::new(),
+        })
+    })
 }
 
 /// The backtracking assignment phase shared by every entry point;
@@ -503,6 +433,37 @@ mod tests {
         assert!(find_table_match(dims(1, 1, 1, 1), &mut |_, _, _, _| false).is_none());
     }
 
+    /// The host test of a cell oracle, as the blind search derives it.
+    fn hosts(
+        d: MatchDims,
+        oracle: impl Fn(usize, usize, usize, usize) -> bool,
+    ) -> impl FnMut(usize, usize) -> bool {
+        move |dj, tj| (0..d.demo_rows).all(|di| (0..d.table_rows).any(|ti| oracle(di, dj, ti, tj)))
+    }
+
+    /// The staged composition the acceptance path runs over a weak
+    /// oracle: [`column_candidates`], the column-seeded search, and —
+    /// when it finds a match — the row candidates it induces. Returns the
+    /// weak search's result and the full seed.
+    fn staged(
+        d: MatchDims,
+        weak: impl Fn(usize, usize, usize, usize) -> bool + Copy,
+    ) -> (Option<TableMatch>, Option<MatchSeed>) {
+        let Some(col_candidates) = column_candidates(d, hosts(d, weak)) else {
+            return (None, None);
+        };
+        let mut seed = MatchSeed {
+            col_candidates,
+            row_candidates: None,
+        };
+        let found = find_table_match_seeded(d, &seed, &mut { weak });
+        if found.is_none() {
+            return (None, None);
+        }
+        seed.row_candidates = Some(match_seed_rows(d, &seed.col_candidates, &mut { weak }));
+        (found, Some(seed))
+    }
+
     /// Seeding the search with externally-computed candidate sets must give
     /// exactly the result of the self-computing entry point.
     #[test]
@@ -513,25 +474,20 @@ mod tests {
             let oracle =
                 |di: usize, dj: usize, ti: usize, tj: usize| (di + dj + ti + tj).is_multiple_of(2);
             let direct = find_table_match(d, &mut { oracle });
-            // Candidate sets computed exactly as find_table_match does.
-            let mut cands: Vec<Vec<usize>> = Vec::new();
-            for dj in 0..n {
-                cands.push(
-                    (0..nn)
-                        .filter(|&tj| (0..m).all(|di| (0..mm).any(|ti| oracle(di, dj, ti, tj))))
-                        .collect(),
-                );
-            }
-            if cands.iter().any(Vec::is_empty) {
+            let Some(col_candidates) = column_candidates(d, hosts(d, oracle)) else {
                 assert!(direct.is_none());
                 continue;
-            }
-            let seeded = find_table_match_with_candidates(d, &cands, &mut { oracle });
+            };
+            let seed = MatchSeed {
+                col_candidates,
+                row_candidates: None,
+            };
+            let seeded = find_table_match_seeded(d, &seed, &mut { oracle });
             assert_eq!(direct, seeded, "dims {d:?}");
         }
     }
 
-    /// The reporting entry point returns exactly the blind verdict and
+    /// The staged composition returns exactly the blind verdict and
     /// witness, plus a seed whose candidates reproduce the blind search.
     #[test]
     fn report_agrees_with_blind_and_seeds_reruns() {
@@ -547,10 +503,10 @@ mod tests {
                 (di * 3 + dj * 5 + ti * 7 + tj).is_multiple_of(modulus)
             };
             let blind = find_table_match(d, &mut { oracle });
-            let report = find_table_match_with_report(d, &mut { oracle });
-            assert_eq!(blind, report.found, "dims {d:?} mod {modulus}");
-            let Some(seed) = report.seed else {
-                assert!(report.found.is_none() || m == 0 || n == 0);
+            let (found, seed) = staged(d, oracle);
+            assert_eq!(blind, found, "dims {d:?} mod {modulus}");
+            let Some(seed) = seed else {
+                assert!(found.is_none());
                 continue;
             };
             // Re-running seeded over the same oracle gives the same verdict.
@@ -568,7 +524,7 @@ mod tests {
     }
 
     /// Seeding a *stronger* oracle (fewer compatible cells) from a weaker
-    /// one's report matches the stronger oracle's blind verdict.
+    /// one's staged run matches the stronger oracle's blind verdict.
     #[test]
     fn seeded_stronger_oracle_matches_blind() {
         for (m, n, mm, nn) in [(2, 2, 4, 4), (2, 3, 4, 5), (3, 2, 5, 4)] {
@@ -579,9 +535,9 @@ mod tests {
             let strong = |di: usize, dj: usize, ti: usize, tj: usize| {
                 weak(di, dj, ti, tj) && (ti + tj).is_multiple_of(2)
             };
-            let report = find_table_match_with_report(d, &mut { weak });
+            let (found, seed) = staged(d, weak);
             let blind_strong = find_table_match(d, &mut { strong });
-            match report.seed {
+            match seed {
                 Some(seed) => {
                     let seeded = find_table_match_seeded(d, &seed, &mut { strong });
                     assert_eq!(blind_strong.is_some(), seeded.is_some(), "dims {d:?}");
@@ -595,24 +551,36 @@ mod tests {
                 }
                 // No seed ⇒ the weak prefilter already rejected; the
                 // stronger oracle must reject too.
-                None => assert!(report.found.is_none() && blind_strong.is_none()),
+                None => assert!(found.is_none() && blind_strong.is_none()),
             }
         }
     }
 
     /// The tri-state memo must never re-invoke the underlying oracle for a
-    /// probed cell pair.
+    /// probed cell pair, in the blind search (candidate derivation plus
+    /// assignment) and in the row-seeded search alike.
     #[test]
     fn oracle_probes_are_memoized() {
-        let mut calls = std::collections::HashMap::new();
         let d = dims(2, 2, 3, 3);
-        let _ = find_table_match_with_report(d, &mut |di, dj, ti, tj| {
-            *calls.entry((di, dj, ti, tj)).or_insert(0) += 1;
-            (di + dj + ti + tj).is_multiple_of(2)
-        });
-        assert!(
-            calls.values().all(|&c| c == 1),
-            "repeat probes hit the underlying oracle: {calls:?}"
-        );
+        let parity =
+            |di: usize, dj: usize, ti: usize, tj: usize| (di + dj + ti + tj).is_multiple_of(2);
+        let (_, seed) = staged(d, parity);
+        let seed = seed.expect("parity instance matches");
+        for seeded in [false, true] {
+            let mut calls = std::collections::HashMap::new();
+            let mut counted = |di, dj, ti, tj| {
+                *calls.entry((di, dj, ti, tj)).or_insert(0) += 1;
+                parity(di, dj, ti, tj)
+            };
+            if seeded {
+                let _ = find_table_match_seeded(d, &seed, &mut counted);
+            } else {
+                let _ = find_table_match(d, &mut counted);
+            }
+            assert!(
+                calls.values().all(|&c| c == 1),
+                "repeat probes hit the underlying oracle (seeded {seeded}): {calls:?}"
+            );
+        }
     }
 }

@@ -1,16 +1,16 @@
 //! Property tests for the candidate-seeded, memoized acceptance matcher,
 //! driven by the deterministic in-repo generator: on randomized
-//! demonstration/star grids, the staged pipeline (reference-containment
-//! prefilter with candidate report → seeded, pre-keyed Def. 1 matching)
-//! must agree with the blind `demo_consistent`, and the seeded subtable
-//! matcher must agree with the blind `find_table_match` on random
-//! oracles.
+//! demonstration/star grids, the staged pipeline the search composes
+//! (`column_candidates` → column-seeded reference-containment prefilter →
+//! `match_seed_rows` → seeded, pre-keyed Def. 1 matching) must agree with
+//! the blind `demo_consistent`, and the seeded subtable matcher must agree
+//! with the blind `find_table_match` on random oracles.
 
 use sickle_benchmarks::rng::Rng;
 use sickle_provenance::{
-    demo_consistent, demo_consistent_with_candidates, expr_consistent, find_table_match,
-    find_table_match_seeded, find_table_match_with_report, CellRef, Demo, DemoExpr, Expr, FuncName,
-    MatchDims, RefUniverse,
+    column_candidates, demo_consistent, demo_consistent_with_candidates, expr_consistent,
+    find_table_match, find_table_match_seeded, match_seed_rows, CellRef, Demo, DemoExpr, Expr,
+    FuncName, MatchDims, MatchSeed, RefUniverse, TableMatch,
 };
 use sickle_table::{AggFunc, ArithOp, Grid, Table, Value};
 
@@ -144,14 +144,38 @@ fn random_demo_expr(rng: &mut Rng, tables: &[Table], depth: usize) -> DemoExpr {
     strip(rng, &star)
 }
 
-/// The staged acceptance decision exactly as the search performs it:
-/// prefilter over exact reference containment (with candidate report),
-/// then candidate-seeded Def. 1. Returns the verdict plus the witness.
-fn staged_verdict(
-    demo: &Demo,
-    star: &Grid<Expr>,
-    universe: &RefUniverse,
-) -> Option<sickle_provenance::TableMatch> {
+/// The search's prefilter over a weak cell oracle: [`column_candidates`]
+/// under the oracle's host test, then the column-seeded search. Returns
+/// that search's result and, when it matched, the seed completed with the
+/// row candidates it induces ([`match_seed_rows`]).
+fn prefilter(
+    dims: MatchDims,
+    weak: &mut dyn FnMut(usize, usize, usize, usize) -> bool,
+) -> (Option<TableMatch>, Option<MatchSeed>) {
+    if dims.demo_rows > dims.table_rows || dims.demo_cols > dims.table_cols {
+        return (None, None);
+    }
+    let Some(col_candidates) = column_candidates(dims, |dj, tj| {
+        (0..dims.demo_rows).all(|di| (0..dims.table_rows).any(|ti| weak(di, dj, ti, tj)))
+    }) else {
+        return (None, None);
+    };
+    let mut seed = MatchSeed {
+        col_candidates,
+        row_candidates: None,
+    };
+    let found = find_table_match_seeded(dims, &seed, weak);
+    if found.is_none() {
+        return (None, None);
+    }
+    seed.row_candidates = Some(match_seed_rows(dims, &seed.col_candidates, weak));
+    (found, Some(seed))
+}
+
+/// The staged acceptance decision exactly as the search composes it:
+/// prefilter over exact reference containment, then candidate-seeded
+/// Def. 1. Returns the verdict plus the witness.
+fn staged_verdict(demo: &Demo, star: &Grid<Expr>, universe: &RefUniverse) -> Option<TableMatch> {
     let dims = MatchDims {
         demo_rows: demo.n_rows(),
         demo_cols: demo.n_cols(),
@@ -160,14 +184,10 @@ fn staged_verdict(
     };
     let demo_refs: Grid<_> = demo.grid().map(|e| universe.set_from(e.refs()));
     let sets: Grid<_> = star.map(|e| universe.set_from(e.refs()));
-    let report = find_table_match_with_report(dims, &mut |di, dj, ti, tj| {
+    let (_, seed) = prefilter(dims, &mut |di, dj, ti, tj| {
         demo_refs[(di, dj)].is_subset_of(&sets[(ti, tj)])
     });
-    report.found.as_ref()?;
-    match &report.seed {
-        Some(seed) => demo_consistent_with_candidates(demo, star, seed),
-        None => demo_consistent(demo, star),
-    }
+    demo_consistent_with_candidates(demo, star, &seed?)
 }
 
 const CASES: u64 = 120;
@@ -245,9 +265,9 @@ fn staged_acceptance_agrees_with_blind_demo_consistent() {
     );
 }
 
-/// On random boolean oracles, the reporting matcher returns the blind
+/// On random boolean oracles, the staged prefilter returns the blind
 /// matcher's verdict and witness, and seeding a (pointwise stronger)
-/// oracle from its report matches that oracle's blind verdict.
+/// oracle from its seed matches that oracle's blind verdict.
 #[test]
 fn seeded_matcher_agrees_with_blind_on_random_oracles() {
     for seed in 0..CASES {
@@ -272,13 +292,13 @@ fn seeded_matcher_agrees_with_blind_on_random_oracles() {
 
         let blind_weak =
             find_table_match(dims, &mut |di, dj, ti, tj| weak_tab[idx(di, dj, ti, tj)]);
-        let report =
-            find_table_match_with_report(dims, &mut |di, dj, ti, tj| weak_tab[idx(di, dj, ti, tj)]);
-        assert_eq!(blind_weak, report.found, "seed {seed}: report != blind");
+        let (found, staged_seed) =
+            prefilter(dims, &mut |di, dj, ti, tj| weak_tab[idx(di, dj, ti, tj)]);
+        assert_eq!(blind_weak, found, "seed {seed}: prefilter != blind");
 
         let blind_strong =
             find_table_match(dims, &mut |di, dj, ti, tj| strong_tab[idx(di, dj, ti, tj)]);
-        match &report.seed {
+        match &staged_seed {
             Some(matched_seed) => {
                 let seeded = find_table_match_seeded(dims, matched_seed, &mut |di, dj, ti, tj| {
                     strong_tab[idx(di, dj, ti, tj)]
@@ -297,10 +317,10 @@ fn seeded_matcher_agrees_with_blind_on_random_oracles() {
                 }
             }
             None => {
-                // No seed ⇒ the weak search rejected (or was trivial);
-                // the strong oracle must reject too.
+                // No seed ⇒ the weak search rejected; the strong oracle
+                // must reject too.
                 assert!(
-                    report.found.is_none() && blind_strong.is_none(),
+                    found.is_none() && blind_strong.is_none(),
                     "seed {seed}: missing seed on a feasible instance"
                 );
             }
