@@ -28,8 +28,8 @@ use std::time::{Duration, Instant};
 
 use sickle_benchmarks::{all_benchmarks, frontier_candidates};
 use sickle_core::{
-    CachePolicy, CacheStats, ExecTable, ProvTable, Query, SearchStats, Semantics, SynthConfig,
-    SynthTask, TaskContext,
+    CachePolicy, ExecTable, ProvTable, Query, SearchStats, Semantics, SynthConfig, SynthTask,
+    TaskContext,
 };
 use sickle_provenance::{demo_consistent, find_table_match, Demo, MatchDims, RefSet, RefUniverse};
 use sickle_table::Grid;
@@ -105,12 +105,12 @@ fn interleave(v: &[Query], ways: usize) -> Vec<Query> {
 /// stream through a fresh engine cache under `policy`, reading the
 /// engine's derived reference-set channel (what star-channel spilling
 /// frees and re-derives). Returns the wall-clock, the per-query verdicts
-/// and the cache churn counters.
+/// and the cache's counter rows.
 fn churn_pass(
     task: &SynthTask,
     policy: CachePolicy,
     stream: &[Query],
-) -> (Duration, Vec<bool>, CacheStats) {
+) -> (Duration, Vec<bool>, SearchStats) {
     let ctx = TaskContext::with_policy(task.clone(), policy);
     let demo = ctx.demo().clone();
     let t0 = Instant::now();
@@ -137,7 +137,7 @@ fn churn_pass(
             },
         )
         .collect();
-    (t0.elapsed(), verdicts, ctx.eval_cache.cache_stats())
+    (t0.elapsed(), verdicts, ctx.eval_cache.take_counters())
 }
 
 /// One churn-scenario row (per benchmark): timing and counters at a
@@ -146,7 +146,7 @@ struct ChurnRow {
     name: String,
     cap: usize,
     spill: Duration,
-    spill_stats: CacheStats,
+    spill_stats: SearchStats,
 }
 
 /// Best-of-N wall-clock of `f`, with one warmup run.
@@ -180,9 +180,9 @@ impl Report {
             "{:44} spill {:>12.2?}   evictions {} reevals {} demotions {}",
             row.name,
             row.spill,
-            row.spill_stats.evictions,
-            row.spill_stats.reevals,
-            row.spill_stats.demotions,
+            row.spill_stats.cache_evictions,
+            row.spill_stats.cache_reevals,
+            row.spill_stats.cache_demotions,
         );
         self.churn.push(row);
     }
@@ -217,9 +217,9 @@ impl Report {
                 r.name,
                 r.cap,
                 r.spill.as_secs_f64(),
-                r.spill_stats.evictions,
-                r.spill_stats.demotions,
-                r.spill_stats.reevals,
+                r.spill_stats.cache_evictions,
+                r.spill_stats.cache_demotions,
+                r.spill_stats.cache_reevals,
                 if i + 1 == self.churn.len() { "" } else { "," }
             ));
         }
@@ -316,15 +316,15 @@ fn main() {
         report.rows.len()
     );
 
-    // Churn scenario: the join-heavy tasks the cost-aware eviction sweep
-    // targets, re-verified through a deliberately tiny engine cache so
+    // Churn scenario: the join-heavy tasks that churn the engine cache,
+    // re-verified through a deliberately tiny engine cache so
     // every policy sweeps constantly. The candidate stream is stride-
     // interleaved (shared children go cold between uses) and runs twice
     // (the second round re-probes what round one cached: a demoted entry
     // pays set re-conversion, an evicted one pays full re-execution). The
     // same stream runs (1) on an effectively unbounded cache ("blind"
     // reference verdicts) and (2) at the tiny cap with a low-water mark
-    // above cap/2, where cold expensive survivors get demoted. Any
+    // above cap/2, where cold survivors get demoted. Any
     // verdict divergence between the spilled run and the blind reference
     // is a correctness bug: the assert aborts the bench (and fails CI's
     // bench-smoke job).
@@ -361,8 +361,8 @@ fn main() {
             let (verdicts, stats) = last.expect("at least one iteration");
             (best, verdicts, stats)
         };
-        // Low water above cap/2: cold expensive survivors exist and get
-        // demoted instead of dropped.
+        // Low water above cap/2: cold survivors exist and get demoted
+        // instead of dropped.
         let spill_policy = CachePolicy::default()
             .with_cap(CHURN_CAP)
             .with_low_water(CHURN_CAP * 3 / 4);

@@ -751,17 +751,6 @@ fn decode_str<'a>(j: &'a Json, key: &str, path: &Path) -> Result<&'a str, String
         .ok_or_else(|| load_err(path, format!("missing string \"{key}\"")))
 }
 
-fn decode_wire_value(v: &Json, path: &Path) -> Result<Value, String> {
-    match v {
-        Json::Null => Ok(Value::Null),
-        Json::Bool(b) => Ok(Value::Bool(*b)),
-        Json::Str(s) => Ok(Value::Str(s.as_str().into())),
-        Json::Num(n) if n.fract() == 0.0 && n.abs() < 9.2e18 => Ok(Value::Int(*n as i64)),
-        Json::Num(n) => Ok(Value::Float(*n)),
-        _ => Err(load_err(path, "constants must be scalars")),
-    }
-}
-
 /// Loads the tasks of a frozen corpus that pass `filters`, in manifest
 /// order, verifying each bundle's content hash.
 ///
@@ -848,22 +837,19 @@ pub fn load_corpus(dir: &Path, filters: &CorpusFilters) -> Result<Vec<TaskBundle
             })
             .collect::<Result<_, _>>()?;
 
+        // Join keys and constants too: a malformed one is an error
+        // before the content-hash check runs.
         let mut join_keys = Vec::new();
         if let Some(jks) = task.get("join_keys").and_then(Json::as_array) {
             for jk in jks {
-                let field = |name: &str| decode_usize(jk, name, &task_path);
-                join_keys.push(JoinKey {
-                    left_table: field("left_table")? - 1,
-                    left_col: field("left_col")? - 1,
-                    right_table: field("right_table")? - 1,
-                    right_col: field("right_col")? - 1,
-                });
+                join_keys
+                    .push(crate::wire::decode_join_key(jk).map_err(|e| load_err(&task_path, e))?);
             }
         }
         let mut constants = Vec::new();
         if let Some(cs) = task.get("constants").and_then(Json::as_array) {
             for c in cs {
-                constants.push(decode_wire_value(c, &task_path)?);
+                constants.push(crate::wire::decode_value(c).map_err(|e| load_err(&task_path, e))?);
             }
         }
 
@@ -1156,6 +1142,27 @@ mod tests {
         assert_ne!(a, c);
         // And it is stable.
         assert_eq!(a, corpus_digest(&[mk("ok", &["group(T1, [0], sum(c2))"])]));
+    }
+
+    #[test]
+    fn zero_join_key_index_fails_to_load() {
+        let dir =
+            std::env::temp_dir().join(format!("sickle-corpus-zero-key-{}", std::process::id()));
+        let task_dir = dir.join("tasks/t0");
+        std::fs::create_dir_all(&task_dir).unwrap();
+        let manifest = format!(
+            r#"{{"schema": "{CORPUS_SCHEMA}", "tasks": [{{"id": "t0", "category": "join", "format": "csv", "seed": 0, "hash": "0", "path": "tasks/t0"}}]}}"#
+        );
+        let task = format!(
+            r#"{{"schema": "{TASK_SCHEMA}", "tables": [{{"file": "table1.csv"}}], "demo": [["T[1,1]"]], "join_keys": [{{"left_table": 0, "left_col": 1, "right_table": 1, "right_col": 1}}]}}"#
+        );
+        std::fs::write(dir.join("manifest.json"), manifest).unwrap();
+        std::fs::write(task_dir.join("task.json"), task).unwrap();
+        std::fs::write(task_dir.join("table1.csv"), "a\n1\n").unwrap();
+        let loaded = load_corpus(&dir, &CorpusFilters::default());
+        let _ = std::fs::remove_dir_all(&dir);
+        let err = loaded.unwrap_err();
+        assert!(err.contains("1-based"), "{err}");
     }
 
     #[test]

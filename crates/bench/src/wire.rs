@@ -80,7 +80,7 @@ fn suite() -> &'static [Benchmark] {
     SUITE.get_or_init(all_benchmarks)
 }
 
-fn decode_value(v: &Json) -> Result<Value, SickleError> {
+pub(crate) fn decode_value(v: &Json) -> Result<Value, SickleError> {
     match v {
         Json::Null => Ok(Value::Null),
         Json::Bool(b) => Ok(Value::Bool(*b)),
@@ -180,7 +180,7 @@ fn decode_demo(d: &Json) -> Result<Demo, SickleError> {
 /// Decodes one wire join key: an object with **1-based**
 /// `left_table`/`left_col`/`right_table`/`right_col` (matching the
 /// `T[row,col]` surface syntax of demonstrations).
-fn decode_join_key(jk: &Json) -> Result<JoinKey, SickleError> {
+pub(crate) fn decode_join_key(jk: &Json) -> Result<JoinKey, SickleError> {
     let field = |name: &str| {
         jk.get(name)
             .and_then(Json::as_usize)
@@ -854,6 +854,27 @@ mod tests {
                 .and_then(|e| e.get("kind"))
                 .and_then(Json::as_str);
             assert_eq!(kind, Some("invalid_request"), "{line}");
+        }
+    }
+
+    #[test]
+    fn deeply_nested_demo_formulas_are_parse_errors() {
+        // Each would overflow the stack of a 2 MiB connection thread if
+        // the parser had no depth bound; like any malformed formula,
+        // they are `parse` errors.
+        let session = Session::new();
+        let parens = format!("{}T[1,2]{}", "(".repeat(10_000), ")".repeat(10_000));
+        let chain = vec!["T[1,2]"; 100_000].join("+");
+        for cell in [parens, chain] {
+            let line = format!(
+                r#"{{"tables": [{{"columns": ["a", "b"], "rows": [["x", 1]]}}], "demo": [["T[1,1]", "{cell}"]]}}"#
+            );
+            let response = handle_line(&session, &line);
+            let kind = response
+                .get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(Json::as_str);
+            assert_eq!(kind, Some("parse"));
         }
     }
 

@@ -46,6 +46,7 @@ use crate::memo::Memo;
 use crate::prov_eval::{
     aggregate_column, expand_arith, group_key_column, window_column, ProvTable,
 };
+use crate::stats::SearchStats;
 
 /// Which channels of an [`ExecTable`] a caller needs.
 ///
@@ -522,33 +523,33 @@ fn exec_cross_loop(
     gather_join(l, r, lsel, rsel)
 }
 
-/// `filter(join(l, r), p)` without materializing the cross product,
-/// returning whether the hash path ran. Routes through [`exec_hash_join`]
-/// when the predicate has at least one cross-side equality conjunct (and
-/// the strategy allows it); otherwise the nested pair loop.
+/// `filter(join(l, r), p)` without materializing the cross product.
+/// Routes through [`exec_hash_join`] when the predicate has at least one
+/// cross-side equality conjunct (and the strategy allows it); otherwise
+/// the nested pair loop.
 fn exec_filtered_join_with(
     l: &ExecTable,
     r: &ExecTable,
     pred: &Pred,
     strategy: JoinStrategy,
     scratch: &mut ExecScratch,
-) -> Result<(ExecTable, bool), EvalError> {
+) -> Result<ExecTable, EvalError> {
     check_pred(pred, l.values.n_cols() + r.values.n_cols(), "filter")?;
     if strategy == JoinStrategy::CrossLoop {
-        return Ok((exec_cross_loop(l, r, pred, scratch), false));
+        return Ok(exec_cross_loop(l, r, pred, scratch));
     }
     let (keys, residual) = split_equi_pred(pred, l.values.n_cols());
     if keys.is_empty() {
-        Ok((exec_cross_loop(l, r, pred, scratch), false))
+        Ok(exec_cross_loop(l, r, pred, scratch))
     } else {
-        Ok((exec_hash_join(l, r, &keys, &residual, scratch), true))
+        Ok(exec_hash_join(l, r, &keys, &residual, scratch))
     }
 }
 
 /// `filter(join(l, r), p)` under the default [`JoinStrategy::Auto`].
 fn exec_filtered_join(l: &ExecTable, r: &ExecTable, pred: &Pred) -> Result<ExecTable, EvalError> {
     let mut scratch = ExecScratch::default();
-    exec_filtered_join_with(l, r, pred, JoinStrategy::Auto, &mut scratch).map(|(t, _)| t)
+    exec_filtered_join_with(l, r, pred, JoinStrategy::Auto, &mut scratch)
 }
 
 /// Executes `filter(join(l, r), p)` under an explicit [`JoinStrategy`] —
@@ -567,7 +568,7 @@ pub fn exec_filtered_join_strategy(
     strategy: JoinStrategy,
 ) -> Result<ExecTable, EvalError> {
     let mut scratch = ExecScratch::default();
-    exec_filtered_join_with(l, r, pred, strategy, &mut scratch).map(|(t, _)| t)
+    exec_filtered_join_with(l, r, pred, strategy, &mut scratch)
 }
 
 fn exec_left_join(
@@ -877,8 +878,7 @@ pub struct EvalCache {
     /// (`[Values, Provenance]`) — keying by `Query` alone lets cache hits
     /// probe with `map.get(q)` instead of cloning the whole AST into a
     /// tuple key on the search's innermost loop. Entries carry a
-    /// second-chance bit and a recompute-cost estimate; see
-    /// [`EvalCache::sweep_exec`].
+    /// second-chance bit and a probe count; see [`EvalCache::sweep_exec`].
     map: RefCell<FxMap<Query, ExecSlot>>,
     abs_map: RefCell<FxMap<crate::ast::PQuery, Warm<Rc<crate::abstract_eval::AbsTable>>>>,
     /// The hash-consing pool resolving every [`SetId`] produced through
@@ -947,8 +947,15 @@ pub struct EvalCache {
     scratch: RefCell<ExecScratch>,
     /// Eviction policy of the concrete store (cap, hysteresis target).
     policy: CachePolicy,
-    /// Eviction / demotion / re-evaluation counters (see [`CacheStats`]).
-    stats: Cell<CacheStats>,
+    /// The search-counter rows this cache feeds (`cache_evictions`,
+    /// `cache_demotions`, `cache_reevals`, `cache_reeval_s`,
+    /// `time_join_s`, `join_rows`), added to as they happen and drained
+    /// by [`EvalCache::take_counters`].
+    counters: RefCell<SearchStats>,
+    /// Approximate bytes resident in the concrete store: each insert
+    /// charges its slot's bytes, evictions and demotions release them
+    /// (see [`ExecSlot::bytes`]).
+    resident: Cell<u64>,
     /// Hashes of fully evicted queries, consumed on re-insert to count
     /// churn-induced re-evaluations. Cleared when full, which
     /// undercounts, and keyed by a 64-bit fingerprint (a collision can
@@ -970,19 +977,13 @@ type SetColumn = Arc<Vec<SetId>>;
 type KeyColumns = (Vec<Arc<Vec<Value>>>, Vec<Arc<Vec<Expr>>>);
 
 /// One exec-cache slot: per-semantics-level results plus the
-/// second-chance bit and the recompute-cost estimate consumed by the
-/// cost-aware sweep.
+/// second-chance bit and the probe count consumed by the sweep.
 #[derive(Debug, Default)]
 struct ExecSlot {
     value: [Option<Rc<ExecTable>>; 2],
     /// Second-chance bit: set on every hit and on insertion, consumed by
     /// [`EvalCache::sweep_exec`].
     hot: Cell<bool>,
-    /// Estimated cost to recompute the entry: nanoseconds spent in this
-    /// node's operator step at build time, plus a per-cell weight for the
-    /// output size (re-gathering a large join output costs real time even
-    /// when its children are still cached). Monotone across upgrades.
-    cost: Cell<u64>,
     /// Cache-hit count since the last sweep (halved by each sweep): the
     /// reuse-frequency signal of the benefit-aware demotion trigger. An
     /// entry that was inserted but never re-probed has paid for derived
@@ -991,8 +992,8 @@ struct ExecSlot {
     probes: Cell<u32>,
     /// Approximate bytes charged against this slot (value + star
     /// channels, per cell, plus a fixed per-entry overhead). Released in
-    /// full on eviction and partially on demotion, so cumulative releases
-    /// never exceed cumulative charges.
+    /// full on eviction and partially on demotion, so
+    /// [`EvalCache::resident`] never releases more than was charged.
     bytes: Cell<u64>,
 }
 
@@ -1004,11 +1005,6 @@ const EXEC_CACHE_CAP: usize = 4_000;
 /// children of a node consecutively (depth-first), so even a modest bound
 /// keeps the hit rate high while capping memory.
 const ABS_CACHE_CAP: usize = 8_000;
-
-/// Per-cell weight of the size term of an entry's recompute-cost
-/// estimate (rebuilding values + star columns costs on the order of tens
-/// of nanoseconds per cell).
-const CELL_COST_NS: u64 = 32;
 
 /// Approximate resident bytes per cached cell: one `Value` plus one star
 /// `Expr` (both small enum headers; string/aggregate payloads are
@@ -1035,17 +1031,17 @@ const ROWS_MEMO_CAP: usize = 65_536;
 
 /// Eviction policy of the concrete [`EvalCache`] store.
 ///
-/// A sweep ranks entries by (coldness, recompute cost) and evicts the
-/// cheapest cold entries down to [`CachePolicy::low_water`] (hysteresis:
-/// the O(n log n) sweep then cannot run again for at least
-/// `cap - low_water` inserts), so cheap-to-recompute entries go first
-/// and expensive join children survive. Survivors that are cold or were
-/// never re-probed are *demoted*: their derived reference-set channels
-/// (and the cross-candidate star-column conversions) are freed while the
-/// value and star columns stay, so a later re-probe pays only set
-/// re-conversion, never a full join re-execution. Raising `low_water`
-/// above `cap / 2` keeps more entries per sweep, trading peak RSS for
-/// fewer re-evaluations.
+/// A sweep evicts cold entries, then (if that is not enough) hot ones,
+/// in map iteration order, down to [`CachePolicy::low_water`]
+/// (hysteresis: the O(n) sweep then cannot run again for at least
+/// `cap - low_water` inserts). The victims depend only on the insert and
+/// probe sequence, so every counter the cache feeds is exact. Survivors
+/// that are cold or were never re-probed are *demoted*: their derived
+/// reference-set channels (and the cross-candidate star-column
+/// conversions) are freed while the value and star columns stay, so a
+/// later re-probe pays only set re-conversion, never a full join
+/// re-execution. Raising `low_water` above `cap / 2` keeps more entries
+/// per sweep, trading peak RSS for fewer re-evaluations.
 ///
 /// Marked `#[non_exhaustive]`: construct via [`CachePolicy::default`]
 /// plus the `with_*` builders.
@@ -1089,49 +1085,6 @@ impl CachePolicy {
         self.low_water = low_water;
         self
     }
-}
-
-/// Counters describing the concrete store's churn behavior. Read with
-/// [`EvalCache::cache_stats`]; the search surfaces them through
-/// [`crate::SearchStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct CacheStats {
-    /// Sweeps run (each is one O(n log n) rank-and-evict pass).
-    pub sweeps: usize,
-    /// Entries dropped entirely.
-    pub evictions: usize,
-    /// Entries demoted: derived ref-set channels (and their shared
-    /// star-column conversions) freed, values + star kept.
-    pub demotions: usize,
-    /// Inserts that re-evaluated a previously evicted query — the churn
-    /// the cost-aware sweep exists to avoid.
-    pub reevals: usize,
-    /// Nanoseconds spent on those re-evaluations (the operator step of
-    /// each re-evaluated node). Counts alone can hide the policy's
-    /// effect: cost-aware eviction deliberately re-evaluates *cheap*
-    /// entries instead of expensive join children, so the spend drops
-    /// even when the count does not.
-    pub reeval_ns: u64,
-    /// Fused `filter ∘ join` steps that ran through the hash-join path.
-    pub hash_joins: usize,
-    /// Fused `filter ∘ join` steps that fell back to the nested cross
-    /// loop (no cross-side equality conjunct in the predicate).
-    pub cross_joins: usize,
-    /// Output rows produced by join steps — `join`, `left_join` and fused
-    /// `filter ∘ join` (the rows-processed side of the `time_join` split
-    /// surfaced through the search stats).
-    pub join_rows: u64,
-    /// Nanoseconds spent in those join steps.
-    pub join_ns: u64,
-    /// Approximate bytes charged for inserted entries, cumulative. The
-    /// counter is monotone (like every other field) so the parallel
-    /// search can publish unsigned deltas; live residency is
-    /// `mem_charged - mem_released`.
-    pub mem_charged: u64,
-    /// Approximate bytes released by evictions and demotions, cumulative.
-    /// Never exceeds [`CacheStats::mem_charged`].
-    pub mem_released: u64,
 }
 
 /// A cache entry with a second-chance bit: set on every hit (and on
@@ -1208,9 +1161,18 @@ impl EvalCache {
         self.policy
     }
 
-    /// Eviction / demotion / re-evaluation counters since creation.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.stats.get()
+    /// Drains the [`SearchStats`] rows this cache added to since the last
+    /// call: `cache_evictions`, `cache_demotions`, `cache_reevals`,
+    /// `cache_reeval_s`, `time_join_s` and `join_rows`. Every other row
+    /// reads 0.
+    pub fn take_counters(&self) -> SearchStats {
+        self.counters.take()
+    }
+
+    /// Approximate bytes resident in the concrete store (see
+    /// [`EvalCache::resident`]).
+    pub(crate) fn resident_bytes(&self) -> u64 {
+        self.resident.get()
     }
 
     /// An upper bound on `q`'s output row count read from the row-count
@@ -1297,49 +1259,40 @@ impl EvalCache {
         }
     }
 
-    /// The cost-aware, hysteresis-bounded sweep of the concrete store.
+    /// The hysteresis-bounded sweep of the concrete store.
     ///
-    /// Ranks entries by (coldness, recompute cost) and evicts the
-    /// cheapest cold entries (then, if the map is all-hot, the cheapest
-    /// hot ones — their second chance is the cost ordering itself) until
-    /// the map is down to the low-water mark. Cold survivors — by
-    /// construction the most expensive entries, typically join children —
+    /// Evicts cold entries, then — if the map is still above the
+    /// low-water mark — hot ones, each in map iteration order, until the
+    /// map is down to the low-water mark. The victims are a function of
+    /// the insert and probe sequence alone. Survivors that are cold or were never re-probed
     /// are *demoted* instead of dropped. Hot flags are consumed, exactly
     /// as in the abstract store's second-chance sweep.
     fn sweep_exec(&self, map: &mut FxMap<Query, ExecSlot>) {
-        let mut stats = self.stats.get();
-        stats.sweeps += 1;
-        // Rank victims — cold before hot, cheap before expensive —
-        // without cloning any keys: select the eviction threshold on the
-        // (coldness, cost) ranks alone, then evict in one retain pass
-        // (ties at the threshold are broken by iteration order, which is
-        // deterministic for a deterministic insert sequence). The target
-        // is clamped so a sweep always frees at least ~cap/8 entries:
-        // a low-water at (or above) cap-1 would otherwise free one entry
-        // per sweep and degrade to an O(n log n) sweep per insert — the
-        // hysteresis guarantee holds for every caller, not just the
-        // wire front-end's validated requests.
+        let mut counters = self.counters.borrow_mut();
+        // The target is clamped so a sweep always frees at least ~cap/8
+        // entries: a low-water at (or above) cap-1 would otherwise free
+        // one entry per sweep and degrade to a sweep per insert — the
+        // hysteresis guarantee holds for every caller, not just the wire
+        // front-end's validated requests.
         let max_target = self.policy.cap.saturating_sub((self.policy.cap / 8).max(1));
         let target = self.policy.low_water.min(max_target);
         let excess = map.len().saturating_sub(target);
         if excess > 0 {
-            let mut ranks: Vec<(bool, u64)> = map
-                .values()
-                .map(|slot| (slot.hot.get(), slot.cost.get()))
-                .collect();
-            let (_, &mut threshold, _) = ranks.select_nth_unstable(excess - 1);
-            let n_less = ranks.iter().filter(|&&r| r < threshold).count();
-            let mut ties = excess - n_less;
+            let cold = map.values().filter(|slot| !slot.hot.get()).count();
+            let mut cold_quota = excess.min(cold);
+            let mut hot_quota = excess - cold_quota;
             map.retain(|q, slot| {
-                let rank = (slot.hot.get(), slot.cost.get());
-                let evict = rank < threshold
-                    || (rank == threshold && ties > 0 && {
-                        ties -= 1;
-                        true
-                    });
+                let quota = if slot.hot.get() {
+                    &mut hot_quota
+                } else {
+                    &mut cold_quota
+                };
+                let evict = *quota > 0;
                 if evict {
-                    stats.evictions += 1;
-                    stats.mem_released = stats.mem_released.saturating_add(slot.bytes.get());
+                    *quota -= 1;
+                    counters.cache_evictions += 1;
+                    self.resident
+                        .set(self.resident.get().saturating_sub(slot.bytes.get()));
                     self.evicted.insert(self.hasher.hash_one(q), ());
                 }
                 !evict
@@ -1360,13 +1313,13 @@ impl EvalCache {
         for slot in map.values_mut() {
             let probes = slot.probes.get();
             if (!slot.hot.get() || probes == 0) && self.demote_slot(slot, &mut purge) {
-                stats.demotions += 1;
+                counters.cache_demotions += 1;
                 // The freed derived channels are roughly half the slot's
                 // footprint; decrement the slot so a later eviction (or
                 // repeat demotion) cannot release more than was charged.
                 let freed = slot.bytes.get() / DEMOTE_RELEASE_DIV;
                 slot.bytes.set(slot.bytes.get() - freed);
-                stats.mem_released = stats.mem_released.saturating_add(freed);
+                self.resident.set(self.resident.get().saturating_sub(freed));
             }
             slot.hot.set(false);
             slot.probes.set(probes / 2);
@@ -1377,7 +1330,6 @@ impl EvalCache {
             self.groups_canon.retain(|k| !gone(k.0));
             self.group_parts.retain(|k| !gone(k[0]));
         }
-        self.stats.set(stats);
     }
 
     /// Frees a slot's derived reference-set channels — the whole-grid and
@@ -1605,27 +1557,18 @@ impl EvalCache {
                 child
             }
         };
-        // Each branch resolves its children first (their build time is
-        // accounted to their own cache entries), then times just this
-        // node's operator step — the cost to rebuild the entry when its
+        // Each branch resolves its children first, then times just this
+        // node's operator step — what a re-evaluation costs when its
         // children are still cached.
-        let (computed, step_ns) = if let Some((left, right, pred)) = fused_filter_join(q) {
+        let (computed, step) = if let Some((left, right, pred)) = fused_filter_join(q) {
             let l = narrow(self.exec(left, sem, inputs)?);
             let r = narrow(self.exec(right, sem, inputs)?);
             let t0 = Instant::now();
-            let (out, hashed) = {
+            let out = {
                 let mut scratch = self.scratch.borrow_mut();
                 exec_filtered_join_with(&l, &r, pred, JoinStrategy::Auto, &mut scratch)?
             };
-            let ns = t0.elapsed().as_nanos() as u64;
-            let mut stats = self.stats.get();
-            if hashed {
-                stats.hash_joins += 1;
-            } else {
-                stats.cross_joins += 1;
-            }
-            self.stats.set(stats);
-            (out, ns)
+            (out, t0.elapsed())
         } else if let Query::Filter { src, pred } = q {
             // Plain filter (the fused branch above took filter-over-join):
             // runs through the pooled selection buffer so candidate churn
@@ -1636,7 +1579,7 @@ impl EvalCache {
                 let mut scratch = self.scratch.borrow_mut();
                 exec_filter_with(&child, pred, &mut scratch.keep)?
             };
-            (out, t0.elapsed().as_nanos() as u64)
+            (out, t0.elapsed())
         } else if let Query::Group {
             src,
             keys,
@@ -1655,7 +1598,7 @@ impl EvalCache {
             // One row per group: every sibling aggregation choice over
             // the same (child, keys) can now fast-reject from the memo.
             self.note_group_rows(src, keys, out.values.n_rows());
-            (out, t0.elapsed().as_nanos() as u64)
+            (out, t0.elapsed())
         } else if let Query::Partition {
             src,
             keys,
@@ -1670,7 +1613,7 @@ impl EvalCache {
             let t0 = Instant::now();
             (
                 self.exec_partition_shared(sem, &child, keys, *func, *target)?,
-                t0.elapsed().as_nanos() as u64,
+                t0.elapsed(),
             )
         } else {
             let children = q
@@ -1680,20 +1623,14 @@ impl EvalCache {
                 .collect::<Result<Vec<_>, _>>()?;
             let child_refs: Vec<&ExecTable> = children.iter().map(Rc::as_ref).collect();
             let t0 = Instant::now();
-            (
-                exec_step(sem, q, &child_refs, inputs)?,
-                t0.elapsed().as_nanos() as u64,
-            )
+            (exec_step(sem, q, &child_refs, inputs)?, t0.elapsed())
         };
         if matches!(q, Query::Join { .. } | Query::LeftJoin { .. })
             || fused_filter_join(q).is_some()
         {
-            let mut stats = self.stats.get();
-            stats.join_rows = stats
-                .join_rows
-                .saturating_add(computed.values.n_rows() as u64);
-            stats.join_ns = stats.join_ns.saturating_add(step_ns);
-            self.stats.set(stats);
+            let mut counters = self.counters.borrow_mut();
+            counters.join_rows += computed.values.n_rows();
+            counters.time_join += step;
         }
         // Store under the level actually computed (equals `sem` now that
         // children are narrowed, but derive it rather than assume).
@@ -1702,25 +1639,18 @@ impl EvalCache {
             actual >= sem,
             "pipeline produced fewer channels than requested"
         );
-        let cost = step_ns.saturating_add(
-            (computed.values.n_rows() as u64)
-                .saturating_mul(computed.values.n_cols() as u64)
-                .saturating_mul(CELL_COST_NS),
-        );
         self.note_rows(q, computed.values.n_rows());
         // A re-insert of a previously evicted query is a churn-induced
-        // re-evaluation — the quantity the cost-aware sweep minimizes.
-        // Consumed *before* this insert's own sweep runs: the sweep can
-        // evict this query's stale lower-level slot, and that eviction
-        // happened after the computation — counting it would charge
-        // churn for work it did not cause. The emptiness guard keeps the
-        // no-churn common case free of a second full-AST hash (separate
-        // scope: a `Ref` alive across the `borrow_mut` would panic).
+        // re-evaluation. Consumed *before* this insert's own sweep runs:
+        // the sweep can evict this query's stale lower-level slot, and
+        // that eviction happened after the computation — counting it
+        // would charge churn for work it did not cause. The emptiness
+        // guard keeps the no-churn common case free of a second full-AST
+        // hash.
         if !self.evicted.is_empty() && self.evicted.remove(&self.hasher.hash_one(q)) {
-            let mut stats = self.stats.get();
-            stats.reevals += 1;
-            stats.reeval_ns = stats.reeval_ns.saturating_add(step_ns);
-            self.stats.set(stats);
+            let mut counters = self.counters.borrow_mut();
+            counters.cache_reevals += 1;
+            counters.cache_reeval_time += step;
         }
         let cells =
             (computed.values.n_rows() as u64).saturating_mul(computed.values.n_cols() as u64);
@@ -1733,11 +1663,8 @@ impl EvalCache {
         let slot = map.entry(q.clone()).or_default();
         slot.value[actual as usize] = Some(Rc::clone(&rc));
         slot.hot.set(true);
-        slot.cost.set(slot.cost.get().max(cost));
         slot.bytes.set(slot.bytes.get().saturating_add(mem));
-        let mut stats = self.stats.get();
-        stats.mem_charged = stats.mem_charged.saturating_add(mem);
-        self.stats.set(stats);
+        self.resident.set(self.resident.get().saturating_add(mem));
         Ok(rc)
     }
 
@@ -1795,6 +1722,7 @@ impl EvalCache {
 mod tests {
     use super::*;
     use sickle_table::{AggFunc, ArithExpr, ArithOp, CmpOp};
+    use std::time::Duration;
 
     fn input() -> Table {
         Table::new(
@@ -2067,13 +1995,13 @@ mod tests {
             cache.sweep_exec(&mut map);
         }
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.cache_stats().evictions, 1);
+        assert_eq!(cache.take_counters().cache_evictions, 1);
         // The surviving entry is served from cache (same Rc), the cold
         // one was evicted and recomputes (counted as a re-evaluation).
         let again = cache.exec(&hot, Semantics::Values, &inputs).unwrap();
         assert!(Rc::ptr_eq(&hot_rc, &again));
         cache.exec(&cold, Semantics::Values, &inputs).unwrap();
-        assert_eq!(cache.cache_stats().reevals, 1);
+        assert_eq!(cache.take_counters().cache_reevals, 1);
     }
 
     #[test]
@@ -2085,9 +2013,9 @@ mod tests {
             right: Box::new(Query::Input(0)),
         };
         cache.exec(&join, Semantics::Values, &inputs).unwrap();
-        let after_join = cache.cache_stats();
+        let after_join = cache.take_counters();
         assert_eq!(after_join.join_rows, 16, "4 × 4 cross product");
-        assert!(after_join.join_ns > 0, "{after_join:?}");
+        assert!(after_join.time_join > Duration::ZERO, "{after_join:?}");
         // Same city: every left row meets its two same-city right rows.
         let left_join = Query::LeftJoin {
             left: Box::new(Query::Input(0)),
@@ -2095,55 +2023,82 @@ mod tests {
             pred: Pred::ColCmp(0, CmpOp::Eq, 4),
         };
         cache.exec(&left_join, Semantics::Values, &inputs).unwrap();
-        let after_left = cache.cache_stats();
+        let mut after_left = after_join;
+        after_left.merge(&cache.take_counters());
         assert_eq!(after_left.join_rows, 16 + 8);
-        assert!(after_left.join_ns > after_join.join_ns, "{after_left:?}");
+        assert!(
+            after_left.time_join > after_join.time_join,
+            "{after_left:?}"
+        );
+    }
+
+    /// Eight distinct one-operator queries over [`input`].
+    fn sorts() -> Vec<Query> {
+        (0..4)
+            .flat_map(|c| {
+                [true, false].map(|asc| Query::Sort {
+                    src: Box::new(Query::Input(0)),
+                    cols: vec![c],
+                    asc,
+                })
+            })
+            .collect()
+    }
+
+    /// Fills a cache under `policy` with [`sorts`] (nine entries: their
+    /// shared input too), cools every entry, re-probes the queries at
+    /// `touch`, runs one sweep and returns the surviving queries.
+    fn sweep_survivors(policy: CachePolicy, touch: &[usize]) -> Vec<Query> {
+        let inputs = [input()];
+        let queries = sorts();
+        let cache = EvalCache::with_policy(policy);
+        for q in &queries {
+            cache.exec(q, Semantics::Values, &inputs).unwrap();
+        }
+        for slot in cache.map.borrow().values() {
+            slot.hot.set(false);
+        }
+        for &i in touch {
+            cache.exec(&queries[i], Semantics::Values, &inputs).unwrap();
+        }
+        let before = cache.len();
+        cache.sweep_exec(&mut cache.map.borrow_mut());
+        let survivors: Vec<Query> = cache.map.borrow().keys().cloned().collect();
+        assert_eq!(
+            cache.take_counters().cache_evictions,
+            before - survivors.len()
+        );
+        survivors
     }
 
     #[test]
-    fn cost_aware_sweep_evicts_cheap_cold_entries_first() {
-        let cache = EvalCache::with_policy(CachePolicy::default().with_cap(4).with_low_water(2));
-        let inputs = [input()];
-        let cheap = Query::Input(0);
-        let expensive = Query::Sort {
-            src: Box::new(Query::Input(0)),
-            cols: vec![0],
-            asc: true,
-        };
-        cache.exec(&cheap, Semantics::Values, &inputs).unwrap();
-        let kept = cache.exec(&expensive, Semantics::Values, &inputs).unwrap();
-        {
-            // Make both cold and force a cost gap the timer cannot blur.
-            let mut map = cache.map.borrow_mut();
-            for (q, slot) in map.iter_mut() {
-                slot.hot.set(false);
-                slot.cost.set(if *q == expensive { u64::MAX } else { 0 });
-            }
-            cache.sweep_exec(&mut map);
+    fn sweep_evicts_cold_before_hot_down_to_low_water() {
+        let queries = sorts();
+        let touched = [1, 4, 6];
+        let policy = CachePolicy::default().with_cap(64);
+        // Six cold entries cover an excess of four: every hot one stays.
+        let kept = sweep_survivors(policy.with_low_water(5), &touched);
+        assert_eq!(kept.len(), 5);
+        for i in touched {
+            assert!(kept.contains(&queries[i]), "hot entry {i} evicted");
         }
-        // Down to low_water = 2? len was 2 == low_water, nothing to evict;
-        // rerun with an extra entry to force one eviction.
-        let third = Query::Filter {
-            src: Box::new(Query::Input(0)),
-            pred: Pred::ColCmp(0, sickle_table::CmpOp::Eq, 0),
-        };
-        cache.exec(&third, Semantics::Values, &inputs).unwrap();
-        {
-            let mut map = cache.map.borrow_mut();
-            for (q, slot) in map.iter_mut() {
-                slot.hot.set(false);
-                slot.cost.set(if *q == expensive {
-                    u64::MAX
-                } else {
-                    slot.cost.get()
-                });
-            }
-            cache.sweep_exec(&mut map);
+        // An excess of seven takes all six cold entries, then one hot one.
+        let kept = sweep_survivors(policy.with_low_water(2), &touched);
+        assert_eq!(kept.len(), 2);
+        assert!(kept
+            .iter()
+            .all(|q| touched.iter().any(|&i| queries[i] == *q)));
+        // A low-water mark at the cap is clamped to cap - max(cap/8, 1).
+        let kept = sweep_survivors(CachePolicy::default().with_cap(9).with_low_water(9), &[]);
+        assert_eq!(kept.len(), 8);
+        // The victims depend on the insert and probe sequence alone.
+        for low_water in [0, 2, 5] {
+            assert_eq!(
+                sweep_survivors(policy.with_low_water(low_water), &touched),
+                sweep_survivors(policy.with_low_water(low_water), &touched),
+                "low water {low_water}"
+            );
         }
-        assert_eq!(cache.len(), 2);
-        // The expensive entry survived both sweeps.
-        let again = cache.exec(&expensive, Semantics::Values, &inputs).unwrap();
-        assert!(Rc::ptr_eq(&kept, &again));
     }
 
     #[test]
@@ -2237,15 +2192,7 @@ mod tests {
         // policy must keep serving correct results, keep the map at or
         // below the cap, and never panic.
         let inputs = [input()];
-        let queries: Vec<Query> = (0..4)
-            .flat_map(|c| {
-                [true, false].map(|asc| Query::Sort {
-                    src: Box::new(Query::Input(0)),
-                    cols: vec![c],
-                    asc,
-                })
-            })
-            .collect();
+        let queries = sorts();
         for policy in [
             CachePolicy::default().with_cap(1),
             CachePolicy::default().with_cap(2),
@@ -2264,11 +2211,10 @@ mod tests {
                     );
                 }
             }
-            let stats = cache.cache_stats();
-            assert!(stats.sweeps > 0, "tiny cap must sweep: {policy:?}");
-            assert!(stats.evictions > 0, "tiny cap must evict: {policy:?}");
+            let stats = cache.take_counters();
+            assert!(stats.cache_evictions > 0, "tiny cap must evict: {policy:?}");
             assert!(
-                stats.reevals > 0,
+                stats.cache_reevals > 0,
                 "repeat rounds over an evicting cache must re-evaluate: {policy:?}"
             );
         }
@@ -2365,8 +2311,9 @@ mod tests {
             let mut map = cache.map.borrow_mut();
             cache.sweep_exec(&mut map);
         }
-        assert_eq!(cache.cache_stats().evictions, 0);
-        assert!(cache.cache_stats().demotions > 0);
+        let stats = cache.take_counters();
+        assert_eq!(stats.cache_evictions, 0);
+        assert!(stats.cache_demotions > 0);
         let kept = cache.peek(&probed).unwrap();
         assert!(
             kept.sets.get().is_some(),

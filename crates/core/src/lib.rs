@@ -24,10 +24,10 @@
 //! * [`EvalCache`] — memoized engine results keyed by
 //!   `(query, semantics)`, threaded through the search so sibling partial
 //!   queries share inner-subquery evaluations. Eviction is governed by a
-//!   [`CachePolicy`]: cost-aware sweeps (victims ranked by coldness, then
-//!   recompute cost) with hysteresis, demoting cold expensive entries —
-//!   typically join children — by spilling their derived reference-set
-//!   channels instead of dropping them ([`CacheStats`] counts the churn);
+//!   [`CachePolicy`]: deterministic sweeps (cold entries first, in map
+//!   order) with hysteresis, demoting cold or unprobed survivors by
+//!   spilling their derived reference-set channels instead of dropping
+//!   them; the churn is counted straight into the [`SearchStats`] rows;
 //! * [`Session`] / [`SynthRequest`] / [`SolutionStream`] (`session`) — the
 //!   public front door: a warm, reusable service instance running
 //!   Algorithm 1 sequentially or with skeleton expansion fanned out over
@@ -87,8 +87,8 @@ pub use abstract_eval::{
 };
 pub use ast::{PQuery, Pred, Query};
 pub use engine::{
-    exec, exec_filtered_join_strategy, exec_step, CachePolicy, CacheStats, EvalCache, ExecTable,
-    JoinStrategy, Semantics,
+    exec, exec_filtered_join_strategy, exec_step, CachePolicy, EvalCache, ExecTable, JoinStrategy,
+    Semantics,
 };
 pub use error::SickleError;
 pub use eval::{evaluate, EvalError};

@@ -204,7 +204,7 @@ counters! {
     /// channels freed, value and star columns kept).
     cache_demotions: Count, "cache_demotions", sum, live = true;
     /// Engine-cache re-evaluations: inserts that recomputed a previously
-    /// evicted query (the churn the cost-aware policy minimizes).
+    /// evicted query (the churn a larger cap or low-water mark reduces).
     cache_reevals: Count, "cache_reevals", sum, live = true;
     /// Time spent on those re-evaluations (each node's operator step).
     cache_reeval_time: Time, "cache_reeval_s", sum, live = true;
@@ -227,12 +227,10 @@ pub(crate) struct SharedStats {
     pub(crate) live: LiveCounters,
     /// Solutions found so far, across workers.
     pub(crate) solutions: AtomicUsize,
-    /// Engine-cache bytes charged across workers, cumulative (published
-    /// as unsigned deltas, like the other cache counters).
-    pub(crate) mem_charged: AtomicU64,
-    /// Engine-cache bytes released across workers, cumulative. Never
-    /// exceeds `mem_charged`.
-    pub(crate) mem_released: AtomicU64,
+    /// Engine-cache resident bytes summed across workers. Each worker
+    /// adds and subtracts only its own cache's movements, in order, so
+    /// the sum never goes below zero.
+    pub(crate) mem_cache: AtomicU64,
     /// Latest shared-footprint observation (set pool + analysis cache),
     /// `fetch_max`-maintained: the structures are shared, so the
     /// high-water mark is the aggregate, not a sum.
@@ -260,10 +258,7 @@ impl ProgressSnapshot {
     pub(crate) fn read(shared: &SharedStats, started: Instant) -> ProgressSnapshot {
         let mut stats = shared.live.load();
         stats.elapsed = started.elapsed();
-        let cache_live = shared
-            .mem_charged
-            .load(Ordering::Relaxed)
-            .saturating_sub(shared.mem_released.load(Ordering::Relaxed));
+        let cache_live = shared.mem_cache.load(Ordering::Relaxed);
         let pooled = shared.mem_pool_bytes.load(Ordering::Relaxed);
         stats.mem_bytes = usize::from_raw(pooled.saturating_add(cache_live));
         ProgressSnapshot {

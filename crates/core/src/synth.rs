@@ -35,7 +35,7 @@ use sickle_provenance::{
 
 use crate::abstract_eval::{abstract_evaluate_rc, demo_ref_sets};
 use crate::ast::{PQuery, Pred, Query};
-use crate::engine::{CachePolicy, CacheStats, EvalCache, ExecTable, Semantics};
+use crate::engine::{CachePolicy, EvalCache, ExecTable, Semantics};
 use crate::error::SickleError;
 use crate::memo::Memo;
 use crate::stats::{SearchStats, SharedStats};
@@ -633,31 +633,32 @@ pub(crate) fn run_search(
     // pop_back consumes from the end: reverse so smaller skeletons run first.
     work.make_contiguous().reverse();
     let live = &shared.live;
-    // Engine-cache churn counters: the cache is thread-local, so its
-    // totals are published to the shared live counters as deltas (once
-    // per visited query — two `Cell` reads on the happy path).
-    let cache_base = ctx.eval_cache.cache_stats();
-    let mut cache_seen = cache_base;
-    let sync_cache = |seen: &mut CacheStats| {
-        let now = ctx.eval_cache.cache_stats();
-        if now == *seen {
-            return; // happy path: no sweep since last sync, no atomics
+    // The engine cache is thread-local and adds to its own counter rows;
+    // they are drained into this run's stats and the shared live counters
+    // once per visited query, and its resident bytes are published to the
+    // shared gauge as they move.
+    let mut published_bytes = 0;
+    let mut drain_cache = |stats: &mut SearchStats| {
+        let rows = ctx.eval_cache.take_counters();
+        let bytes = ctx.eval_cache.resident_bytes();
+        if rows == SearchStats::default() && bytes == published_bytes {
+            return; // happy path: no insert or sweep since the last drain
         }
-        live.add(&cache_delta(&now, seen));
+        stats.merge(&rows);
+        live.add(&rows);
+        // `fetch_add` wraps, so adding the difference modulo 2^64 also
+        // publishes a shrink.
         shared
-            .mem_charged
-            .fetch_add(now.mem_charged - seen.mem_charged, Ordering::Relaxed);
-        shared
-            .mem_released
-            .fetch_add(now.mem_released - seen.mem_released, Ordering::Relaxed);
+            .mem_cache
+            .fetch_add(bytes.wrapping_sub(published_bytes), Ordering::Relaxed);
+        published_bytes = bytes;
         // The shared-footprint gauge rides the same slow path: it only
-        // moves when the engine cache churned, which is exactly when the
-        // pool was growing too.
+        // moves when the engine cache grew or churned, which is exactly
+        // when the pool was growing too.
         let pool_bytes = (ctx.pool().approx_bytes() + ctx.analysis.approx_bytes()) as u64;
         shared
             .mem_pool_bytes
             .fetch_max(pool_bytes, Ordering::Relaxed);
-        *seen = now;
     };
 
     // Depth-first exploration: the skeleton seeds are size-ordered, and
@@ -694,7 +695,7 @@ pub(crate) fn run_search(
         }
         stats.visited += 1;
         live.visited.fetch_add(1, Ordering::Relaxed);
-        sync_cache(&mut cache_seen);
+        drain_cache(&mut stats);
 
         if pq.is_concrete() {
             stats.concrete_checked += 1;
@@ -744,18 +745,12 @@ pub(crate) fn run_search(
     }
 
     stats.elapsed = started.elapsed();
-    sync_cache(&mut cache_seen);
-    stats.merge(&cache_delta(&cache_seen, &cache_base));
+    drain_cache(&mut stats);
     // Resident bytes at run end: shared structures (pool + analysis
-    // memos) plus this worker's live engine-cache footprint. The cache
-    // is fresh per request, so its lifetime charges/releases are exactly
-    // this run's.
-    let cache_live = cache_seen
-        .mem_charged
-        .saturating_sub(cache_seen.mem_released);
+    // memos) plus this worker's live engine-cache footprint.
     stats.mem_bytes = ctx.pool().approx_bytes()
         + ctx.analysis.approx_bytes()
-        + usize::try_from(cache_live).unwrap_or(usize::MAX);
+        + usize::try_from(published_bytes).unwrap_or(usize::MAX);
     shared.mem_pool_bytes.fetch_max(
         (ctx.pool().approx_bytes() + ctx.analysis.approx_bytes()) as u64,
         Ordering::Relaxed,
@@ -764,20 +759,6 @@ pub(crate) fn run_search(
     // the paper's size-based ranking of consistent queries.
     solutions.sort_by_key(Query::size);
     Ok(SynthResult { solutions, stats })
-}
-
-/// The search counters an engine-cache counter delta accounts for: the one
-/// place the engine's [`CacheStats`] map onto [`SearchStats`].
-fn cache_delta(now: &CacheStats, base: &CacheStats) -> SearchStats {
-    SearchStats {
-        time_join: Duration::from_nanos(now.join_ns - base.join_ns),
-        join_rows: (now.join_rows - base.join_rows) as usize,
-        cache_evictions: now.evictions - base.evictions,
-        cache_demotions: now.demotions - base.demotions,
-        cache_reevals: now.reevals - base.reevals,
-        cache_reeval_time: Duration::from_nanos(now.reeval_ns - base.reeval_ns),
-        ..SearchStats::default()
-    }
 }
 
 /// The engine room behind [`crate::Session::solve`] /
@@ -1877,11 +1858,10 @@ mod tests {
         };
         let res = search(&ctx, &config, &ProvenanceAnalyzer);
         assert!(!res.solutions.is_empty());
-        // A cap this small must have swept and re-evaluated something.
-        let cs = ctx.eval_cache.cache_stats();
-        assert!(cs.evictions > 0, "{cs:?}");
-        assert_eq!(res.stats.cache_evictions, cs.evictions);
-        assert_eq!(res.stats.cache_reevals, cs.reevals);
+        // A cap this small must have swept, and every row the cache
+        // counted reached the run's stats.
+        assert!(res.stats.cache_evictions > 0, "{:?}", res.stats);
+        assert_eq!(ctx.eval_cache.take_counters(), SearchStats::default());
     }
 
     #[test]

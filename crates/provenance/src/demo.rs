@@ -306,6 +306,13 @@ impl fmt::Display for Demo {
     }
 }
 
+/// Maximum nesting accepted by [`parse_expr`], both of parentheses and
+/// calls (the parser's own recursion) and of the parsed expression tree
+/// (an operator chain `a + b + …` nests left-deep). A deeper formula
+/// would overflow a thread's stack while being parsed, walked or
+/// dropped.
+const MAX_DEPTH: usize = 128;
+
 /// Error produced by the demonstration formula parser.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -344,7 +351,8 @@ impl std::error::Error for ParseError {}
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on malformed input.
+/// Returns [`ParseError`] on malformed input, including formulas nested
+/// more than 128 levels deep.
 ///
 /// # Examples
 ///
@@ -360,6 +368,8 @@ pub fn parse_expr(src: &str) -> Result<DemoExpr, ParseError> {
         src,
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
+        height: 0,
     };
     let e = p.expr()?;
     p.skip_ws();
@@ -373,6 +383,10 @@ struct Parser<'s> {
     src: &'s str,
     bytes: &'s [u8],
     pos: usize,
+    /// Open parentheses and calls around the current position.
+    depth: usize,
+    /// Height of the expression tree parsed last.
+    height: usize,
 }
 
 /// Argument slot during call parsing: a real expression or an omission.
@@ -418,6 +432,30 @@ impl<'s> Parser<'s> {
         }
     }
 
+    /// Runs `f` one parenthesis or call deeper, within [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let out = f(self)?;
+        self.depth -= 1;
+        Ok(out)
+    }
+
+    /// Records the height of a node over children of height
+    /// `child_height`, within [`MAX_DEPTH`].
+    fn node(&mut self, child_height: usize) -> Result<(), ParseError> {
+        if child_height == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.height = child_height + 1;
+        Ok(())
+    }
+
     fn expr(&mut self) -> Result<DemoExpr, ParseError> {
         let mut lhs = self.term()?;
         loop {
@@ -427,7 +465,9 @@ impl<'s> Parser<'s> {
                 _ => return Ok(lhs),
             };
             self.pos += 1;
+            let lhs_height = self.height;
             let rhs = self.term()?;
+            self.node(lhs_height.max(self.height))?;
             lhs = DemoExpr::apply(FuncName::Op(op), vec![lhs, rhs]);
         }
     }
@@ -441,18 +481,24 @@ impl<'s> Parser<'s> {
                 _ => return Ok(lhs),
             };
             self.pos += 1;
+            let lhs_height = self.height;
             let rhs = self.factor()?;
+            self.node(lhs_height.max(self.height))?;
             lhs = DemoExpr::apply(FuncName::Op(op), vec![lhs, rhs]);
         }
     }
 
     fn factor(&mut self) -> Result<DemoExpr, ParseError> {
+        // Leaves have height 0; calls and parentheses set their own.
+        self.height = 0;
         match self.peek() {
             Some(b'(') => {
                 self.pos += 1;
-                let e = self.expr()?;
-                self.expect(b')')?;
-                Ok(e)
+                self.nested(|p| {
+                    let e = p.expr()?;
+                    p.expect(b')')?;
+                    Ok(e)
+                })
             }
             Some(b'"') | Some(b'\'') => self.string(),
             Some(c) if c.is_ascii_digit() => self.number(),
@@ -575,19 +621,23 @@ impl<'s> Parser<'s> {
         self.expect(b'(')?;
         let mut args = Vec::new();
         let mut partial = false;
+        let mut arg_height = 0;
         if !self.eat(b')') {
-            loop {
-                match self.arg()? {
-                    Arg::Expr(e) => args.push(e),
+            self.nested(|p| loop {
+                match p.arg()? {
+                    Arg::Expr(e) => {
+                        args.push(e);
+                        arg_height = arg_height.max(p.height);
+                    }
                     Arg::Omitted => partial = true,
                 }
-                if self.eat(b',') {
+                if p.eat(b',') {
                     continue;
                 }
-                self.expect(b')')?;
-                break;
-            }
+                return p.expect(b')');
+            })?;
         }
+        self.node(arg_height)?;
         Ok(DemoExpr::Apply {
             func,
             args,
@@ -724,6 +774,31 @@ mod tests {
     fn empty_call_is_partial_friendly() {
         let e = parse_expr("count()").unwrap();
         assert_eq!(e.leaf_count(), 0);
+    }
+
+    #[test]
+    fn rejects_formulas_nested_past_the_depth_bound() {
+        let nest = |n: usize, open: &str, close: &str| {
+            format!("{}T[1,1]{}", open.repeat(n), close.repeat(n))
+        };
+        let chain = |n: usize| vec!["T[1,1]"; n + 1].join(" + ");
+        // Parentheses and calls: the parser's recursion.
+        assert!(parse_expr(&nest(MAX_DEPTH, "(", ")")).is_ok());
+        assert!(parse_expr(&nest(MAX_DEPTH - 1, "sum(", ")")).is_ok());
+        // Operator chains: the tree's height.
+        assert!(parse_expr(&chain(MAX_DEPTH)).is_ok());
+        for deep in [
+            nest(MAX_DEPTH + 1, "(", ")"),
+            nest(MAX_DEPTH + 1, "sum(", ")"),
+            nest(10_000, "(", ")"),
+            nest(10_000, "(", ""),
+            chain(MAX_DEPTH + 1),
+            chain(100_000),
+            format!("sum({})", chain(MAX_DEPTH)),
+        ] {
+            let err = parse_expr(&deep).unwrap_err();
+            assert!(err.msg.contains("nesting too deep"), "{}", err.msg);
+        }
     }
 
     #[test]
