@@ -1,7 +1,7 @@
 //! End-to-end synthesis benchmarks: one easy benchmark per analyzer, plus
-//! the paper's running example restricted to its skeleton, plus the
-//! parallel-vs-sequential skeleton search (the full Fig. 12/13 sweep lives
-//! in the `experiments` binary — it runs minutes, not milliseconds).
+//! the paper's running example restricted to its skeleton (the full
+//! Fig. 12/13 sweep lives in the `experiments` binary — it runs minutes,
+//! not milliseconds).
 //!
 //! All runs go through the session API (each timed run on a fresh
 //! [`Session`], so the pool/caches are cold and runs are comparable).
@@ -75,39 +75,5 @@ fn main() {
             r
         });
         println!("synthesize/running-example-skeleton    {dt:>12.2?}");
-    }
-
-    // Parallel skeleton expansion vs sequential: exhaust the same
-    // bounded search space (depth-2 over the running example's demo, no
-    // early exit), so both sides visit the identical node set and the
-    // wall-clock ratio is the honest parallel speedup.
-    {
-        let b = &suite[43];
-        let (task, _) = b.task(2022).expect("demo generates");
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        println!(
-            "synthesize/exhaust-depth2: host has {cores} core(s); \
-             expect ~flat scaling when cores=1"
-        );
-        let mut seq = Duration::ZERO;
-        for workers in [1usize, 2, 4] {
-            let request = SynthRequest::from_task(task.clone())
-                .with_search(b.config().with_max_depth(2))
-                .with_budget(Budget::unbounded().with_max_solutions(usize::MAX))
-                .with_workers(workers);
-            let mut visited = 0;
-            let dt = time_best(3, || {
-                let r = Session::new().solve(&request).expect("valid request");
-                visited = r.stats.visited;
-                r
-            });
-            if workers == 1 {
-                seq = dt;
-            }
-            let speedup = seq.as_secs_f64() / dt.as_secs_f64().max(1e-9);
-            println!(
-                "synthesize/exhaust-depth2/workers={workers} {dt:>12.2?}  visited={visited}  speedup {speedup:.2}x"
-            );
-        }
     }
 }

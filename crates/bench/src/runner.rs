@@ -135,13 +135,11 @@ pub struct HarnessConfig {
     pub seed: u64,
     /// Restrict to these benchmark ids (empty = all).
     pub only: Vec<usize>,
-    /// Worker threads for skeleton expansion (1 = sequential search).
-    pub workers: usize,
 }
 
 impl HarnessConfig {
-    /// Reads `SICKLE_TIMEOUT_SECS`, `SICKLE_MAX_VISITED`, `SICKLE_SEED`,
-    /// `SICKLE_ONLY` and `SICKLE_WORKERS` with the documented defaults.
+    /// Reads `SICKLE_TIMEOUT_SECS`, `SICKLE_MAX_VISITED`, `SICKLE_SEED`
+    /// and `SICKLE_ONLY` with the documented defaults.
     pub fn from_env() -> HarnessConfig {
         let get = |k: &str| std::env::var(k).ok();
         HarnessConfig {
@@ -159,21 +157,16 @@ impl HarnessConfig {
             only: get("SICKLE_ONLY")
                 .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect())
                 .unwrap_or_default(),
-            workers: get("SICKLE_WORKERS")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(1)
-                .max(1),
         }
     }
 
     /// One-line render of the knobs, for run banners.
     pub fn banner(&self) -> String {
         format!(
-            "timeout={}s max_visited={} seed={} workers={}{}",
+            "timeout={}s max_visited={} seed={}{}",
             self.timeout.as_secs(),
             self.max_visited,
             self.seed,
-            self.workers,
             if self.only.is_empty() {
                 String::new()
             } else {
@@ -210,8 +203,7 @@ pub fn benchmark_request(
                 // stop early on the correct one (the stop predicate).
                 .with_max_solutions(10),
         )
-        .with_analyzer(technique.choice())
-        .with_workers(hc.workers))
+        .with_analyzer(technique.choice()))
 }
 
 /// Runs one benchmark with one technique on a cold session; the search
@@ -329,11 +321,10 @@ use crate::json::escape as json_escape;
 pub fn suite_results_json(res: &SuiteResults, hc: &HarnessConfig) -> String {
     let mut out = String::from("{\n  \"schema\": \"sickle-bench/synthesis/v1\",\n");
     out.push_str(&format!(
-        "  \"config\": {{\"timeout_secs\": {}, \"max_visited\": {}, \"seed\": {}, \"workers\": {}}},\n",
+        "  \"config\": {{\"timeout_secs\": {}, \"max_visited\": {}, \"seed\": {}}},\n",
         hc.timeout.as_secs(),
         hc.max_visited,
-        hc.seed,
-        hc.workers
+        hc.seed
     ));
     out.push_str("  \"records\": [\n");
     for (i, r) in res.records.iter().enumerate() {
@@ -589,7 +580,6 @@ mod tests {
             max_visited: 10,
             seed: 2022,
             only: vec![],
-            workers: 1,
         };
         let res = SuiteResults {
             records: vec![
@@ -693,7 +683,6 @@ mod tests {
             max_visited: 10,
             seed: 2022,
             only: vec![],
-            workers: 1,
         };
         let doc = suite_results_json(
             &SuiteResults {
@@ -738,7 +727,6 @@ mod tests {
             max_visited: 500_000,
             seed: 2022,
             only: vec![],
-            workers: 1,
         };
         for t in Technique::ALL {
             let rec = run_one(b, t, &hc).expect("benchmark 1 runs");
@@ -757,7 +745,6 @@ mod tests {
             max_visited: 2_000_000,
             seed: 2022,
             only: vec![],
-            workers: 1,
         };
         let prov = run_one(b, Technique::Provenance, &hc).expect("runs");
         let ty = run_one(b, Technique::TypeAbs, &hc).expect("runs");

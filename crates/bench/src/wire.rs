@@ -3,11 +3,11 @@
 //! One request per line on stdin, one response per line on stdout; the
 //! schema is documented in this crate's `README.md`. A request either
 //! names a suite benchmark (`"benchmark": id`) or carries an inline task
-//! (`"tables"` + `"demo"`), plus budget, analyzer, workers and an
-//! optional `"id"` echoed verbatim in the response. Failures come back as
-//! structured errors (`{"status":"error","error":{"kind","message"}}`)
-//! keyed by [`SickleError::kind`] — a malformed line never kills the
-//! server.
+//! (`"tables"` + `"demo"`), plus budget, analyzer and an optional
+//! `"id"` echoed verbatim in the response; unknown keys are ignored.
+//! Failures come back as structured errors
+//! (`{"status":"error","error":{"kind","message"}}`) keyed by
+//! [`SickleError::kind`] — a malformed line never kills the server.
 
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -66,11 +66,6 @@ pub fn analyzer_by_name(name: &str) -> Option<AnalyzerChoice> {
 fn invalid(msg: impl Into<String>) -> SickleError {
     SickleError::invalid(msg)
 }
-
-/// Upper bound on per-request worker threads: each worker is one OS
-/// thread plus a skeleton shard, so an unbounded count would let a
-/// single request exhaust the process.
-const MAX_WIRE_WORKERS: usize = 64;
 
 /// The benchmark suite, built once per process (requests that name a
 /// benchmark arrive in batches; rebuilding 80 tasks per line would be
@@ -335,16 +330,6 @@ impl WireRequest {
                 .ok_or_else(|| invalid("\"analyzer\" must be a string"))?;
             request.analyzer = analyzer_by_name(name)
                 .ok_or_else(|| invalid(format!("unknown analyzer \"{name}\"")))?;
-        }
-        if let Some(w) = json.get("workers") {
-            request.workers = w
-                .as_usize()
-                .filter(|&n| (1..=MAX_WIRE_WORKERS).contains(&n))
-                .ok_or_else(|| {
-                    invalid(format!(
-                        "\"workers\" must be an integer in 1..={MAX_WIRE_WORKERS}"
-                    ))
-                })?;
         }
         let progress = match json.get("progress") {
             None => false,
@@ -680,11 +665,6 @@ mod tests {
                 r#"{"benchmark": 1, "budget": {"timeout_secs": 1e20}}"#,
                 "invalid_request",
             ),
-            // Absurd worker counts are rejected before any allocation.
-            (
-                r#"{"benchmark": 1, "workers": 1000000000}"#,
-                "invalid_request",
-            ),
             // "prior" needs the id registry only sickle-serve keeps.
             (r#"{"benchmark": 1, "prior": "r0"}"#, "invalid_request"),
             (r#"{"benchmark": 1, "prior": null}"#, "invalid_request"),
@@ -870,11 +850,15 @@ mod tests {
                 r#"{{"tables": [{{"columns": ["a", "b"], "rows": [["x", 1]]}}], "demo": [["T[1,1]", "{cell}"]]}}"#
             );
             let response = handle_line(&session, &line);
-            let kind = response
-                .get("error")
-                .and_then(|e| e.get("kind"))
-                .and_then(Json::as_str);
+            let error = response.get("error");
+            let kind = error.and_then(|e| e.get("kind")).and_then(Json::as_str);
             assert_eq!(kind, Some("parse"));
+            // The message quotes an excerpt of the cell, not all of it.
+            let message = error
+                .and_then(|e| e.get("message"))
+                .and_then(Json::as_str)
+                .expect("error message");
+            assert!(message.len() < 512, "{} bytes", message.len());
         }
     }
 

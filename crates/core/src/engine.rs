@@ -129,9 +129,9 @@ impl ExecTable {
     /// Panics if the result was computed at [`Semantics::Values`].
     pub fn set_ids(&self, universe: &RefUniverse, pool: &RefSetPool) -> &Grid<SetId> {
         // Hash-consed, not raw-registered: the same concrete subquery can
-        // be re-evaluated after an engine-cache clear (and by several
-        // parallel workers), and interning keeps the shared pool's growth
-        // bounded by the number of *distinct* sets.
+        // be re-evaluated after an engine-cache clear (and by concurrent
+        // requests on one session), and interning keeps the shared pool's
+        // growth bounded by the number of *distinct* sets.
         self.set_ids
             .get_or_init(|| self.sets(universe).map(|s| pool.intern(s.clone())))
     }
@@ -882,8 +882,8 @@ pub struct EvalCache {
     map: RefCell<FxMap<Query, ExecSlot>>,
     abs_map: RefCell<FxMap<crate::ast::PQuery, Warm<Rc<crate::abstract_eval::AbsTable>>>>,
     /// The hash-consing pool resolving every [`SetId`] produced through
-    /// this cache. Shared (`Arc`) so parallel search workers intern into
-    /// one pool and see identical ids for identical sets.
+    /// this cache. Shared (`Arc`) so concurrent requests on one session
+    /// intern into one pool and see identical ids for identical sets.
     pool: Arc<RefSetPool>,
     /// Column-union memo keyed by column identity (the `Arc` address;
     /// the entry pins the column). Sibling partial queries union the

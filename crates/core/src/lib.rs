@@ -30,9 +30,11 @@
 //!   them; the churn is counted straight into the [`SearchStats`] rows;
 //! * [`Session`] / [`SynthRequest`] / [`SolutionStream`] (`session`) — the
 //!   public front door: a warm, reusable service instance running
-//!   Algorithm 1 sequentially or with skeleton expansion fanned out over
-//!   worker threads, blocking or streaming, with validated requests,
-//!   [`Budget`]s, [`CancelToken`]s and the unified [`SickleError`];
+//!   Algorithm 1 as one sequential search per request, blocking or
+//!   streaming, with validated requests, [`Budget`]s, [`CancelToken`]s
+//!   and the unified [`SickleError`]. Concurrent requests on one session
+//!   share its [`sickle_provenance::AnalysisCache`] and
+//!   [`sickle_provenance::RefSetPool`];
 //! * [`Analyzer`] (`synth`) — the pruning oracle the search is
 //!   parameterized by ([`ProvenanceAnalyzer`] is the paper's; baselines
 //!   live in `sickle-baselines`);

@@ -19,7 +19,7 @@ use sickle_provenance::FxMap;
 ///
 /// Lookups borrow the key (`K: Borrow<Q>`), so a hit neither allocates
 /// nor clones a key. Single-threaded (`RefCell`): the engine cache
-/// belongs to one search worker.
+/// belongs to one search.
 #[derive(Debug)]
 pub(crate) struct Memo<K, V, const CAP: usize, P = ()> {
     map: RefCell<FxMap<K, (P, V)>>,

@@ -13,7 +13,9 @@
 //! the same token and share verdicts, exactly as the old per-demo cache
 //! family did.) Per-request state that is *not* shareable (the
 //! thread-local [`crate::EvalCache`] keyed by query ASTs over one task's
-//! inputs) is created fresh for each request, one generation per worker.
+//! inputs) is created fresh for each request. Each request runs one
+//! sequential search; concurrent requests on one session share its pool
+//! and analysis cache.
 //!
 //! An edited demonstration needs no special path: solving it on the
 //! session that solved its predecessor reuses every verdict and column
@@ -22,8 +24,8 @@
 //!
 //! Two ways to run a request:
 //!
-//! * [`Session::solve`] — blocking; returns the ranked [`SynthResult`]
-//!   (a convenience wrapper over the parallel search internals);
+//! * [`Session::solve`] — blocking; runs the search on the calling
+//!   thread and returns the ranked [`SynthResult`];
 //! * [`Session::submit`] — streaming; returns a [`SolutionStream`]
 //!   yielding [`SolutionEvent`]s as the search finds solutions, with live
 //!   [`ProgressSnapshot`]s and cooperative cancellation via
@@ -76,8 +78,8 @@ use crate::ast::{PQuery, Query};
 use crate::error::SickleError;
 use crate::stats::{ProgressSnapshot, SharedStats};
 use crate::synth::{
-    run_parallel, Analyzer, JoinKey, NoPruneAnalyzer, ProvenanceAnalyzer, SynthConfig, SynthResult,
-    SynthTask,
+    run_search, Analyzer, JoinKey, NoPruneAnalyzer, ProvenanceAnalyzer, SynthConfig, SynthResult,
+    SynthTask, TaskContext,
 };
 
 // ---------------------------------------------------------------------------
@@ -85,9 +87,8 @@ use crate::synth::{
 // ---------------------------------------------------------------------------
 
 /// Resource budget of one request: wall-clock, visited-query cap and the
-/// consistent-solution target. When a request runs through a [`Session`],
-/// the budget is authoritative — it overrides the budget-shaped fields of
-/// the request's [`SynthConfig`].
+/// consistent-solution target. The search reads it directly; the
+/// request's [`SynthConfig`] holds only the shape of the search space.
 ///
 /// Marked `#[non_exhaustive]`: construct via [`Budget::default`] plus the
 /// `with_*` builders.
@@ -154,15 +155,15 @@ impl Budget {
         self
     }
 
-    /// The effective relative timeout at `now`: the sooner of `timeout`
-    /// and the remaining time to `deadline` (an already-passed deadline
-    /// yields a zero budget, so the search stops on its first check).
-    fn effective_timeout(&self, now: Instant) -> Option<Duration> {
-        let from_deadline = self.deadline.map(|d| d.saturating_duration_since(now));
-        match (self.timeout, from_deadline) {
+    /// The effective deadline of a search started at `started`: the
+    /// sooner of `started + timeout` and `deadline` (an already-passed
+    /// deadline stops the search on its first check). A timeout too large
+    /// to represent is unbounded.
+    pub(crate) fn deadline_from(&self, started: Instant) -> Option<Instant> {
+        let from_timeout = self.timeout.and_then(|t| started.checked_add(t));
+        match (from_timeout, self.deadline) {
             (Some(t), Some(d)) => Some(t.min(d)),
-            (Some(t), None) => Some(t),
-            (None, d) => d,
+            (t, d) => t.or(d),
         }
     }
 }
@@ -189,11 +190,6 @@ impl CancelToken {
     pub fn is_canceled(&self) -> bool {
         self.0.load(Ordering::Relaxed)
     }
-
-    /// The raw flag, in the form [`SynthConfig::cancel`] consumes.
-    pub(crate) fn flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.0)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -213,12 +209,11 @@ pub enum AnalyzerChoice {
     Provenance,
     /// No pruning (plain enumerative search; the ablation baseline).
     NoPrune,
-    /// A caller-supplied analyzer factory (invoked once per worker
-    /// thread).
+    /// A caller-supplied analyzer factory (invoked once per request).
     Custom {
         /// Short name used in reports and the wire format.
         name: &'static str,
-        /// Per-worker analyzer factory.
+        /// Per-request analyzer factory.
         factory: Arc<dyn Fn() -> Box<dyn Analyzer> + Send + Sync>,
     },
 }
@@ -245,7 +240,7 @@ impl AnalyzerChoice {
         }
     }
 
-    /// Instantiates the analyzer (once per worker thread).
+    /// Instantiates the analyzer (once per request).
     pub fn make(&self) -> Box<dyn Analyzer> {
         match self {
             AnalyzerChoice::Provenance => Box::new(ProvenanceAnalyzer),
@@ -267,8 +262,8 @@ impl fmt::Debug for AnalyzerChoice {
 // ---------------------------------------------------------------------------
 
 /// One synthesis request: the task (inputs + demonstration), the search
-/// shape, the [`Budget`], the [`AnalyzerChoice`], optional cancellation
-/// and the worker count.
+/// shape, the [`Budget`], the [`AnalyzerChoice`] and optional
+/// cancellation.
 ///
 /// Built with the chainable `with_*` builders; validated by the session
 /// before the search starts. Marked `#[non_exhaustive]` — construct via
@@ -278,8 +273,7 @@ impl fmt::Debug for AnalyzerChoice {
 pub struct SynthRequest {
     /// The synthesis task (inputs, demonstration, join keys, constants).
     pub task: SynthTask,
-    /// Search-shape knobs (depth, operator set, templates). Budget-shaped
-    /// fields in here are overridden by [`SynthRequest::budget`].
+    /// Search-shape knobs (depth, operator set, templates).
     pub search: SynthConfig,
     /// The resource budget.
     pub budget: Budget,
@@ -287,8 +281,6 @@ pub struct SynthRequest {
     pub analyzer: AnalyzerChoice,
     /// External cancellation; [`Session::submit`] creates one when absent.
     pub cancel: Option<CancelToken>,
-    /// Worker threads for skeleton expansion (1 = sequential search).
-    pub workers: usize,
     /// Explicit seed work list overriding skeleton enumeration (tests,
     /// ablations and diagnostics).
     pub seeds: Option<Vec<PQuery>>,
@@ -315,7 +307,6 @@ impl SynthRequest {
             budget: Budget::default(),
             analyzer: AnalyzerChoice::default(),
             cancel: None,
-            workers: 1,
             seeds: None,
             retain: false,
         }
@@ -356,10 +347,12 @@ impl SynthRequest {
         self
     }
 
-    /// Sets the worker-thread count.
+    /// Does nothing: the search is sequential. Kept only so callers
+    /// written against the removed multi-worker search still compile.
+    #[deprecated(note = "the search is sequential; this setting is ignored")]
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> SynthRequest {
-        self.workers = workers;
+    pub fn with_workers(self, _workers: usize) -> SynthRequest {
         self
     }
 
@@ -458,17 +451,6 @@ impl SynthRequest {
         }
         Ok(())
     }
-
-    /// The [`SynthConfig`] actually handed to the search: the request's
-    /// shape knobs with the budget and cancellation folded in.
-    fn effective_config(&self, cancel: &CancelToken, now: Instant) -> SynthConfig {
-        let mut config = self.search.clone();
-        config.timeout = self.budget.effective_timeout(now);
-        config.max_visited = self.budget.max_visited;
-        config.max_solutions = self.budget.max_solutions;
-        config.cancel = Some(cancel.flag());
-        config
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -479,13 +461,12 @@ impl SynthRequest {
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub enum SolutionEvent {
-    /// A consistent query, emitted the moment a worker finds it.
-    /// `index` counts solutions in cross-worker discovery order (0-based);
-    /// with multiple workers the same query may be discovered twice — the
-    /// final [`SolutionEvent::Done`] list is deduplicated and ranked by
-    /// query size.
+    /// A consistent query, emitted the moment the search finds it. The
+    /// indices of a stream run `0..n` in discovery order, and the final
+    /// [`SolutionEvent::Done`] holds exactly these `n` queries, stably
+    /// ranked by query size.
     Solution {
-        /// Cross-worker discovery index (0-based).
+        /// Discovery index (0-based).
         index: usize,
         /// The consistent query.
         query: Query,
@@ -493,7 +474,7 @@ pub enum SolutionEvent {
     /// A progress heartbeat (emitted alongside each solution; poll
     /// [`SolutionStream::progress`] for arbitrary-rate sampling).
     Progress(ProgressSnapshot),
-    /// The search finished: the ranked, deduplicated result. The last
+    /// The search finished: the ranked result. The last
     /// event of a stream that ran to completion (unless the worker died,
     /// in which case the stream just ends).
     Done(SynthResult),
@@ -664,7 +645,9 @@ impl Drop for SolutionStream {
 ///
 /// Cheap to share: all methods take `&self` and the warm state is
 /// internally synchronized, so one `Session` (behind an `Arc` if needed)
-/// can serve requests from many threads.
+/// can serve requests from many threads. Each request runs one sequential
+/// search; concurrent requests share the session's [`RefSetPool`] and
+/// [`AnalysisCache`].
 #[derive(Debug)]
 pub struct Session {
     /// The hash-consing pool behind every `SetId` of this session's
@@ -728,8 +711,8 @@ impl Session {
         self.served.load(Ordering::Relaxed)
     }
 
-    /// Runs a request to completion and returns the ranked result — the
-    /// blocking convenience wrapper over the parallel search internals.
+    /// Runs a request to completion on the calling thread and returns the
+    /// ranked result.
     ///
     /// # Errors
     ///
@@ -750,23 +733,18 @@ impl Session {
     pub fn solve_with(
         &self,
         request: &SynthRequest,
-        stop: impl Fn(&Query) -> bool + Sync,
+        stop: impl FnMut(&Query) -> bool,
     ) -> Result<SynthResult, SickleError> {
         request.validate()?;
         self.served.fetch_add(1, Ordering::Relaxed);
         let cancel = request.cancel.clone().unwrap_or_default();
-        let config = request.effective_config(&cancel, Instant::now());
-        run_parallel(
-            &request.task,
-            &config,
-            &|| request.analyzer.make(),
-            request.workers,
-            &stop,
+        let ctx = TaskContext::with_shared_policy(
+            request.task.clone(),
             Arc::clone(&self.pool),
             Arc::clone(&self.analysis),
-            &SharedStats::default(),
-            request.seeds.clone(),
-        )
+            request.search.cache,
+        );
+        run_search(&ctx, request, &cancel, stop, &SharedStats::default())
     }
 
     /// Starts a request on a background thread and returns a
@@ -781,40 +759,40 @@ impl Session {
         self.served.fetch_add(1, Ordering::Relaxed);
         let cancel = request.cancel.clone().unwrap_or_default();
         let started = Instant::now();
-        let config = request.effective_config(&cancel, started);
         let shared = Arc::new(SharedStats::default());
         let (tx, rx) = mpsc::channel();
 
-        let pool = Arc::clone(&self.pool);
-        let analysis = Arc::clone(&self.analysis);
-        let worker_shared = Arc::clone(&shared);
+        let (pool, analysis) = (Arc::clone(&self.pool), Arc::clone(&self.analysis));
+        let (worker_cancel, worker_shared) = (cancel.clone(), Arc::clone(&shared));
         let handle = std::thread::spawn(move || {
-            let found = AtomicUsize::new(0);
-            let event_tx = tx.clone();
-            let result = run_parallel(
-                &request.task,
-                &config,
-                &|| request.analyzer.make(),
-                request.workers,
-                &|q: &Query| {
-                    let index = found.fetch_add(1, Ordering::Relaxed);
+            // The engine cache is not `Send`: build the context here.
+            let ctx = TaskContext::with_shared_policy(
+                request.task.clone(),
+                pool,
+                analysis,
+                request.search.cache,
+            );
+            let mut index = 0;
+            let result = run_search(
+                &ctx,
+                &request,
+                &worker_cancel,
+                |q| {
                     // A receiver hang-up just means nobody is listening;
                     // the search still honors its budget and the stream's
                     // Drop-side cancellation.
-                    let _ = event_tx.send(SolutionEvent::Solution {
+                    let _ = tx.send(SolutionEvent::Solution {
                         index,
                         query: q.clone(),
                     });
-                    let _ = event_tx.send(SolutionEvent::Progress(ProgressSnapshot::read(
+                    index += 1;
+                    let _ = tx.send(SolutionEvent::Progress(ProgressSnapshot::read(
                         &worker_shared,
                         started,
                     )));
                     false
                 },
-                pool,
-                analysis,
                 &worker_shared,
-                request.seeds.clone(),
             );
             let _ = tx.send(match result {
                 Ok(result) => SolutionEvent::Done(result),
@@ -910,25 +888,25 @@ mod tests {
     fn stream_yields_solutions_then_done() {
         let session = Session::new();
         let request = SynthRequest::new(vec![table()], demo())
-            .with_max_depth(1)
-            .with_budget(Budget::default().with_max_solutions(2));
+            .with_max_depth(2)
+            .with_budget(Budget::default().with_max_solutions(4));
         let stream = session.submit(request).unwrap();
         let events: Vec<SolutionEvent> = stream.collect();
-        let solutions: Vec<&Query> = events
-            .iter()
-            .filter_map(|e| match e {
-                SolutionEvent::Solution { query, .. } => Some(query),
-                _ => None,
-            })
-            .collect();
-        assert!(!solutions.is_empty());
+        let mut streamed = Vec::new();
+        for event in &events {
+            if let SolutionEvent::Solution { index, query } = event {
+                // Indices run 0..n in discovery order.
+                assert_eq!(*index, streamed.len());
+                streamed.push(query.clone());
+            }
+        }
+        assert!(streamed.len() > 1, "{events:?}");
         let Some(SolutionEvent::Done(result)) = events.last() else {
             panic!("stream must end with Done; got {events:?}");
         };
-        // Nothing streamed is dropped from the final result.
-        for q in solutions {
-            assert!(result.solutions.contains(q));
-        }
+        // Done holds exactly the streamed queries, stably ranked by size.
+        streamed.sort_by_key(Query::size);
+        assert_eq!(result.solutions, streamed);
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! The search counters, declared once.
 //!
 //! Every counter a synthesis run reports is one row of the `counters!`
-//! table below: its Rust field, its wire/JSON key, its unit, how parallel
-//! workers merge it, whether it is live (published through the shared
-//! atomics while the search runs) and its doc line. The table generates
-//! [`SearchStats`] with its [`SearchStats::merge`], the shared atomics
-//! behind [`ProgressSnapshot`], and the name/value visitor
-//! ([`SearchStats::visit`]) plus its inverse ([`SearchStats::from_fields`])
-//! that the wire codec, the bench record and the shard reader render and
-//! parse through. Adding a counter is adding a row.
+//! table below: its Rust field, its wire/JSON key, its unit, whether it
+//! is live (published through the shared atomics while the search runs,
+//! so another thread can read progress) and its doc line. The table
+//! generates [`SearchStats`] with its [`SearchStats::merge`], the shared
+//! atomics behind [`ProgressSnapshot`], and the name/value visitor
+//! ([`SearchStats::visit`]) plus its inverse
+//! ([`SearchStats::from_fields`]) that the wire codec, the bench record
+//! and the shard reader render and parse through. Adding a counter is
+//! adding a row.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// The unit of a counter, which fixes how its value renders.
@@ -77,14 +78,6 @@ impl Value for Duration {
     }
 }
 
-fn sum<T: std::ops::Add<Output = T>>(a: T, b: T) -> T {
-    a + b
-}
-
-fn max<T: Ord>(a: T, b: T) -> T {
-    std::cmp::max(a, b)
-}
-
 macro_rules! unit_type {
     (Count) => {
         usize
@@ -100,7 +93,7 @@ macro_rules! unit_type {
 macro_rules! counters {
     ($(
         $(#[doc = $doc:literal])+
-        $field:ident: $unit:ident, $key:literal, $merge:ident, live = $live:literal;
+        $field:ident: $unit:ident, $key:literal, live = $live:literal;
     )+) => {
         /// Counters describing a synthesis run (the quantities plotted in
         /// Figs. 12/13).
@@ -112,12 +105,11 @@ macro_rules! counters {
         }
 
         impl SearchStats {
-            /// Folds another worker's counters into these, each by its
-            /// declared rule (sum, or max for gauges shared by the
-            /// workers). `timed_out` is left to the caller: whether a
-            /// worker's stop was a timeout depends on why it stopped.
+            /// Adds a delta's counters (an acceptance cost, drained
+            /// engine-cache rows) into these, row by row. `timed_out` is
+            /// left as it is.
             pub fn merge(&mut self, other: &SearchStats) {
-                $( self.$field = $merge(self.$field, other.$field); )+
+                $( self.$field += other.$field; )+
             }
 
             /// Calls `f` with every counter and its value (seconds for
@@ -137,8 +129,8 @@ macro_rules! counters {
             }
         }
 
-        /// One atomic per counter, shared by the workers of a search. Only
-        /// the live rows are published.
+        /// One atomic per counter, written by the search thread and read
+        /// by progress readers. Only the live rows are published.
         #[derive(Debug, Default)]
         pub(crate) struct LiveCounters {
             $( pub(crate) $field: AtomicU64, )+
@@ -167,79 +159,65 @@ macro_rules! counters {
 
 counters! {
     /// Queries (partial and concrete) taken off the work list.
-    visited: Count, "visited", sum, live = true;
+    visited: Count, "visited", live = true;
     /// Partial queries pruned by the analyzer.
-    pruned: Count, "pruned", sum, live = true;
+    pruned: Count, "pruned", live = true;
     /// Concrete queries checked against Def. 1.
-    concrete_checked: Count, "concrete_checked", sum, live = true;
+    concrete_checked: Count, "concrete_checked", live = true;
     /// Children generated by hole expansion.
-    expanded: Count, "expanded", sum, live = false;
+    expanded: Count, "expanded", live = false;
     /// Wall-clock time spent (live: time since the request was submitted).
-    elapsed: Time, "wall_s", max, live = true;
+    elapsed: Time, "wall_s", live = true;
     /// Time spent in the analyzer (pruning checks).
-    time_analyze: Time, "time_analyze_s", sum, live = false;
+    time_analyze: Time, "time_analyze_s", live = false;
     /// Time spent checking concrete queries against Def. 1 — the sum of
     /// the three acceptance stages below.
-    time_concrete: Time, "time_eval_s", sum, live = false;
+    time_concrete: Time, "time_eval_s", live = false;
     /// Acceptance stage 1: evaluating the candidate (values channel, the
     /// demo-dims fast reject, then the provenance star channel).
-    time_materialize: Time, "time_materialize_s", sum, live = true;
+    time_materialize: Time, "time_materialize_s", live = true;
     /// Acceptance stage 2: the reference-containment prefilter (Def. 3 on
     /// exact provenance) over lazily-converted cell sets.
-    time_prefilter: Time, "time_prefilter_s", sum, live = true;
+    time_prefilter: Time, "time_prefilter_s", live = true;
     /// Acceptance stage 3: the candidate-seeded Def. 1 expression match.
-    time_match: Time, "time_match_s", sum, live = true;
+    time_match: Time, "time_match_s", live = true;
     /// Time spent expanding holes (domain inference + tree building).
-    time_expand: Time, "time_expand_s", sum, live = false;
+    time_expand: Time, "time_expand_s", live = false;
     /// Time spent inside the engine's join kernels (`join`, `left_join`
     /// and fused `filter ∘ join`). A subset of `time_materialize` when
     /// joins are reached from acceptance.
-    time_join: Time, "time_join_s", sum, live = true;
+    time_join: Time, "time_join_s", live = true;
     /// Output rows produced by those join kernels (throughput =
     /// `join_rows / time_join`).
-    join_rows: Count, "join_rows", sum, live = true;
+    join_rows: Count, "join_rows", live = true;
     /// Engine-cache entries dropped entirely by eviction sweeps.
-    cache_evictions: Count, "cache_evictions", sum, live = true;
+    cache_evictions: Count, "cache_evictions", live = true;
     /// Engine-cache entries demoted (star-channel spill: derived ref-set
     /// channels freed, value and star columns kept).
-    cache_demotions: Count, "cache_demotions", sum, live = true;
+    cache_demotions: Count, "cache_demotions", live = true;
     /// Engine-cache re-evaluations: inserts that recomputed a previously
     /// evicted query (the churn a larger cap or low-water mark reduces).
-    cache_reevals: Count, "cache_reevals", sum, live = true;
+    cache_reevals: Count, "cache_reevals", live = true;
     /// Time spent on those re-evaluations (each node's operator step).
-    cache_reeval_time: Time, "cache_reeval_s", sum, live = true;
+    cache_reeval_time: Time, "cache_reeval_s", live = true;
     /// Def. 3 verdicts this run served from the session-wide analysis
     /// cache instead of recomputing (set when the run ends).
-    reused_verdicts: Count, "reused_verdicts", sum, live = true;
+    reused_verdicts: Count, "reused_verdicts", live = true;
     /// Approximate resident bytes attributable to the run: the shared
     /// pool and analysis-cache footprint plus the live engine-cache bytes
-    /// (charged − released). Workers share the pool, so the merge takes
-    /// the max.
-    mem_bytes: Bytes, "mem_bytes", max, live = true;
+    /// (charged − released). Live, it is a gauge the search overwrites.
+    mem_bytes: Bytes, "mem_bytes", live = true;
 }
 
-/// The live state shared by the workers of one search: the declared
-/// counters plus the memory gauges `mem_bytes` is read from, the pooled
-/// solution count and the "pool satisfied" flag.
+/// The live state of one search, written by the search thread: the
+/// declared counters and the solution count.
 #[derive(Debug, Default)]
 pub(crate) struct SharedStats {
-    /// One atomic per declared counter; the search publishes the live rows.
+    /// One atomic per declared counter; the search publishes the live rows
+    /// (and stores the `mem_bytes` gauge).
     pub(crate) live: LiveCounters,
-    /// Solutions found so far, across workers.
+    /// Solutions found so far.
     pub(crate) solutions: AtomicUsize,
-    /// Engine-cache resident bytes summed across workers. Each worker
-    /// adds and subtracts only its own cache's movements, in order, so
-    /// the sum never goes below zero.
-    pub(crate) mem_cache: AtomicU64,
-    /// Latest shared-footprint observation (set pool + analysis cache),
-    /// `fetch_max`-maintained: the structures are shared, so the
-    /// high-water mark is the aggregate, not a sum.
-    pub(crate) mem_pool_bytes: AtomicU64,
-    /// Set when the pooled solution count satisfied the target (or a
-    /// worker's stop predicate fired): peers stop without reporting a
-    /// timeout. Distinct from `SynthConfig::cancel`, the caller's abort
-    /// switch, which is reported as a timeout.
-    pub(crate) satisfied: AtomicBool,
 }
 
 /// Live counters of a running (or finished) search.
@@ -248,8 +226,8 @@ pub(crate) struct SharedStats {
 pub struct ProgressSnapshot {
     /// Solutions found so far.
     pub solutions: usize,
-    /// The counters so far: the live rows (see [`Counter::live`]) across
-    /// workers, with `elapsed` measured from submission. The other rows
+    /// The counters so far: the live rows (see [`Counter::live`]), with
+    /// `elapsed` measured from submission. The other rows
     /// read 0 until the final result.
     pub stats: SearchStats,
 }
@@ -258,9 +236,6 @@ impl ProgressSnapshot {
     pub(crate) fn read(shared: &SharedStats, started: Instant) -> ProgressSnapshot {
         let mut stats = shared.live.load();
         stats.elapsed = started.elapsed();
-        let cache_live = shared.mem_cache.load(Ordering::Relaxed);
-        let pooled = shared.mem_pool_bytes.load(Ordering::Relaxed);
-        stats.mem_bytes = usize::from_raw(pooled.saturating_add(cache_live));
         ProgressSnapshot {
             solutions: shared.solutions.load(Ordering::Relaxed),
             stats,
@@ -273,22 +248,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn merge_sums_counts_and_maxes_gauges() {
+    fn merge_sums_every_row() {
         let mut m = SearchStats {
             visited: 3,
-            elapsed: Duration::from_millis(5),
+            time_join: Duration::from_millis(5),
             mem_bytes: 100,
+            timed_out: true,
             ..SearchStats::default()
         };
         m.merge(&SearchStats {
             visited: 4,
-            elapsed: Duration::from_millis(2),
+            time_join: Duration::from_millis(2),
             mem_bytes: 70,
             ..SearchStats::default()
         });
         assert_eq!(m.visited, 7);
-        assert_eq!(m.elapsed, Duration::from_millis(5));
-        assert_eq!(m.mem_bytes, 100);
+        assert_eq!(m.time_join, Duration::from_millis(7));
+        assert_eq!(m.mem_bytes, 170);
+        assert!(m.timed_out);
     }
 
     #[test]

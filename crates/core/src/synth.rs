@@ -20,7 +20,7 @@
 //!    timeout, or when a caller-supplied stop predicate fires.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -38,6 +38,7 @@ use crate::ast::{PQuery, Pred, Query};
 use crate::engine::{CachePolicy, EvalCache, ExecTable, Semantics};
 use crate::error::SickleError;
 use crate::memo::Memo;
+use crate::session::{CancelToken, SynthRequest};
 use crate::stats::{SearchStats, SharedStats};
 
 /// A primary/foreign-key pair declared on the inputs; join predicates are
@@ -106,25 +107,19 @@ impl OpKind {
     ];
 }
 
-/// Synthesizer configuration.
+/// The shape of the search space: depth, operators, templates and the
+/// engine-cache policy. The budget (time, visits, solution target) is a
+/// request's [`crate::Budget`].
 ///
 /// Marked `#[non_exhaustive]`: construct it with [`SynthConfig::default`]
 /// (or the chainable `with_*` builder methods) and mutate the public
 /// fields — new knobs can then be added without breaking downstream
-/// crates. Budget-shaped fields (`timeout`, `max_visited`,
-/// `max_solutions`, `cancel`) are overridden by [`crate::Budget`] when the
-/// search runs through a [`crate::Session`].
+/// crates.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct SynthConfig {
     /// Maximum number of operators per query (`depth` in Algorithm 1).
     pub max_depth: usize,
-    /// Stop after this many consistent queries (the paper's `N = 10`).
-    pub max_solutions: usize,
-    /// Wall-clock budget; `None` = unbounded.
-    pub timeout: Option<Duration>,
-    /// Budget on visited (partial + concrete) queries; `None` = unbounded.
-    pub max_visited: Option<usize>,
     /// Maximum number of grouping key columns.
     pub max_key_cols: usize,
     /// Maximum number of partitioning key columns. The Fig. 7 grammar gives
@@ -143,11 +138,7 @@ pub struct SynthConfig {
     /// Forbid immediately repeated `filter`/`sort` (they compose to a
     /// single equivalent operator, so repeats only duplicate work).
     pub forbid_trivial_repeats: bool,
-    /// External cancellation flag: the search stops (reporting a timeout)
-    /// as soon as this is set. [`crate::Session`] wires a request's
-    /// [`crate::CancelToken`] here.
-    pub cancel: Option<Arc<AtomicBool>>,
-    /// Eviction policy of each worker's engine [`EvalCache`] (cap and
+    /// Eviction policy of the search's engine [`EvalCache`] (cap and
     /// hysteresis low-water mark).
     pub cache: CachePolicy,
 }
@@ -156,9 +147,6 @@ impl Default for SynthConfig {
     fn default() -> Self {
         SynthConfig {
             max_depth: 3,
-            max_solutions: 10,
-            timeout: Some(Duration::from_secs(600)),
-            max_visited: None,
             max_key_cols: 3,
             max_partition_cols: 1,
             allow_empty_keys: true,
@@ -166,7 +154,6 @@ impl Default for SynthConfig {
             enable_join: false,
             arith_templates: default_arith_templates(),
             forbid_trivial_repeats: true,
-            cancel: None,
             cache: CachePolicy::default(),
         }
     }
@@ -182,27 +169,6 @@ impl SynthConfig {
     #[must_use]
     pub fn with_max_depth(mut self, depth: usize) -> SynthConfig {
         self.max_depth = depth;
-        self
-    }
-
-    /// Sets the consistent-query target.
-    #[must_use]
-    pub fn with_max_solutions(mut self, n: usize) -> SynthConfig {
-        self.max_solutions = n;
-        self
-    }
-
-    /// Sets (or clears) the wall-clock budget.
-    #[must_use]
-    pub fn with_timeout(mut self, timeout: Option<Duration>) -> SynthConfig {
-        self.timeout = timeout;
-        self
-    }
-
-    /// Sets (or clears) the visited-query budget.
-    #[must_use]
-    pub fn with_max_visited(mut self, max: Option<usize>) -> SynthConfig {
-        self.max_visited = max;
         self
     }
 
@@ -233,13 +199,6 @@ impl SynthConfig {
         self.arith_templates = templates;
         self
     }
-
-    /// Sets the engine-cache eviction policy.
-    #[must_use]
-    pub fn with_cache_policy(mut self, policy: CachePolicy) -> SynthConfig {
-        self.cache = policy;
-        self
-    }
 }
 
 /// Prepared per-task state shared with analyzers.
@@ -261,9 +220,8 @@ pub struct TaskContext {
     /// Memoized precise evaluations of concrete subqueries (also owns the
     /// search's [`RefSetPool`]).
     pub eval_cache: EvalCache,
-    /// Cross-sibling memo of abstract-consistency analyses, shared across
-    /// parallel workers (and, through [`crate::Session`], across the
-    /// session's requests).
+    /// Cross-sibling memo of abstract-consistency analyses (shared,
+    /// through [`crate::Session`], by the session's requests).
     pub analysis: Arc<AnalysisCache>,
     /// This task's demonstration registered with `analysis`: the
     /// collision-free fingerprint component of every Def. 3 verdict key,
@@ -376,11 +334,10 @@ impl TaskContext {
     }
 
     /// Prepares a context whose set pool and analysis cache are shared
-    /// with other contexts for the *same task* (the parallel search gives
-    /// every worker the same pool and cache, so interned ids and cached
-    /// verdicts are exchanged across threads), with the given engine-cache
-    /// eviction policy (the search threads [`SynthConfig::cache`] through
-    /// here).
+    /// with other contexts ([`crate::Session`] gives every request its
+    /// warm pool and cache, so interned ids and cached verdicts carry
+    /// across requests), with the given engine-cache eviction policy (the
+    /// session threads [`SynthConfig::cache`] through here).
     pub fn with_shared_policy(
         task: SynthTask,
         pool: Arc<RefSetPool>,
@@ -607,9 +564,14 @@ pub struct SynthResult {
     pub stats: SearchStats,
 }
 
-/// The sequential search engine room behind [`crate::Session`]: runs the
-/// work list to completion, publishing live counters to `shared` (one per
-/// request, shared by its parallel workers).
+/// The search behind [`crate::Session::solve`] / [`crate::Session::submit`]
+/// (Algorithm 1): one work list over the size-ordered skeletons of
+/// `request` (or its explicit seeds), run on the calling thread until the
+/// work list empties, the request's [`crate::Budget`] expires, `cancel`
+/// fires, `stop` accepts a solution or `budget.max_solutions` consistent
+/// queries are found. `ctx` is built from `request.task` over the
+/// session's warm pool and analysis cache; the live counters are
+/// published to `shared` so another thread can read progress.
 ///
 /// # Errors
 ///
@@ -620,45 +582,49 @@ pub struct SynthResult {
 /// service process. Budget expiry is *not* an error (`stats.timed_out`).
 pub(crate) fn run_search(
     ctx: &TaskContext,
-    config: &SynthConfig,
-    analyzer: &dyn Analyzer,
-    seeds: Vec<PQuery>,
+    request: &SynthRequest,
+    cancel: &CancelToken,
     mut stop: impl FnMut(&Query) -> bool,
     shared: &SharedStats,
 ) -> Result<SynthResult, SickleError> {
     let started = Instant::now();
+    let budget = &request.budget;
+    let deadline = budget.deadline_from(started);
+    let config = &request.search;
+    let analyzer = request.analyzer.make();
+    // Baseline for `reused_verdicts`: the session-wide cache's hits before
+    // this run.
+    let hits_base = ctx.analysis.stats().hits;
+    let seeds = match &request.seeds {
+        Some(seeds) => seeds.clone(),
+        None => construct_skeletons(ctx, config),
+    };
     let mut stats = SearchStats::default();
     let mut solutions = Vec::new();
     let mut work: VecDeque<PQuery> = seeds.into();
     // pop_back consumes from the end: reverse so smaller skeletons run first.
     work.make_contiguous().reverse();
     let live = &shared.live;
-    // The engine cache is thread-local and adds to its own counter rows;
-    // they are drained into this run's stats and the shared live counters
-    // once per visited query, and its resident bytes are published to the
-    // shared gauge as they move.
-    let mut published_bytes = 0;
+    // The engine cache adds to its own counter rows; they are drained
+    // into this run's stats and the live counters once per visited query,
+    // and the resident bytes (shared pool and analysis cache plus the
+    // engine cache) are published to the live `mem_bytes` gauge as they
+    // move.
+    let mut cache_bytes = 0;
     let mut drain_cache = |stats: &mut SearchStats| {
         let rows = ctx.eval_cache.take_counters();
         let bytes = ctx.eval_cache.resident_bytes();
-        if rows == SearchStats::default() && bytes == published_bytes {
+        if rows == SearchStats::default() && bytes == cache_bytes {
             return; // happy path: no insert or sweep since the last drain
         }
         stats.merge(&rows);
         live.add(&rows);
-        // `fetch_add` wraps, so adding the difference modulo 2^64 also
-        // publishes a shrink.
-        shared
-            .mem_cache
-            .fetch_add(bytes.wrapping_sub(published_bytes), Ordering::Relaxed);
-        published_bytes = bytes;
-        // The shared-footprint gauge rides the same slow path: it only
-        // moves when the engine cache grew or churned, which is exactly
-        // when the pool was growing too.
-        let pool_bytes = (ctx.pool().approx_bytes() + ctx.analysis.approx_bytes()) as u64;
-        shared
-            .mem_pool_bytes
-            .fetch_max(pool_bytes, Ordering::Relaxed);
+        cache_bytes = bytes;
+        // The shared footprint only moves when the engine cache grew or
+        // churned, which is exactly when the pool was growing too.
+        let shared_bytes = (ctx.pool().approx_bytes() + ctx.analysis.approx_bytes()) as u64;
+        live.mem_bytes
+            .store(shared_bytes.saturating_add(bytes), Ordering::Relaxed);
     };
 
     // Depth-first exploration: the skeleton seeds are size-ordered, and
@@ -666,31 +632,12 @@ pub(crate) fn run_search(
     // semantically identical but holds millions of partial queries in
     // memory; solutions are ranked by size below, exactly as the paper
     // ranks by query size).
-    'search: while let Some(pq) = work.pop_back() {
-        if let Some(t) = config.timeout {
-            if started.elapsed() > t {
-                stats.timed_out = true;
-                break;
-            }
-        }
-        if let Some(max) = config.max_visited {
-            if stats.visited >= max {
-                stats.timed_out = true;
-                break;
-            }
-        }
-        if let Some(cancel) = &config.cancel {
-            if cancel.load(Ordering::Relaxed) {
-                stats.timed_out = true;
-                break;
-            }
-        }
-        // Another worker satisfied the pooled solution target (or its stop
-        // predicate): stop quietly — this is a successful finish, not a
-        // budget expiry.
-        if shared.satisfied.load(Ordering::Relaxed)
-            || shared.solutions.load(Ordering::Relaxed) >= config.max_solutions
+    while let Some(pq) = work.pop_back() {
+        if deadline.is_some_and(|d| Instant::now() > d)
+            || budget.max_visited.is_some_and(|max| stats.visited >= max)
+            || cancel.is_canceled()
         {
+            stats.timed_out = true;
             break;
         }
         stats.visited += 1;
@@ -721,8 +668,8 @@ pub(crate) fn run_search(
                 let done = stop(&q);
                 solutions.push(q);
                 shared.solutions.fetch_add(1, Ordering::Relaxed);
-                if done || solutions.len() >= config.max_solutions {
-                    break 'search;
+                if done || solutions.len() >= budget.max_solutions {
+                    break;
                 }
             }
             continue;
@@ -747,162 +694,19 @@ pub(crate) fn run_search(
     stats.elapsed = started.elapsed();
     drain_cache(&mut stats);
     // Resident bytes at run end: shared structures (pool + analysis
-    // memos) plus this worker's live engine-cache footprint.
+    // memos) plus this run's live engine-cache footprint.
     stats.mem_bytes = ctx.pool().approx_bytes()
         + ctx.analysis.approx_bytes()
-        + usize::try_from(published_bytes).unwrap_or(usize::MAX);
-    shared.mem_pool_bytes.fetch_max(
-        (ctx.pool().approx_bytes() + ctx.analysis.approx_bytes()) as u64,
-        Ordering::Relaxed,
-    );
+        + usize::try_from(cache_bytes).unwrap_or(usize::MAX);
+    live.mem_bytes
+        .store(stats.mem_bytes as u64, Ordering::Relaxed);
+    stats.reused_verdicts = ctx.analysis.stats().hits.saturating_sub(hits_base);
+    live.reused_verdicts
+        .fetch_add(stats.reused_verdicts as u64, Ordering::Relaxed);
     // Rank by query size (stable: discovery order breaks ties), matching
     // the paper's size-based ranking of consistent queries.
     solutions.sort_by_key(Query::size);
     Ok(SynthResult { solutions, stats })
-}
-
-/// The engine room behind [`crate::Session::solve`] /
-/// [`crate::Session::submit`]: the skeleton-sharded parallel search, with
-/// the warm state (`pool`, `analysis`) and the live counters (`shared`)
-/// supplied by the caller so they can outlive — and be observed during —
-/// the run. `seeds` overrides the skeleton enumeration when supplied.
-///
-/// The size-ordered skeleton list is dealt round-robin to the `workers`
-/// OS threads, so every thread starts on small skeletons. Each worker
-/// owns a private [`TaskContext`] (engine evaluation caches are
-/// thread-local by design — the engine's `Rc`-shared tables are not
-/// `Sync`), but all contexts share one [`RefSetPool`] and one
-/// [`AnalysisCache`]: interned set ids are exchangeable across threads and
-/// a consistency verdict computed by one worker prunes the same abstract
-/// table everywhere. As soon as the pooled solution count reaches
-/// `config.max_solutions` (or any worker's `stop` fires), everyone winds
-/// down. Merged results are ranked by query size exactly as the
-/// sequential search ranks them.
-///
-/// # Errors
-///
-/// Propagates the first worker's [`SickleError::Internal`] (see
-/// [`run_search`]) after every worker has been joined.
-#[allow(clippy::too_many_arguments)] // internal seam; the public face is Session
-pub(crate) fn run_parallel(
-    task: &SynthTask,
-    config: &SynthConfig,
-    make_analyzer: &(impl Fn() -> Box<dyn Analyzer> + Sync),
-    workers: usize,
-    stop: &(impl Fn(&Query) -> bool + Sync),
-    pool: Arc<RefSetPool>,
-    analysis: Arc<AnalysisCache>,
-    shared: &SharedStats,
-    seeds: Option<Vec<PQuery>>,
-) -> Result<SynthResult, SickleError> {
-    let workers = workers.max(1);
-    // Baseline for the run-wide reuse counter: hits accrued by this run
-    // over the session-shared cache (measured once around the whole run
-    // so parallel workers are not double counted).
-    let hits_base = analysis.stats().hits;
-    let publish_reuse = |stats: &mut SearchStats| {
-        let reused = analysis.stats().hits.saturating_sub(hits_base);
-        stats.reused_verdicts = reused;
-        shared
-            .live
-            .reused_verdicts
-            .fetch_add(reused as u64, Ordering::Relaxed);
-    };
-    let seed_ctx = TaskContext::with_shared_policy(
-        task.clone(),
-        Arc::clone(&pool),
-        Arc::clone(&analysis),
-        config.cache,
-    );
-    let skeletons = seeds.unwrap_or_else(|| construct_skeletons(&seed_ctx, config));
-    if workers == 1 {
-        let mut result = run_search(
-            &seed_ctx,
-            config,
-            make_analyzer().as_ref(),
-            skeletons,
-            |q| stop(q),
-            shared,
-        )?;
-        result.solutions.sort_by_key(Query::size);
-        publish_reuse(&mut result.stats);
-        return Ok(result);
-    }
-
-    // Deal skeletons round-robin so each worker sees small sizes first.
-    let mut shards: Vec<Vec<PQuery>> = vec![Vec::new(); workers];
-    for (i, sk) in skeletons.into_iter().enumerate() {
-        shards[i % workers].push(sk);
-    }
-
-    let results: Vec<Result<SynthResult, SickleError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .map(|shard| {
-                let cfg = config.clone();
-                let pool = Arc::clone(&pool);
-                let analysis = Arc::clone(&analysis);
-                scope.spawn(move || {
-                    let ctx =
-                        TaskContext::with_shared_policy(task.clone(), pool, analysis, cfg.cache);
-                    let analyzer = make_analyzer();
-                    let max_solutions = cfg.max_solutions;
-                    run_search(
-                        &ctx,
-                        &cfg,
-                        analyzer.as_ref(),
-                        shard,
-                        |q| {
-                            // `shared.solutions` is incremented *after* this
-                            // callback returns, so count the solution at hand
-                            // too: once the pool reaches the target, stop the
-                            // other workers as well (they also watch the
-                            // pooled count directly, covering concurrent
-                            // finds that each see a stale count here).
-                            let found = shared.solutions.load(Ordering::Relaxed) + 1;
-                            if stop(q) || found >= max_solutions {
-                                shared.satisfied.store(true, Ordering::Relaxed);
-                                true
-                            } else {
-                                false
-                            }
-                        },
-                        shared,
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("synthesis worker panicked"))
-            .collect()
-    });
-
-    let mut merged = SynthResult {
-        solutions: Vec::new(),
-        stats: SearchStats::default(),
-    };
-    for r in results {
-        // All workers are already joined: propagating the first internal
-        // error loses no thread.
-        let r = r?;
-        for q in r.solutions {
-            if !merged.solutions.contains(&q) {
-                merged.solutions.push(q);
-            }
-        }
-        merged.stats.merge(&r.stats);
-        // Workers stopped by pool satisfaction break quietly (no timeout
-        // flag); a budget expiry racing the winning worker is still not a
-        // timeout for the run as a whole. External cancellation
-        // (`config.cancel`) and genuine budget expiry both surface as
-        // `timed_out`, exactly as in the sequential search.
-        merged.stats.timed_out |= r.stats.timed_out && !shared.satisfied.load(Ordering::Relaxed);
-    }
-    merged.solutions.sort_by_key(Query::size);
-    merged.solutions.truncate(config.max_solutions);
-    publish_reuse(&mut merged.stats);
-    Ok(merged)
 }
 
 // ---------------------------------------------------------------------------
@@ -1541,16 +1345,22 @@ fn join_pred_domain(left: &PQuery, right: &PQuery, ctx: &TaskContext) -> Vec<Pre
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AnalyzerChoice, Budget};
     use sickle_provenance::Demo;
 
-    /// Algorithm 1 over the full skeleton list, sequentially.
-    fn search(ctx: &TaskContext, config: &SynthConfig, analyzer: &dyn Analyzer) -> SynthResult {
-        let seeds = construct_skeletons(ctx, config);
+    /// A request over `ctx`'s task at `max_depth` under `budget`.
+    fn request(ctx: &TaskContext, max_depth: usize, budget: Budget) -> SynthRequest {
+        SynthRequest::from_task(ctx.task.clone())
+            .with_max_depth(max_depth)
+            .with_budget(budget)
+    }
+
+    /// Algorithm 1 over the full skeleton list.
+    fn search(ctx: &TaskContext, request: &SynthRequest) -> SynthResult {
         run_search(
             ctx,
-            config,
-            analyzer,
-            seeds,
+            request,
+            &CancelToken::new(),
             |_| false,
             &SharedStats::default(),
         )
@@ -1750,12 +1560,10 @@ mod tests {
         ])
         .unwrap();
         let ctx = TaskContext::new(SynthTask::new(vec![enrollment()], demo));
-        let config = SynthConfig {
-            max_depth: 1,
-            max_solutions: 5,
-            ..SynthConfig::default()
-        };
-        let res = search(&ctx, &config, &ProvenanceAnalyzer);
+        let res = search(
+            &ctx,
+            &request(&ctx, 1, Budget::default().with_max_solutions(5)),
+        );
         assert!(!res.solutions.is_empty(), "stats: {:?}", res.stats);
         // The first solution must be a group-by containing City with sum(Enrolled).
         let q = &res.solutions[0];
@@ -1773,13 +1581,10 @@ mod tests {
     #[test]
     fn running_example_synthesis_with_pruning() {
         let ctx = fig3_task();
-        let config = SynthConfig {
-            max_depth: 3,
-            max_solutions: 1,
-            timeout: Some(Duration::from_secs(120)),
-            ..SynthConfig::default()
-        };
-        let res = search(&ctx, &config, &ProvenanceAnalyzer);
+        let budget = Budget::default()
+            .with_max_solutions(1)
+            .with_timeout(Some(Duration::from_secs(120)));
+        let res = search(&ctx, &request(&ctx, 3, budget));
         assert!(
             !res.solutions.is_empty(),
             "no solution; stats {:?}",
@@ -1796,14 +1601,12 @@ mod tests {
     #[test]
     fn pruning_reduces_visits() {
         let ctx = fig3_task();
-        let config = SynthConfig {
-            max_depth: 2,
-            max_solutions: 1,
-            max_visited: Some(200_000),
-            ..SynthConfig::default()
-        };
-        let with = search(&ctx, &config, &ProvenanceAnalyzer);
-        let without = search(&ctx, &config, &NoPruneAnalyzer);
+        let budget = Budget::default()
+            .with_max_solutions(1)
+            .with_max_visited(Some(200_000));
+        let with = request(&ctx, 2, budget);
+        let without = with.clone().with_analyzer(AnalyzerChoice::NoPrune);
+        let (with, without) = (search(&ctx, &with), search(&ctx, &without));
         // Neither finds a depth-2 solution; pruning must visit far fewer.
         assert!(with.solutions.is_empty());
         assert!(
@@ -1851,12 +1654,10 @@ mod tests {
             crate::CachePolicy::default().with_cap(8),
         );
         assert_eq!(ctx.eval_cache.policy().cap, 8);
-        let config = SynthConfig {
-            max_depth: 1,
-            max_solutions: 1,
-            ..SynthConfig::default()
-        };
-        let res = search(&ctx, &config, &ProvenanceAnalyzer);
+        let res = search(
+            &ctx,
+            &request(&ctx, 1, Budget::default().with_max_solutions(1)),
+        );
         assert!(!res.solutions.is_empty());
         // A cap this small must have swept, and every row the cache
         // counted reached the run's stats.

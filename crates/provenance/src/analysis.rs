@@ -28,9 +28,9 @@
 //! demonstration on the same session keeps the memos the edit did not
 //! touch. Both layers are bounded per shard.
 //!
-//! A cache is `Sync` and is shared across the parallel search workers —
-//! every map is sharded behind short-lived locks, so there is no global
-//! mutex on the hot path.
+//! A cache is `Sync` and is shared by the concurrent requests on a pooled
+//! session — every map is sharded behind short-lived locks, so there is
+//! no global mutex on the hot path.
 
 use std::fmt;
 use std::hash::{BuildHasher, Hash};
@@ -312,7 +312,7 @@ impl AnalysisCache {
         // store guard (clones are inline copies or `Arc` bumps); the
         // candidate loops and the backtracking matcher below then run
         // entirely lock-free. Holding the guard across the matcher
-        // instead would park every other worker's intern behind a
+        // instead would park every other request's intern behind a
         // potentially long (worst-case exponential) read hold.
         let (demo_sets, abs_sets): (Vec<RefSet>, Vec<RefSet>) = {
             let store = pool.store();

@@ -233,7 +233,7 @@ impl Demo {
             parsed.push(cells);
         }
         Demo::new(parsed).map_err(|e| ParseError {
-            src: String::new(),
+            excerpt: String::new(),
             pos: 0,
             msg: format!("ragged demonstration rows: {e}"),
         })
@@ -313,12 +313,37 @@ impl fmt::Display for Demo {
 /// dropped.
 const MAX_DEPTH: usize = 128;
 
+/// Bytes of the formula a [`ParseError`] keeps on each side of its
+/// position, and the length its message is cut to: an error about one
+/// malformed cell stays short however long the cell is.
+const EXCERPT_BYTES: usize = 32;
+
+/// `text[start..end]`, widened to char boundaries and marked with `…`
+/// where it cuts `text` short.
+fn clip(text: &str, start: usize, end: usize) -> String {
+    let mut start = start.min(text.len());
+    while !text.is_char_boundary(start) {
+        start -= 1;
+    }
+    let mut end = end.clamp(start, text.len());
+    while !text.is_char_boundary(end) {
+        end += 1;
+    }
+    let cut = |yes: bool| if yes { "…" } else { "" };
+    format!(
+        "{}{}{}",
+        cut(start > 0),
+        &text[start..end],
+        cut(end < text.len())
+    )
+}
+
 /// Error produced by the demonstration formula parser.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
-    /// The source text.
-    pub src: String,
-    /// Byte offset of the error.
+    /// The source text around `pos` (up to 32 bytes on each side).
+    pub excerpt: String,
+    /// Byte offset of the error in the whole formula.
     pub pos: usize,
     /// Human-readable message.
     pub msg: String,
@@ -328,8 +353,8 @@ impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "parse error at byte {} in {:?}: {}",
-            self.pos, self.src, self.msg
+            "parse error at byte {} near {:?}: {}",
+            self.pos, self.excerpt, self.msg
         )
     }
 }
@@ -397,10 +422,15 @@ enum Arg {
 
 impl<'s> Parser<'s> {
     fn err(&self, msg: impl Into<String>) -> ParseError {
+        let pos = self.pos;
         ParseError {
-            src: self.src.to_owned(),
-            pos: self.pos,
-            msg: msg.into(),
+            excerpt: clip(
+                self.src,
+                pos.saturating_sub(EXCERPT_BYTES),
+                pos.saturating_add(EXCERPT_BYTES),
+            ),
+            pos,
+            msg: clip(&msg.into(), 0, 2 * EXCERPT_BYTES),
         }
     }
 
@@ -806,5 +836,33 @@ mod tests {
         let err = parse_expr("sum(T[1,1]").unwrap_err();
         assert!(err.to_string().contains("parse error"));
         assert!(err.pos >= 9);
+    }
+
+    #[test]
+    fn parse_errors_quote_a_bounded_excerpt() {
+        let long_name = format!("{}(T[1,1])", "f".repeat(20_000));
+        let deep = format!("{}T[1,1]{}", "(".repeat(10_000), ")".repeat(10_000));
+        let trailing = format!("'{}' ?", "a".repeat(20_000));
+        // Every alignment of the excerpt window against three-byte `◇`s,
+        // before and after the error position.
+        let diamonds = (0..3).flat_map(|pad| {
+            [
+                format!("sum({}{}", "◇,".repeat(40), " ".repeat(pad)),
+                format!("({}{}", " ".repeat(pad), "◇".repeat(40)),
+            ]
+        });
+        for src in [long_name, deep, trailing.clone()]
+            .into_iter()
+            .chain(diamonds)
+        {
+            let err = parse_expr(&src).unwrap_err();
+            let shown = err.to_string();
+            assert!(shown.len() < 256, "{} bytes: {shown}", shown.len());
+            assert!(err.excerpt.len() < src.len());
+        }
+        // The position is still an offset into the whole formula.
+        let err = parse_expr(&trailing).unwrap_err();
+        assert_eq!(err.pos, 20_003);
+        assert!(err.excerpt.starts_with('…') && err.excerpt.ends_with('?'));
     }
 }

@@ -17,7 +17,7 @@
 //!   universes and copy-on-write shared beyond;
 //! * [`RefSetPool`] / [`SetId`] — hash-consed set interning: `union` /
 //!   `subset` / `is_empty` become memoized pool operations over 4-byte
-//!   ids, shared across search workers;
+//!   ids, shared by the concurrent requests on a pooled session;
 //! * [`AnalysisCache`] — sharded cross-sibling memo of Def. 3 analyses
 //!   (column candidates + verdicts), keyed by interned id grids plus a
 //!   collision-free per-demo fingerprint ([`DemoToken`]) so one cache

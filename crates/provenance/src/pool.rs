@@ -8,9 +8,10 @@
 //! * abstract tables become grids of 4-byte ids — broadcasting a row over
 //!   `n` output rows copies ids instead of cloning bitsets;
 //! * `union` and `subset` become pool operations with memo tables keyed by
-//!   id pairs, shared across all sibling partial queries (and across
-//!   worker threads — every structure is sharded behind short-lived
-//!   locks, no global mutex guards the hot path);
+//!   id pairs, shared across all sibling partial queries (and by the
+//!   concurrent requests on a pooled session — every structure is
+//!   sharded behind short-lived locks, no global mutex guards the hot
+//!   path);
 //! * two sets built by different operator paths but equal in content get
 //!   the *same* id, which is what makes the cross-sibling
 //!   [`crate::AnalysisCache`] keys canonical.

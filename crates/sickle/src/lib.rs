@@ -41,7 +41,7 @@
 //! ```
 //!
 //! Streaming delivery of the same request — solutions arrive as events
-//! the moment a worker finds them, with live progress and cancellation:
+//! the moment the search finds them, with live progress and cancellation:
 //!
 //! ```
 //! use sickle::{Demo, Session, SolutionEvent, SynthRequest, Table};
@@ -86,7 +86,9 @@
 //!   `E`, the `≺` consistency rules;
 //! * [`sickle_core`] — the Fig. 7 query language, the unified execution
 //!   engine ([`exec`]) behind the three semantics, the Algorithm 1
-//!   synthesizer and the [`Session`] API in front of it;
+//!   synthesizer (one sequential search per request) and the [`Session`]
+//!   API in front of it, whose concurrent requests share the session's
+//!   set pool and analysis cache;
 //! * [`sickle_baselines`] — the type/value-abstraction baselines of §5;
 //! * [`sickle_benchmarks`] — the 80-task evaluation suite.
 
