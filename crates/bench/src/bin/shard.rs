@@ -46,8 +46,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use sickle_bench::corpus::{
-    default_corpus_dir, load_corpus, outcome_from_response, render_dump, results_json, wire_line,
-    CorpusFilters,
+    default_corpus_dir, fnv1a64, load_corpus, outcome_from_response, render_dump, results_json,
+    wire_line, CorpusFilters, FNV_OFFSET,
 };
 use sickle_bench::runner::HarnessConfig;
 use sickle_bench::{write_bench_json, Json, RunRecord, SuiteResults};
@@ -186,13 +186,8 @@ fn log(msg: std::fmt::Arguments<'_>) {
 
 /// FNV-1a 64-bit digest of a recorded response line, guarding a resumed
 /// run against truncated or hand-edited journal entries.
-fn fnv1a64(s: &str) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{h:016x}")
+fn digest(line: &str) -> String {
+    format!("{:016x}", fnv1a64(FNV_OFFSET, line.as_bytes()))
 }
 
 /// Append-only newline-JSON work journal. `claimed` marks a task handed
@@ -251,7 +246,7 @@ impl Journal {
         self.append(&Json::Obj(vec![
             ("event".into(), Json::str("done")),
             ("task".into(), Json::num(task as f64)),
-            ("digest".into(), Json::str(fnv1a64(&rendered))),
+            ("digest".into(), Json::str(digest(&rendered))),
             ("response".into(), Json::str(rendered)),
         ]));
     }
@@ -324,8 +319,8 @@ fn replay_journal(path: &std::path::Path) -> Result<Replayed, String> {
                     .get("response")
                     .and_then(Json::as_str)
                     .ok_or_else(|| fail("done without response".into()))?;
-                let digest = json.get("digest").and_then(Json::as_str).unwrap_or("");
-                if digest != fnv1a64(rendered) {
+                let recorded = json.get("digest").and_then(Json::as_str).unwrap_or("");
+                if recorded != digest(rendered) {
                     truncated("response digest mismatch".into())?;
                     break;
                 }

@@ -541,10 +541,12 @@ pub fn wire_line(bundle: &TaskBundle, id: &Json) -> Result<String, String> {
 // Freeze / load
 // ---------------------------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// Initial state of [`fnv1a64`].
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a64(state: u64, bytes: &[u8]) -> u64 {
+/// Folds `bytes` into an FNV-1a 64 state (start from [`FNV_OFFSET`]).
+pub fn fnv1a64(state: u64, bytes: &[u8]) -> u64 {
     let mut h = state;
     for &b in bytes {
         h ^= b as u64;

@@ -21,7 +21,7 @@
 //!
 //! Abstract tables are grids of *interned set ids* over the search's
 //! [`RefSetPool`] ([`EvalCache::pool`]): hole-bearing operators broadcast
-//! and union 4-byte [`SetId`]s through memoized pool operations instead of
+//! and union 4-byte [`SetId`]s through pool operations instead of
 //! cloning `Vec<u64>` bitsets, so the structural rules (`filter`, `sort`,
 //! `proj`) are pointer copies and the weak/medium broadcasts copy ids.
 //!

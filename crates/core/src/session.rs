@@ -661,9 +661,7 @@ pub struct Session {
     /// interned id-grid is registered), so different demonstrations never
     /// alias while equal id-grids share verdicts.
     analysis: Arc<AnalysisCache>,
-    /// Requests served so far; doubles as the per-request `EvalCache`
-    /// generation counter (each request's thread-local caches are
-    /// generation `served()` of this session).
+    /// Requests served so far (solve + submit).
     served: AtomicUsize,
 }
 
@@ -690,12 +688,12 @@ impl Session {
     }
 
     /// Approximate resident bytes of the session's warm state: the
-    /// hash-consing pool (interned sets + operation memos) and the
-    /// session-wide analysis cache. This is
-    /// the per-session rollup the service tier's byte-bounded
-    /// [`crate::SessionPool`] and the server's pressure ladder read;
-    /// per-request engine caches are thread-local and short-lived, so
-    /// they are accounted in the request stats instead.
+    /// hash-consing pool's interned sets and the session-wide analysis
+    /// cache's verdicts. This is the per-session rollup the service
+    /// tier's byte-bounded [`crate::SessionPool`] and the server's
+    /// pressure ladder read; each request's engine cache lives in its
+    /// `TaskContext` and dies with it, so it is accounted in the request
+    /// stats instead.
     pub fn mem_bytes(&self) -> usize {
         self.pool.approx_bytes() + self.analysis.approx_bytes()
     }
@@ -705,8 +703,7 @@ impl Session {
         self.analysis.stats()
     }
 
-    /// Number of requests served (solve + submit), i.e. the current
-    /// request-generation number.
+    /// Number of requests served (solve + submit).
     pub fn served(&self) -> usize {
         self.served.load(Ordering::Relaxed)
     }

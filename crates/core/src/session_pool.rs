@@ -43,8 +43,8 @@ pub struct SessionPoolConfig {
     /// session always survives, even if it alone exceeds the bound).
     pub max_total_sets: usize,
     /// Global bound on the approximate *bytes* held by pooled sessions
-    /// ([`Session::mem_bytes`]: interned sets, pool memos and analysis
-    /// caches). The byte-accurate counterpart of `max_total_sets`; the
+    /// ([`Session::mem_bytes`]: interned sets and analysis-cache
+    /// verdicts). The byte-accurate counterpart of `max_total_sets`; the
     /// most recently used session always survives, even if it alone
     /// exceeds the bound.
     pub max_total_bytes: usize,

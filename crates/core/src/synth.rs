@@ -592,9 +592,10 @@ pub(crate) fn run_search(
     let deadline = budget.deadline_from(started);
     let config = &request.search;
     let analyzer = request.analyzer.make();
-    // Baseline for `reused_verdicts`: the session-wide cache's hits before
-    // this run.
-    let hits_base = ctx.analysis.stats().hits;
+    // Baseline for `reused_verdicts`: the verdict hits this thread was
+    // served before this run (other requests on the session's shared
+    // cache run on other threads and do not move it).
+    let hits_base = AnalysisCache::thread_hits();
     let seeds = match &request.seeds {
         Some(seeds) => seeds.clone(),
         None => construct_skeletons(ctx, config),
@@ -700,7 +701,7 @@ pub(crate) fn run_search(
         + usize::try_from(cache_bytes).unwrap_or(usize::MAX);
     live.mem_bytes
         .store(stats.mem_bytes as u64, Ordering::Relaxed);
-    stats.reused_verdicts = ctx.analysis.stats().hits.saturating_sub(hits_base);
+    stats.reused_verdicts = AnalysisCache::thread_hits() - hits_base;
     live.reused_verdicts
         .fetch_add(stats.reused_verdicts as u64, Ordering::Relaxed);
     // Rank by query size (stable: discovery order breaks ties), matching

@@ -15,13 +15,13 @@
 //! * [`RefUniverse`] / [`RefSet`] — bitset reference sets used by the
 //!   abstract provenance analysis (Fig. 11 / Def. 3), inline for small
 //!   universes and copy-on-write shared beyond;
-//! * [`RefSetPool`] / [`SetId`] — hash-consed set interning: `union` /
-//!   `subset` / `is_empty` become memoized pool operations over 4-byte
-//!   ids, shared by the concurrent requests on a pooled session;
-//! * [`AnalysisCache`] — sharded cross-sibling memo of Def. 3 analyses
-//!   (column candidates + verdicts), keyed by interned id grids plus a
-//!   collision-free per-demo fingerprint ([`DemoToken`]) so one cache
-//!   serves a whole session of demonstrations;
+//! * [`RefSetPool`] / [`SetId`] — hash-consed set interning: abstract
+//!   tables become grids of 4-byte ids, equal content gets one id, and
+//!   one pool is shared by the concurrent requests on a pooled session;
+//! * [`AnalysisCache`] — sharded cross-sibling memo of Def. 3 verdicts,
+//!   keyed by interned id grids plus a collision-free per-demo
+//!   fingerprint ([`DemoToken`]) so one cache serves a whole session of
+//!   demonstrations;
 //! * [`find_table_match`] — the shared injective subtable matcher, plus the
 //!   staged pieces the acceptance path composes ([`column_candidates`],
 //!   [`match_seed_rows`], [`find_table_match_seeded`]).

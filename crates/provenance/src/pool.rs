@@ -1,25 +1,22 @@
 //! Hash-consed pooling of [`RefSet`]s.
 //!
 //! The abstract analysis builds the same reference sets over and over:
-//! every sibling expansion of a skeleton re-unions the same columns and
-//! re-tests the same demonstration cells against them. [`RefSetPool`]
-//! interns each distinct set once and hands out stable [`SetId`]s, so
+//! every sibling expansion of a skeleton re-unions the same columns.
+//! [`RefSetPool`] interns each distinct set once and hands out stable
+//! [`SetId`]s, so
 //!
 //! * abstract tables become grids of 4-byte ids — broadcasting a row over
 //!   `n` output rows copies ids instead of cloning bitsets;
-//! * `union` and `subset` become pool operations with memo tables keyed by
-//!   id pairs, shared across all sibling partial queries (and by the
-//!   concurrent requests on a pooled session — every structure is
-//!   sharded behind short-lived locks, no global mutex guards the hot
-//!   path);
 //! * two sets built by different operator paths but equal in content get
-//!   the *same* id, which is what makes the cross-sibling
-//!   [`crate::AnalysisCache`] keys canonical.
+//!   the *same* id, which is what makes the [`crate::AnalysisCache`]
+//!   verdict keys canonical.
 //!
-//! Sets whose significant words fit the inline representation (≤ 128
-//! bits — every set of a typical task) bypass the memo tables entirely:
-//! a direct word-level test is cheaper than a memo probe, and the memo
-//! maps stay small. The pool is universe-agnostic: canonical word storage
+//! The pool holds two structures and no operation memo: the append-only
+//! id → set store behind one read-write lock, and the content → id
+//! intern maps, sharded behind short-lived locks so the concurrent
+//! requests on a pooled session do not contend on one mutex. Unions and
+//! subset tests resolve their operands from the store and run direct
+//! word operations. The pool is universe-agnostic: canonical word storage
 //! (see [`RefSet`]) makes content equality independent of `n_bits`, and
 //! the empty set is [`SetId::EMPTY`] in every pool.
 
@@ -94,8 +91,8 @@ pub type FxMap<K, V> = HashMap<K, V, FxBuild>;
 /// Identity of a [`RefSet`] interned in a [`RefSetPool`].
 ///
 /// Ids are dense indices: equal ids (from the same pool) mean equal sets,
-/// and distinct ids mean distinct sets — the foundation of every memo and
-/// cache key built on top.
+/// and distinct ids mean distinct sets — the foundation of every cache
+/// key built on top.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SetId(u32);
 
@@ -110,28 +107,12 @@ impl SetId {
     }
 }
 
-/// Number of lock shards per structure (must be a power of two).
+/// Number of intern-map lock shards (must be a power of two).
 const SHARDS: usize = 16;
-
-/// Bound per memo shard; a full shard is cleared rather than evicted
-/// (memo entries are cheap to recompute, the bound only caps memory).
-const MEMO_SHARD_CAP: usize = 1 << 16;
 
 /// Approximate bytes of one interned entry beyond the set's own heap
 /// words: the store slot, the intern-map key copy and a hash bucket.
 const INTERN_ENTRY_BYTES: usize = 2 * std::mem::size_of::<RefSet>() + 16;
-
-/// Approximate bytes of one memo-table entry (id-pair key, value, hash
-/// bucket).
-const MEMO_ENTRY_BYTES: usize = 24;
-
-#[inline]
-fn pair_shard(a: SetId, b: SetId) -> usize {
-    // Cheap mix of both ids; shard selection only needs spread, not
-    // cryptographic quality.
-    let h = (a.0 as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (b.0 as u64).rotate_left(32);
-    (h as usize) & (SHARDS - 1)
-}
 
 /// A thread-safe hash-consing pool of [`RefSet`]s. See the module docs.
 pub struct RefSetPool {
@@ -141,13 +122,8 @@ pub struct RefSetPool {
     sets: RwLock<Vec<RefSet>>,
     /// Content → id interning maps, sharded by content hash.
     intern: Vec<Mutex<FxMap<RefSet, SetId>>>,
-    /// Memoized `union` results, keyed by normalized id pairs.
-    unions: Vec<Mutex<FxMap<(SetId, SetId), SetId>>>,
-    /// Memoized `subset` verdicts for non-inline operands.
-    subsets: Vec<Mutex<FxMap<(SetId, SetId), bool>>>,
-    /// Approximate bytes held by the pool (interned sets + memo tables),
-    /// maintained at intern/memo-insert/memo-clear sites. Monotone except
-    /// for memo-shard clears, which release their entries.
+    /// Approximate bytes held by the interned sets, charged once per
+    /// distinct set; monotone.
     bytes: AtomicUsize,
     hasher: FxBuild,
 }
@@ -158,8 +134,6 @@ impl RefSetPool {
         let pool = RefSetPool {
             sets: RwLock::new(Vec::new()),
             intern: (0..SHARDS).map(|_| Mutex::new(FxMap::default())).collect(),
-            unions: (0..SHARDS).map(|_| Mutex::new(FxMap::default())).collect(),
-            subsets: (0..SHARDS).map(|_| Mutex::new(FxMap::default())).collect(),
             bytes: AtomicUsize::new(0),
             hasher: FxBuild::default(),
         };
@@ -205,17 +179,6 @@ impl RefSetPool {
         self.sets.read().expect("pool store lock")[id.0 as usize].clone()
     }
 
-    /// Resolves many ids with a single store-lock acquisition. Hot paths
-    /// bulk-resolve once, then run direct word operations lock-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any id was not produced by this pool.
-    pub fn get_many(&self, ids: &[SetId]) -> Vec<RefSet> {
-        let sets = self.sets.read().expect("pool store lock");
-        ids.iter().map(|id| sets[id.0 as usize].clone()).collect()
-    }
-
     /// Read guard over the raw id → set store, for crate-internal hot
     /// loops that resolve many ids with zero clones. The guard blocks
     /// interning — callers must not re-enter the pool while holding it.
@@ -229,11 +192,6 @@ impl RefSetPool {
         id == SetId::EMPTY
     }
 
-    /// Membership test through the pool.
-    pub fn contains(&self, id: SetId, universe: &RefUniverse, r: CellRef) -> bool {
-        self.get(id).contains(universe, r)
-    }
-
     /// Number of references in the set behind `id`.
     pub fn set_len(&self, id: SetId) -> usize {
         self.get(id).len()
@@ -245,15 +203,14 @@ impl RefSetPool {
     }
 
     /// Approximate bytes held by the pool: interned sets (struct slots,
-    /// map keys, shared word buffers) plus the union/subset memo tables.
-    /// Cheap (one relaxed load) — safe to poll from admission control on
-    /// every request.
+    /// map keys, shared word buffers). Cheap (one relaxed load) — safe to
+    /// poll from admission control on every request.
     pub fn approx_bytes(&self) -> usize {
         self.bytes.load(Ordering::Relaxed)
     }
 
-    /// `a ⊆ b` as a pool operation: id fast paths, direct word test for
-    /// inline operands, memoized verdicts for shared-storage operands.
+    /// `a ⊆ b` as a pool operation: id fast paths, then a direct word
+    /// test under the store lock.
     pub fn subset(&self, a: SetId, b: SetId) -> bool {
         if a == b || a == SetId::EMPTY {
             return true;
@@ -261,71 +218,19 @@ impl RefSetPool {
         if b == SetId::EMPTY {
             return false; // a is non-empty here
         }
-        let (sa, sb) = {
-            let sets = self.sets.read().expect("pool store lock");
-            (sets[a.0 as usize].clone(), sets[b.0 as usize].clone())
-        };
-        if sa.is_inline() && sb.is_inline() {
-            return sa.is_subset_of(&sb);
-        }
-        let shard = pair_shard(a, b);
-        if let Some(&v) = self.subsets[shard]
-            .lock()
-            .expect("pool subset lock")
-            .get(&(a, b))
-        {
-            return v;
-        }
-        let v = sa.is_subset_of(&sb);
-        let mut memo = self.subsets[shard].lock().expect("pool subset lock");
-        if memo.len() >= MEMO_SHARD_CAP {
-            self.bytes
-                .fetch_sub(memo.len() * MEMO_ENTRY_BYTES, Ordering::Relaxed);
-            memo.clear();
-        }
-        if memo.insert((a, b), v).is_none() {
-            self.bytes.fetch_add(MEMO_ENTRY_BYTES, Ordering::Relaxed);
-        }
-        v
+        let sets = self.sets.read().expect("pool store lock");
+        sets[a.0 as usize].is_subset_of(&sets[b.0 as usize])
     }
 
-    /// `a ∪ b` as a pool operation (memoized; commutative, so the key is
-    /// the normalized id pair).
+    /// `a ∪ b` as a pool operation: [`RefSetPool::union_slice`] of the
+    /// pair.
     pub fn union(&self, a: SetId, b: SetId) -> SetId {
-        if a == b || b == SetId::EMPTY {
-            return a;
-        }
-        if a == SetId::EMPTY {
-            return b;
-        }
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        let shard = pair_shard(lo, hi);
-        if let Some(&id) = self.unions[shard]
-            .lock()
-            .expect("pool union lock")
-            .get(&(lo, hi))
-        {
-            return id;
-        }
-        let mut out = self.get(lo);
-        out.union_with(&self.get(hi));
-        let id = self.intern(out);
-        let mut memo = self.unions[shard].lock().expect("pool union lock");
-        if memo.len() >= MEMO_SHARD_CAP {
-            self.bytes
-                .fetch_sub(memo.len() * MEMO_ENTRY_BYTES, Ordering::Relaxed);
-            memo.clear();
-        }
-        if memo.insert((lo, hi), id).is_none() {
-            self.bytes.fetch_add(MEMO_ENTRY_BYTES, Ordering::Relaxed);
-        }
-        id
+        self.union_slice(&[a, b])
     }
 
     /// Unions a slice of ids: one store-lock acquisition, a direct word
-    /// fold, and a single intern of the result. Faster than folding
-    /// [`RefSetPool::union`] pair by pair — bulk unions (column unions of
-    /// the abstract broadcasts) are the common shape.
+    /// fold, and a single intern of the result — bulk unions (column
+    /// unions of the abstract broadcasts) are the common shape.
     pub fn union_slice(&self, ids: &[SetId]) -> SetId {
         let mut acc: Option<RefSet> = None;
         {
@@ -373,16 +278,6 @@ impl RefSetPool {
             None => SetId::EMPTY,
             Some(a) => self.intern(a),
         }
-    }
-
-    /// [`RefSetPool::union_slice`] over an arbitrary id sequence. The
-    /// iterator is drained BEFORE the store lock is taken: callers pass
-    /// lazy iterators whose closures re-enter the pool (nested unions),
-    /// and a re-entrant intern under the read guard would self-deadlock
-    /// on the write lock.
-    pub fn union_all<I: IntoIterator<Item = SetId>>(&self, ids: I) -> SetId {
-        let ids: Vec<SetId> = ids.into_iter().collect();
-        self.union_slice(&ids)
     }
 }
 
@@ -439,9 +334,8 @@ mod tests {
         assert!(pool.subset(a, ab));
         assert!(pool.subset(b, ab));
         assert!(!pool.subset(ab, a));
-        // Memoized reruns return the identical id.
+        // Either operand order returns the identical id.
         assert_eq!(pool.union(b, a), ab);
-        assert_eq!(pool.union_all([a, b]), ab);
     }
 
     #[test]
@@ -455,7 +349,7 @@ mod tests {
         assert!(!pool.subset(a, SetId::EMPTY));
         assert_eq!(pool.union(SetId::EMPTY, a), a);
         assert_eq!(pool.union(a, SetId::EMPTY), a);
-        assert_eq!(pool.union_all(std::iter::empty()), SetId::EMPTY);
+        assert_eq!(pool.union_slice(&[]), SetId::EMPTY);
     }
 
     #[test]
@@ -470,8 +364,7 @@ mod tests {
         // Re-interning identical content charges nothing.
         let _ = pool.intern_refs(&u, [CellRef::new(0, 0, 0)]);
         assert_eq!(pool.approx_bytes(), grown);
-        // A union interns the result (and, for non-inline operands, may
-        // memoize): bytes never decrease outside memo clears.
+        // A union interns its result: bytes never decrease.
         let b = pool.intern_refs(&u, [CellRef::new(0, 1, 1)]);
         let _ = pool.union(a, b);
         assert!(pool.approx_bytes() >= grown);

@@ -236,13 +236,6 @@ impl RefSet {
         }
     }
 
-    /// True when the words are stored inline (≤ [`INLINE_WORDS`]): the
-    /// pool skips its operation memos for these, direct word ops are
-    /// cheaper than a memo probe.
-    pub(crate) fn is_inline(&self) -> bool {
-        matches!(self.repr, Words::Inline { .. })
-    }
-
     /// Approximate heap bytes owned by this set beyond its struct size:
     /// zero for inline storage, the shared word buffer (plus `Arc`/`Vec`
     /// headers) otherwise. Clones of a shared set alias one buffer, so
@@ -488,15 +481,15 @@ mod tests {
         let u = RefUniverse::from_tables(&[wide]);
         assert_eq!(u.n_bits(), 200); // 4 words: shared storage
         let full = u.full_table_set(0);
-        assert!(!full.is_inline());
+        assert!(full.heap_bytes() > 0); // spilled to shared words
         assert_eq!(full.len(), 200);
         let low = u.set_from([CellRef::new(0, 0, 0), CellRef::new(0, 0, 39)]);
-        assert!(low.is_inline());
+        assert_eq!(low.heap_bytes(), 0); // inline
         assert!(low.is_subset_of(&full));
         assert!(!full.is_subset_of(&low));
         let mut grown = low.clone();
         grown.union_with(&u.singleton(CellRef::new(0, 4, 39))); // bit 199
-        assert!(!grown.is_inline());
+        assert!(grown.heap_bytes() > 0);
         assert_eq!(grown.len(), 3);
         assert!(low.is_subset_of(&grown));
         assert!(grown.contains(&u, CellRef::new(0, 4, 39)));

@@ -7,12 +7,19 @@
 //! * a warm session rerun is byte-identical to a cold run under the
 //!   `solutions`-oracle rendering, while reusing the session pool (no
 //!   re-interning);
-//! * the deprecated free functions still agree with the session API.
+//! * the deprecated free functions still agree with the session API;
+//! * `reused_verdicts` counts a request's own verdict hits, even while
+//!   another request on the same session is served from the shared cache.
 
+use std::cell::Cell;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use sickle_benchmarks::all_benchmarks;
-use sickle_core::{Budget, CancelToken, Session, SolutionEvent, SynthRequest, SynthResult};
+use sickle_core::{
+    Analyzer, AnalyzerChoice, Budget, CancelToken, PQuery, ProvenanceAnalyzer, Session,
+    SolutionEvent, SynthRequest, SynthResult, TaskContext,
+};
 
 /// The request the deterministic `solutions` bin issues for benchmark
 /// `id` (1-based): suite search shape, visit budget only.
@@ -203,4 +210,80 @@ fn warm_session_rerun_is_byte_identical_to_cold_run() {
             "memory accounting reported zero bytes on benchmark {id}"
         );
     }
+}
+
+/// The paper's analyzer, except that after its first call it parks the
+/// search on `park` and waits on `resume` before going on.
+struct ParkingAnalyzer {
+    first: Cell<bool>,
+    park: Arc<Barrier>,
+    resume: Arc<Barrier>,
+}
+
+impl Analyzer for ParkingAnalyzer {
+    fn name(&self) -> &'static str {
+        "parking"
+    }
+
+    fn is_feasible(&self, pq: &PQuery, ctx: &TaskContext) -> bool {
+        let feasible = ProvenanceAnalyzer.is_feasible(pq, ctx);
+        if self.first.replace(false) {
+            self.park.wait();
+            self.resume.wait();
+        }
+        feasible
+    }
+}
+
+#[test]
+fn reused_verdicts_counts_only_the_requests_own_hits() {
+    // A: the running example; B: an easy task, solved once to warm the
+    // session so that its repeat is served from the verdict cache.
+    let (a_id, b_id) = (44usize, 1usize);
+    let budget = 3_000;
+    let b_request = oracle_request(b_id, budget);
+
+    // A alone, on a session warmed the same way.
+    let alone = Session::new();
+    alone.solve(&b_request).unwrap();
+    let a_alone = alone.solve(&oracle_request(a_id, budget)).unwrap();
+    let b_repeat = alone.solve(&b_request).unwrap();
+    assert!(
+        b_repeat.stats.reused_verdicts > 0,
+        "benchmark {b_id} must reuse verdicts on a repeat"
+    );
+
+    // A parked after its first analyzer call while B repeats its demo on
+    // the same session, then resumed.
+    let session = Session::new();
+    session.solve(&b_request).unwrap();
+    let park = Arc::new(Barrier::new(2));
+    let resume = Arc::new(Barrier::new(2));
+    let a_request = oracle_request(a_id, budget).with_analyzer({
+        let (park, resume) = (Arc::clone(&park), Arc::clone(&resume));
+        AnalyzerChoice::custom("parking", move || {
+            Box::new(ParkingAnalyzer {
+                first: Cell::new(true),
+                park: Arc::clone(&park),
+                resume: Arc::clone(&resume),
+            })
+        })
+    });
+    let (a_shared, b_shared) = std::thread::scope(|scope| {
+        let a = scope.spawn(|| session.solve(&a_request).unwrap());
+        park.wait();
+        let b = session.solve(&b_request).unwrap();
+        resume.wait();
+        (a.join().unwrap(), b)
+    });
+
+    assert_eq!(oracle_render(&a_shared), oracle_render(&a_alone));
+    assert_eq!(
+        a_shared.stats.reused_verdicts, a_alone.stats.reused_verdicts,
+        "A counted the verdicts B was served while A was running"
+    );
+    assert_eq!(
+        b_shared.stats.reused_verdicts,
+        b_repeat.stats.reused_verdicts
+    );
 }
