@@ -1,5 +1,7 @@
-//! Abstract provenance semantics `[[q(T̄)]]◦` (Fig. 11) and the abstract
-//! consistency check `E ◁ T◦` (Def. 3).
+//! Abstract provenance semantics `[[q(T̄)]]◦` (Fig. 11), the abstract
+//! table of the consistency check `E ◁ T◦` (Def. 3, run by
+//! [`crate::ProvenanceAnalyzer`] through the cached
+//! [`sickle_provenance::AnalysisCache::consistent`]).
 //!
 //! Given a *partial* query, the analyzer computes, for every output cell, an
 //! over-approximation of the set of input cells that can flow into it under
@@ -34,12 +36,10 @@ use std::sync::Arc;
 
 use sickle_table::{Grid, Table};
 
-use sickle_provenance::{
-    find_table_match, Demo, MatchDims, RefSet, RefSetPool, RefUniverse, SetId,
-};
+use sickle_provenance::{Demo, RefSet, RefSetPool, RefUniverse, SetId};
 
 use crate::ast::{PQuery, Query};
-use crate::engine::{EvalCache, ExecTable, Semantics};
+use crate::engine::{check_cols, EvalCache, ExecTable, Semantics};
 use crate::eval::EvalError;
 
 /// Result of abstractly evaluating a partial query.
@@ -327,40 +327,6 @@ pub fn demo_ref_sets(demo: &Demo, universe: &RefUniverse) -> Grid<RefSet> {
     demo.grid().map_columns(|col| universe.column_sets(col))
 }
 
-/// The abstract provenance consistency check `E ◁ T◦` (Def. 3): does an
-/// injective subtable assignment exist under which every demonstration
-/// cell's references are contained in the abstract cell?
-///
-/// `pool` must be the pool `abs` was computed over (the search's
-/// [`EvalCache::pool`]). The hot path of the synthesizer goes through
-/// [`sickle_provenance::AnalysisCache::consistent`] instead, which caches
-/// verdicts across sibling expansions; this uncached form is the reference
-/// implementation and the convenient entry point for tests.
-pub fn abstract_consistent(demo_refs: &Grid<RefSet>, abs: &AbsTable, pool: &RefSetPool) -> bool {
-    let demo_ids = demo_refs.map(|s| pool.intern(s.clone()));
-    let dims = MatchDims {
-        demo_rows: demo_ids.n_rows(),
-        demo_cols: demo_ids.n_cols(),
-        table_rows: abs.sets.n_rows(),
-        table_cols: abs.sets.n_cols(),
-    };
-    find_table_match(dims, &mut |di, dj, ti, tj| {
-        pool.subset(demo_ids[(di, dj)], abs.sets[(ti, tj)])
-    })
-    .is_some()
-}
-
-fn check_cols(cols: &[usize], arity: usize, operator: &'static str) -> Result<(), EvalError> {
-    match cols.iter().find(|&&c| c >= arity) {
-        Some(&col) => Err(EvalError::ColumnOutOfRange {
-            col,
-            arity,
-            operator,
-        }),
-        None => Ok(()),
-    }
-}
-
 /// Per-group union over the aggregate columns: for the common single
 /// target this is the memoized per-group column directly; for multiple
 /// columns the memoized per-group vectors are unioned elementwise.
@@ -421,6 +387,7 @@ fn vcat(top: &Grid<SetId>, bottom: &Grid<SetId>) -> Grid<SetId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::synth::{Analyzer, ProvenanceAnalyzer, SynthTask, TaskContext};
     use sickle_provenance::CellRef;
     use sickle_table::{AggFunc, Table, Value};
 
@@ -515,16 +482,18 @@ mod tests {
         .unwrap()
     }
 
+    /// Def. 3 as the search runs it: the analyzer's verdict through the
+    /// task's analysis cache.
+    fn feasible(pq: &PQuery) -> bool {
+        let ctx = TaskContext::new(SynthTask::new(vec![enrollment()], fig3_demo()));
+        ProvenanceAnalyzer.is_feasible(pq, &ctx)
+    }
+
     #[test]
     fn figure6_prunes_qb() {
-        let inputs = [enrollment()];
-        let u = RefUniverse::from_tables(&inputs);
-        let cache = EvalCache::new();
-        let abs = abstract_evaluate(&q_b(), &inputs, &u, &cache).unwrap();
-        let demo_refs = demo_ref_sets(&fig3_demo(), &u);
         // E[2,3] needs T[1,4], T[2,4] and T[8,4] in one cell, but grouping
         // by (City, Quarter, Population) separates quarters: prune.
-        assert!(!abstract_consistent(&demo_refs, &abs, cache.pool()));
+        assert!(!feasible(&q_b()));
     }
 
     #[test]
@@ -543,12 +512,7 @@ mod tests {
             }),
             func: None,
         };
-        let inputs = [enrollment()];
-        let u = RefUniverse::from_tables(&inputs);
-        let cache = EvalCache::new();
-        let abs = abstract_evaluate(&pq, &inputs, &u, &cache).unwrap();
-        let demo_refs = demo_ref_sets(&fig3_demo(), &u);
-        assert!(abstract_consistent(&demo_refs, &abs, cache.pool()));
+        assert!(feasible(&pq));
     }
 
     #[test]

@@ -838,7 +838,11 @@ fn exec_arith(
     Ok(table(values, star))
 }
 
-fn check_cols(cols: &[usize], arity: usize, operator: &'static str) -> Result<(), EvalError> {
+pub(crate) fn check_cols(
+    cols: &[usize],
+    arity: usize,
+    operator: &'static str,
+) -> Result<(), EvalError> {
     match cols.iter().find(|&&c| c >= arity) {
         Some(&col) => Err(EvalError::ColumnOutOfRange {
             col,
@@ -924,22 +928,6 @@ pub struct EvalCache {
     /// Per-group column unions keyed by (column identity, groups
     /// identity), the inner loop of the strong rules. Pins both.
     group_unions: Memo<(usize, usize), SetColumn, MEMO_CAP, (SetColumn, Groups)>,
-    /// Output row counts of every query ever evaluated through this
-    /// cache, keyed by the query itself (no hashes: a collision would
-    /// mis-reject a valid candidate). Entries survive eviction of the
-    /// result they describe — the acceptance path's demo-dims fast
-    /// reject ([`EvalCache::row_bound`]) reads row counts from here, so
-    /// its hit rate is immune to cache pressure (a `u32` per query
-    /// instead of a pinned table).
-    row_counts: Memo<Query, u32, ROWS_MEMO_CAP>,
-    /// Group counts keyed by child query, then key columns: the output
-    /// row count of a `group` operator depends on the child and keys
-    /// only, so one evaluated sibling aggregation choice lets every
-    /// later sibling fast-reject without re-evaluating anything. Nested
-    /// (not tuple-keyed) so probes borrow the candidate's child instead
-    /// of cloning it. Same bound and survival rules as
-    /// [`EvalCache::row_counts`].
-    group_counts: Memo<Query, Vec<(Vec<usize>, u32)>, ROWS_MEMO_CAP>,
     /// Pooled scratch of the filter/join paths: selection vectors
     /// and key buffers reused across every candidate evaluated through
     /// this cache, so per-candidate allocation stops scaling with row
@@ -1023,11 +1011,6 @@ const DEMOTE_RELEASE_DIV: u64 = 2;
 /// Bound on the evicted-query fingerprint set behind the re-evaluation
 /// counter.
 const EVICTED_TRACK_CAP: usize = 65_536;
-
-/// Bound on the row-count and group-count memos behind the demo-dims
-/// fast reject (entries are one `u32` plus a query key and are
-/// recomputed on the next evaluation).
-const ROWS_MEMO_CAP: usize = 65_536;
 
 /// Eviction policy of the concrete [`EvalCache`] store.
 ///
@@ -1173,90 +1156,6 @@ impl EvalCache {
     /// [`EvalCache::resident`]).
     pub(crate) fn resident_bytes(&self) -> u64 {
         self.resident.get()
-    }
-
-    /// An upper bound on `q`'s output row count read from the row-count
-    /// memos, without evaluating anything — the acceptance path's
-    /// demo-dims fast reject. The memos record every evaluation and
-    /// *survive eviction* of the results they describe, so a child swept
-    /// out long ago still bounds its siblings. Row-preserving top
-    /// operators (sort / partition / arithmetic / projection) have
-    /// exactly their source's row count, and a `group`'s output rows are
-    /// its group count. Filter and join tops take an exact memo for the
-    /// candidate itself if any sibling shape evaluated it, otherwise a
-    /// *sound upper bound* from the operand memos: a filter never has
-    /// more rows than its child, a cross join has exactly |L|·|R|, and a
-    /// left join keeps every left row at least once, so it has at most
-    /// |L|·max(1, |R|). `None` when nothing is known (including
-    /// out-of-range group keys, which never get a memo entry and fall
-    /// through to evaluation, where they fail as an [`EvalError`]).
-    pub(crate) fn row_bound(&self, q: &Query) -> Option<usize> {
-        // |L|·max(floor, |R|) from the operand memos.
-        let product = |left: &Query, right: &Query, floor: usize| {
-            Some(
-                self.known_rows(left)?
-                    .saturating_mul(self.known_rows(right)?.max(floor)),
-            )
-        };
-        match q {
-            Query::Sort { src, .. }
-            | Query::Partition { src, .. }
-            | Query::Arith { src, .. }
-            | Query::Proj { src, .. } => self.known_rows(src),
-            Query::Group { src, keys, .. } => self.known_group_rows(src, keys),
-            Query::Filter { src, .. } => self.known_rows(q).or_else(|| match &**src {
-                Query::Join { left, right } => product(left, right, 0),
-                _ => self.known_rows(src),
-            }),
-            Query::Join { left, right } => self.known_rows(q).or_else(|| product(left, right, 0)),
-            Query::LeftJoin { left, right, .. } => {
-                self.known_rows(q).or_else(|| product(left, right, 1))
-            }
-            Query::Input(_) => None,
-        }
-    }
-
-    /// The output row count of `q`, if it was ever evaluated through
-    /// this cache (see [`EvalCache::row_counts`]).
-    fn known_rows(&self, q: &Query) -> Option<usize> {
-        self.row_counts.get(q, |&n| n as usize)
-    }
-
-    /// The number of groups `group_rows_by_keys(child, keys)` produces —
-    /// the output row count of any sibling `group` candidate over the
-    /// same (child, keys) — if any such sibling was ever evaluated.
-    fn known_group_rows(&self, child: &Query, keys: &[usize]) -> Option<usize> {
-        self.group_counts
-            .get(child, |entries| {
-                entries
-                    .iter()
-                    .find(|(k, _)| k == keys)
-                    .map(|&(_, n)| n as usize)
-            })
-            .flatten()
-    }
-
-    /// Records a query's output row count (see [`EvalCache::row_counts`]).
-    fn note_rows(&self, q: &Query, rows: usize) {
-        if self.row_counts.get(q, |_| ()).is_none() {
-            self.row_counts
-                .insert(q.clone(), rows.min(u32::MAX as usize) as u32);
-        }
-    }
-
-    /// Records a (child, keys) group count (see
-    /// [`EvalCache::group_counts`]).
-    fn note_group_rows(&self, child: &Query, keys: &[usize], groups: usize) {
-        let n = groups.min(u32::MAX as usize) as u32;
-        let known = self.group_counts.update(child, |entries| {
-            if !entries.iter().any(|(k, _)| k == keys) {
-                entries.push((keys.to_vec(), n));
-            }
-        });
-        if known.is_none() {
-            self.group_counts
-                .insert(child.clone(), vec![(keys.to_vec(), n)]);
-        }
     }
 
     /// The hysteresis-bounded sweep of the concrete store.
@@ -1594,11 +1493,10 @@ impl EvalCache {
             // stable across sibling candidates.
             let child = self.exec(src, sem, inputs)?;
             let t0 = Instant::now();
-            let out = self.exec_group_shared(sem, &child, keys, *agg, *target)?;
-            // One row per group: every sibling aggregation choice over
-            // the same (child, keys) can now fast-reject from the memo.
-            self.note_group_rows(src, keys, out.values.n_rows());
-            (out, t0.elapsed())
+            (
+                self.exec_group_shared(sem, &child, keys, *agg, *target)?,
+                t0.elapsed(),
+            )
         } else if let Query::Partition {
             src,
             keys,
@@ -1639,7 +1537,6 @@ impl EvalCache {
             actual >= sem,
             "pipeline produced fewer channels than requested"
         );
-        self.note_rows(q, computed.values.n_rows());
         // A re-insert of a previously evicted query is a churn-induced
         // re-evaluation. Consumed *before* this insert's own sweep runs:
         // the sweep can evict this query's stale lower-level slot, and

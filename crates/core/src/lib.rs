@@ -18,9 +18,10 @@
 //!   channel of the pipeline;
 //! * [`prov_evaluate`] (`prov_eval`) — provenance-tracking semantics
 //!   `[[q(T̄)]]★` (Fig. 9), the star channel;
-//! * [`abstract_evaluate`] / [`abstract_consistent`] (`abstract_eval`) —
-//!   abstract provenance `[[q(T̄)]]◦` and the Def. 3 check (Fig. 11);
-//!   concrete leaves run through the pipeline's ref-set channel;
+//! * [`abstract_evaluate`] (`abstract_eval`) — abstract provenance
+//!   `[[q(T̄)]]◦` (Fig. 11); concrete leaves run through the pipeline's
+//!   ref-set channel. [`ProvenanceAnalyzer`] runs the Def. 3 check on it
+//!   through the cached [`sickle_provenance::AnalysisCache::consistent`];
 //! * [`EvalCache`] — memoized engine results keyed by
 //!   `(query, semantics)`, threaded through the search so sibling partial
 //!   queries share inner-subquery evaluations. Eviction is governed by a
@@ -84,9 +85,7 @@ mod session_pool;
 mod stats;
 mod synth;
 
-pub use abstract_eval::{
-    abstract_consistent, abstract_evaluate, abstract_evaluate_rc, demo_ref_sets, AbsTable,
-};
+pub use abstract_eval::{abstract_evaluate, abstract_evaluate_rc, demo_ref_sets, AbsTable};
 pub use ast::{PQuery, Pred, Query};
 pub use engine::{
     exec, exec_filtered_join_strategy, exec_step, CachePolicy, EvalCache, ExecTable, JoinStrategy,

@@ -43,15 +43,6 @@ impl<K: Hash + Eq, V, const CAP: usize, P> Memo<K, V, CAP, P> {
         self.map.borrow().get(key).map(|(_, v)| read(v))
     }
 
-    /// Updates the entry for `key` in place, if any.
-    pub(crate) fn update<Q, R>(&self, key: &Q, write: impl FnOnce(&mut V) -> R) -> Option<R>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.map.borrow_mut().get_mut(key).map(|(_, v)| write(v))
-    }
-
     /// Inserts an entry whose key holds the address of `pin`, clearing
     /// the table first if it is full.
     pub(crate) fn insert_pinned(&self, key: K, pin: P, value: V) {
@@ -107,10 +98,9 @@ mod tests {
         assert_eq!(memo.get(&1, |&v| v), None);
         assert_eq!(memo.get(&2, |&v| v), None);
         assert_eq!(memo.get(&3, |&v| v), Some(30));
-        // Below the cap, inserts and updates keep every entry.
-        assert_eq!(memo.update(&3, |v| std::mem::replace(v, 31)), Some(30));
+        // Below the cap, inserts keep every entry.
         memo.insert(4, 40);
-        assert_eq!(memo.get(&3, |&v| v), Some(31));
+        assert_eq!(memo.get(&3, |&v| v), Some(30));
         assert!(memo.remove(&3));
         assert!(!memo.remove(&3));
         assert_eq!(memo.get(&4, |&v| v), Some(40));

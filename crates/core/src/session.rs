@@ -941,10 +941,10 @@ mod tests {
     #[test]
     fn malformed_seed_is_skipped_not_a_panic() {
         use crate::ast::PQuery;
-        // A caller-supplied seed with out-of-range group keys: the
-        // acceptance path must reject it (engine EvalError), not index
-        // out of bounds in the demo-dims fast reject — even when the
-        // group's source is already cached from an earlier seed.
+        // A caller-supplied seed with out-of-range group keys: it fails
+        // to evaluate (engine EvalError), so acceptance rejects it rather
+        // than panicking — even when the group's source is already
+        // cached from an earlier seed.
         let session = Session::new();
         let request = SynthRequest::new(vec![table()], demo()).with_seeds(vec![
             PQuery::Input(0),

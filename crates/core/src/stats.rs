@@ -173,8 +173,8 @@ counters! {
     /// Time spent checking concrete queries against Def. 1 — the sum of
     /// the three acceptance stages below.
     time_concrete: Time, "time_eval_s", live = false;
-    /// Acceptance stage 1: evaluating the candidate (values channel, the
-    /// demo-dims fast reject, then the provenance star channel).
+    /// Acceptance stage 1: evaluating the candidate (values and
+    /// provenance star channel).
     time_materialize: Time, "time_materialize_s", live = true;
     /// Acceptance stage 2: the reference-containment prefilter (Def. 3 on
     /// exact provenance) over lazily-converted cell sets.

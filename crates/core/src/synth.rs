@@ -385,13 +385,10 @@ impl TaskContext {
 
     /// Acceptance of one concrete candidate (Algorithm 1, line 9): does
     /// `q` realize the demonstration (Def. 1)? Stage 1 materializes the
-    /// candidate's provenance star channel through the engine cache —
-    /// unless the demo-dims fast reject refutes it first: an upper bound
-    /// on its rows from the cache's row-count memos (which survive
-    /// eviction) below the demonstration's. Stages 2–3 are
-    /// [`TaskContext::accept_exec`]. Each stage's wall-clock is added to
-    /// its `stats` timer and to `time_concrete`. A candidate that fails to
-    /// evaluate is rejected.
+    /// candidate's provenance star channel through the engine cache;
+    /// stages 2–3 are [`TaskContext::accept_exec`]. Each stage's
+    /// wall-clock is added to its `stats` timer and to `time_concrete`. A
+    /// candidate that fails to evaluate is rejected.
     ///
     /// # Errors
     ///
@@ -399,17 +396,10 @@ impl TaskContext {
     /// no star channel.
     pub fn accept(&self, q: &Query, stats: &mut SearchStats) -> Result<bool, SickleError> {
         let t0 = Instant::now();
-        let too_small = self
+        let exec = self
             .eval_cache
-            .row_bound(q)
-            .is_some_and(|n| n < self.demo_refs.n_rows());
-        let exec = if too_small {
-            None
-        } else {
-            self.eval_cache
-                .exec(q, Semantics::Provenance, self.inputs())
-                .ok()
-        };
+            .exec(q, Semantics::Provenance, self.inputs())
+            .ok();
         charge(stats, |s| &mut s.time_materialize, t0);
         match exec {
             Some(exec) => self.accept_exec(&exec, stats),
@@ -426,9 +416,11 @@ impl TaskContext {
     /// feasibility is memoized by column identity, so pass-through
     /// columns shared between sibling candidates resolve without touching
     /// a single cell. Direct matching, not the cross-sibling analysis
-    /// cache: every concrete query has distinct exact sets, so interning
-    /// them would only grow the pool for verdicts that can never be
-    /// shared.
+    /// cache: that cache keys its verdicts by interned set ids, and these
+    /// exact sets are derived from the star channel and never interned.
+    /// Candidates do repeat exact-set grids, so a values + sets engine
+    /// level that interns them first could share verdicts (ROADMAP.md,
+    /// "Sets before stars").
     ///
     /// Stage 3 is Def. 1, seeded by the prefilter's surviving column
     /// candidates and the per-demo-row candidate rows they induce (sound:
@@ -648,10 +640,10 @@ pub(crate) fn run_search(
         if pq.is_concrete() {
             stats.concrete_checked += 1;
             live.concrete_checked.fetch_add(1, Ordering::Relaxed);
-            // Demo-dims fast reject, part 1 (free): a candidate whose
-            // static column arity is below the demonstration's can never
-            // host it — skip evaluation (and star materialization)
-            // entirely. Part 2, on rows, opens `TaskContext::accept`.
+            // Free static reject: a candidate with fewer columns than the
+            // demonstration can never host it, so skip its evaluation.
+            // The pruning analyzers discard such sources before they get
+            // here; under `no-prune` it fires and saves the evaluations.
             let demo_cols = ctx.demo_refs.n_cols();
             if pq.n_cols(&ctx.input_arities).is_some_and(|n| n < demo_cols) {
                 continue;

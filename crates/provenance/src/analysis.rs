@@ -172,9 +172,10 @@ impl AnalysisCache {
     /// references are contained in the abstract cell?
     ///
     /// Equivalent to running [`crate::find_table_match`] over
-    /// `pool.subset` cell tests; `token` must be the
-    /// [`AnalysisCache::register_demo`] handle for `demo` — it keys the
-    /// verdict memo so verdicts of different demonstrations never alias.
+    /// [`RefSet::is_subset_of`] tests on the resolved cells; `token` must
+    /// be the [`AnalysisCache::register_demo`] handle for `demo` — it keys
+    /// the verdict memo so verdicts of different demonstrations never
+    /// alias.
     pub fn consistent(
         &self,
         token: &DemoToken,
@@ -371,7 +372,10 @@ mod tests {
                     table_rows: abs.n_rows(),
                     table_cols: abs.n_cols(),
                 },
-                &mut |di, dj, ti, tj| pool.subset(demo[(di, dj)], abs[(ti, tj)]),
+                &mut |di, dj, ti, tj| {
+                    pool.get(demo[(di, dj)])
+                        .is_subset_of(&pool.get(abs[(ti, tj)]))
+                },
             )
             .is_some();
             assert_eq!(cache.consistent(&token, &demo, abs, &pool), direct);

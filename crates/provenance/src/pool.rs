@@ -14,9 +14,9 @@
 //! The pool holds two structures and no operation memo: the append-only
 //! id → set store behind one read-write lock, and the content → id
 //! intern maps, sharded behind short-lived locks so the concurrent
-//! requests on a pooled session do not contend on one mutex. Unions and
-//! subset tests resolve their operands from the store and run direct
-//! word operations. The pool is universe-agnostic: canonical word storage
+//! requests on a pooled session do not contend on one mutex. Unions
+//! resolve their operands from the store and fold their words directly;
+//! subset tests run on the resolved sets ([`RefSetPool::get`]). The pool is universe-agnostic: canonical word storage
 //! (see [`RefSet`]) makes content equality independent of `n_bits`, and
 //! the empty set is [`SetId::EMPTY`] in every pool.
 
@@ -209,25 +209,6 @@ impl RefSetPool {
         self.bytes.load(Ordering::Relaxed)
     }
 
-    /// `a ⊆ b` as a pool operation: id fast paths, then a direct word
-    /// test under the store lock.
-    pub fn subset(&self, a: SetId, b: SetId) -> bool {
-        if a == b || a == SetId::EMPTY {
-            return true;
-        }
-        if b == SetId::EMPTY {
-            return false; // a is non-empty here
-        }
-        let sets = self.sets.read().expect("pool store lock");
-        sets[a.0 as usize].is_subset_of(&sets[b.0 as usize])
-    }
-
-    /// `a ∪ b` as a pool operation: [`RefSetPool::union_slice`] of the
-    /// pair.
-    pub fn union(&self, a: SetId, b: SetId) -> SetId {
-        self.union_slice(&[a, b])
-    }
-
     /// Unions a slice of ids: one store-lock acquisition, a direct word
     /// fold, and a single intern of the result — bulk unions (column
     /// unions of the abstract broadcasts) are the common shape.
@@ -329,13 +310,13 @@ mod tests {
         let pool = RefSetPool::new();
         let a = pool.intern_refs(&u, [CellRef::new(0, 0, 0)]);
         let b = pool.intern_refs(&u, [CellRef::new(0, 1, 1), CellRef::new(0, 2, 2)]);
-        let ab = pool.union(a, b);
+        let ab = pool.union_slice(&[a, b]);
         assert_eq!(pool.set_len(ab), 3);
-        assert!(pool.subset(a, ab));
-        assert!(pool.subset(b, ab));
-        assert!(!pool.subset(ab, a));
+        assert!(pool.get(a).is_subset_of(&pool.get(ab)));
+        assert!(pool.get(b).is_subset_of(&pool.get(ab)));
+        assert!(!pool.get(ab).is_subset_of(&pool.get(a)));
         // Either operand order returns the identical id.
-        assert_eq!(pool.union(b, a), ab);
+        assert_eq!(pool.union_slice(&[b, a]), ab);
     }
 
     #[test]
@@ -345,10 +326,10 @@ mod tests {
         let a = pool.intern_refs(&u, [CellRef::new(0, 0, 0)]);
         assert!(pool.is_empty_set(SetId::EMPTY));
         assert!(!pool.is_empty_set(a));
-        assert!(pool.subset(SetId::EMPTY, a));
-        assert!(!pool.subset(a, SetId::EMPTY));
-        assert_eq!(pool.union(SetId::EMPTY, a), a);
-        assert_eq!(pool.union(a, SetId::EMPTY), a);
+        assert!(pool.get(SetId::EMPTY).is_subset_of(&pool.get(a)));
+        assert!(!pool.get(a).is_subset_of(&pool.get(SetId::EMPTY)));
+        assert_eq!(pool.union_slice(&[SetId::EMPTY, a]), a);
+        assert_eq!(pool.union_slice(&[a, SetId::EMPTY]), a);
         assert_eq!(pool.union_slice(&[]), SetId::EMPTY);
     }
 
@@ -366,7 +347,7 @@ mod tests {
         assert_eq!(pool.approx_bytes(), grown);
         // A union interns its result: bytes never decrease.
         let b = pool.intern_refs(&u, [CellRef::new(0, 1, 1)]);
-        let _ = pool.union(a, b);
+        let _ = pool.union_slice(&[a, b]);
         assert!(pool.approx_bytes() >= grown);
     }
 

@@ -96,11 +96,10 @@
 
 pub use sickle_baselines::{TypeAnalyzer, ValueAnalyzer};
 pub use sickle_core::{
-    abstract_consistent, abstract_evaluate, concretize, evaluate, exec, prov_evaluate, Analyzer,
-    AnalyzerChoice, Budget, CancelToken, EvalCache, EvalError, ExecTable, JoinKey, NoPruneAnalyzer,
-    OpKind, PQuery, Pred, ProgressSnapshot, ProvenanceAnalyzer, Query, SearchStats, Semantics,
-    Session, SickleError, SolutionEvent, SolutionStream, SynthConfig, SynthRequest, SynthResult,
-    SynthTask, TaskContext,
+    abstract_evaluate, concretize, evaluate, exec, prov_evaluate, Analyzer, AnalyzerChoice, Budget,
+    CancelToken, EvalCache, EvalError, ExecTable, JoinKey, NoPruneAnalyzer, OpKind, PQuery, Pred,
+    ProgressSnapshot, ProvenanceAnalyzer, Query, SearchStats, Semantics, Session, SickleError,
+    SolutionEvent, SolutionStream, SynthConfig, SynthRequest, SynthResult, SynthTask, TaskContext,
 };
 pub use sickle_provenance::{
     demo_consistent, expr_consistent, parse_expr, CellRef, Demo, DemoExpr, Expr, FuncName,

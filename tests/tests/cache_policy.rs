@@ -202,9 +202,10 @@ fn join_tasks_under_churn_are_transparent_and_count_exactly() {
     }
 }
 
-/// The demo-dims fast reject reads eviction-immune row-count memos: a
-/// run at a drastically small cap must visit and check exactly what an
-/// uncapped run does (the memos, not cache luck, drive the rejects).
+/// The engine cache is pure memoization: a run at a drastically small
+/// cap must visit and check exactly what an uncapped run does, and find
+/// the same solutions (eviction changes what is recomputed, never a
+/// verdict).
 #[test]
 fn tiny_cap_run_is_search_transparent() {
     let suite = all_benchmarks();

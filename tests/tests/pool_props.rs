@@ -137,13 +137,17 @@ fn pool_union_subset_iter_agree_with_naive_bitsets() {
             for (b_id, b_naive) in &pairs {
                 // Subset agrees.
                 assert_eq!(
-                    pool.subset(*a_id, *b_id),
+                    pool.get(*a_id).is_subset_of(&pool.get(*b_id)),
                     a_naive.is_subset_of(b_naive),
                     "seed {seed}: subset mismatch"
                 );
                 // Union agrees (and both operand orders give one id).
-                let u_id = pool.union(*a_id, *b_id);
-                assert_eq!(u_id, pool.union(*b_id, *a_id), "seed {seed}: union order");
+                let u_id = pool.union_slice(&[*a_id, *b_id]);
+                assert_eq!(
+                    u_id,
+                    pool.union_slice(&[*b_id, *a_id]),
+                    "seed {seed}: union order"
+                );
                 let u_naive = a_naive.union(b_naive);
                 let u_set = pool.get(u_id);
                 let listed: Vec<usize> = u_set

@@ -15,11 +15,29 @@
 
 use sickle_benchmarks::{all_benchmarks, demo_expr_of, rng::Rng};
 use sickle_core::{
-    abstract_consistent, abstract_evaluate, concretize, demo_ref_sets, evaluate, prov_evaluate,
-    AbsTable, EvalCache, PQuery, Pred, Query, Semantics,
+    abstract_evaluate, concretize, demo_ref_sets, evaluate, prov_evaluate, AbsTable, EvalCache,
+    PQuery, Pred, Query, Semantics,
 };
-use sickle_provenance::{expr_consistent, parse_expr, Demo, RefUniverse};
+use sickle_provenance::{
+    expr_consistent, parse_expr, AnalysisCache, Demo, RefSet, RefSetPool, RefUniverse, SetId,
+};
 use sickle_table::{AggFunc, AnalyticFunc, ArithExpr, ArithOp, CmpOp, Grid, Table, Value};
+
+/// Def. 3 through the check the search consults: `demo` (exact reference
+/// sets standing in for a demonstration) is interned into `pool`, the pool
+/// `abs` was computed over, registered with `analysis`, and decided by
+/// `AnalysisCache::consistent`, whose verdict memo serves abstract tables
+/// of 64 cells or more.
+fn cached_def3(
+    demo: &Grid<RefSet>,
+    abs: &Grid<SetId>,
+    analysis: &AnalysisCache,
+    pool: &RefSetPool,
+) -> bool {
+    let ids = demo.map(|s| pool.intern(s.clone()));
+    let token = analysis.register_demo(&ids);
+    analysis.consistent(&token, &ids, abs, pool)
+}
 
 // ---------------------------------------------------------------------------
 // Deterministic generators
@@ -222,7 +240,7 @@ fn abstraction_is_sound_on_random_queries() {
             abstract_evaluate(&pq, &inputs, &universe, &cache).expect("abstract evaluates");
         // Treat the exact sets as the "demonstration": Def. 3 must hold.
         assert!(
-            abstract_consistent(&exact, &abs, cache.pool()),
+            cached_def3(&exact, &abs.sets, &AnalysisCache::new(), cache.pool()),
             "seed {seed}: query {q} pruned via partial {pq}"
         );
     }
@@ -310,13 +328,10 @@ fn def1_implies_exact_def3() {
         if sickle_provenance::demo_consistent(&demo, &star).is_some() {
             let universe = RefUniverse::from_tables(&inputs);
             let refs = demo_ref_sets(&demo, &universe);
-            let pool = sickle_provenance::RefSetPool::new();
-            let exact = AbsTable {
-                sets: star.map(|e| pool.intern(universe.set_from(e.refs()))),
-                concrete: None,
-            };
+            let pool = RefSetPool::new();
+            let exact = star.map(|e| pool.intern(universe.set_from(e.refs())));
             assert!(
-                abstract_consistent(&refs, &exact, &pool),
+                cached_def3(&refs, &exact, &AnalysisCache::new(), &pool),
                 "seed {seed}: query {q}"
             );
         }
@@ -395,12 +410,13 @@ fn suite_abstraction_over_approximates_all_80_ground_truths() {
         // Three deterministic hole patterns per benchmark: all holes, every
         // other hole, sparse holes.
         let cache = EvalCache::new();
+        let analysis = AnalysisCache::new();
         for mask in [0u32, 0x5555_5555, 0x1111_1111] {
             let pq = punch_holes(&b.ground_truth, mask);
             let abs = abstract_evaluate(&pq, &task.inputs, &universe, &cache)
                 .unwrap_or_else(|e| panic!("benchmark {}: {e}", b.id));
             assert!(
-                abstract_consistent(&exact, &abs, cache.pool()),
+                cached_def3(&exact, &abs.sets, &analysis, cache.pool()),
                 "benchmark {} ({}): sound abstraction violated for mask {mask:#x} ({pq})",
                 b.id,
                 b.name

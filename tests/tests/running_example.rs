@@ -5,11 +5,11 @@
 use std::time::Duration;
 
 use sickle_core::{
-    abstract_consistent, abstract_evaluate, concretize, demo_ref_sets, evaluate, prov_evaluate,
-    Budget, EvalCache, PQuery, Session, SynthRequest,
+    concretize, evaluate, prov_evaluate, Analyzer, Budget, PQuery, ProvenanceAnalyzer, Session,
+    SynthRequest, SynthTask, TaskContext,
 };
 use sickle_integration::{enrollment, running_example_query};
-use sickle_provenance::{demo_consistent, Demo, RefUniverse};
+use sickle_provenance::{demo_consistent, Demo};
 use sickle_table::Value;
 
 fn fig3_demo() -> Demo {
@@ -82,12 +82,9 @@ fn definition1_rejects_wrong_query() {
 
 #[test]
 fn figure6_qb_is_pruned_but_solution_path_is_not() {
-    let inputs = [enrollment()];
-    let universe = RefUniverse::from_tables(&inputs);
-    let demo_refs = {
-        let demo = fig3_demo();
-        demo_ref_sets(&demo, &universe)
-    };
+    // Def. 3 as the search runs it: the analyzer through the task's
+    // analysis cache.
+    let ctx = TaskContext::new(SynthTask::new(vec![enrollment()], fig3_demo()));
 
     // q_B = arithmetic(group(T, [City,Quarter,Population], □, □), □).
     let q_b = PQuery::Arith {
@@ -98,10 +95,8 @@ fn figure6_qb_is_pruned_but_solution_path_is_not() {
         }),
         func: None,
     };
-    let cache = EvalCache::new();
-    let abs = abstract_evaluate(&q_b, &inputs, &universe, &cache).unwrap();
     assert!(
-        !abstract_consistent(&demo_refs, &abs, cache.pool()),
+        !ProvenanceAnalyzer.is_feasible(&q_b, &ctx),
         "Fig. 6: q_B must be pruned"
     );
 
@@ -118,8 +113,7 @@ fn figure6_qb_is_pruned_but_solution_path_is_not() {
         }),
         func: None,
     };
-    let abs = abstract_evaluate(&on_path, &inputs, &universe, &cache).unwrap();
-    assert!(abstract_consistent(&demo_refs, &abs, cache.pool()));
+    assert!(ProvenanceAnalyzer.is_feasible(&on_path, &ctx));
 }
 
 #[test]
