@@ -1,17 +1,16 @@
 //! Micro-benchmarks of the concrete acceptance path: the staged,
-//! candidate-seeded pipeline the search runs
-//! ([`TaskContext::accept_exec`]: lazy, cross-candidate-memoized set
-//! conversion → Def. 3 prefilter over column candidates → seeded,
-//! pre-keyed Def. 1 matching) vs the blind path it replaced (eager
-//! whole-grid conversion → blind prefilter → blind `demo_consistent`
-//! restart).
+//! candidate-seeded pipeline the search runs ([`TaskContext::accept`]:
+//! cached evaluation of values and step record → exact ids derived
+//! without provenance terms → cached Def. 3 prefilter → star for
+//! survivors only → seeded, pre-keyed Def. 1 matching) vs the blind path
+//! (uncached evaluation with its star → whole-grid set conversion of the
+//! star → blind prefilter → blind `demo_consistent` restart).
 //!
 //! Candidates are *suite-derived*: for a handful of benchmarks the search
 //! frontier is replayed exactly as `run_search` visits it (skeletons,
-//! analyzer pruning, hole expansion), and every concrete candidate's
-//! materialized provenance result goes through both acceptance paths.
-//! Verdicts are cross-checked per candidate before timing counts for
-//! anything.
+//! analyzer pruning, hole expansion), and every concrete candidate goes
+//! through both acceptance paths, evaluation included. Verdicts are
+//! cross-checked per candidate before timing counts for anything.
 //!
 //! Plain `harness = false` timing (the offline environment has no
 //! `criterion`):
@@ -23,62 +22,49 @@
 //! The run writes `BENCH_accept.json` (per-benchmark rows + geo-mean) for
 //! CI artifacts.
 
-use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use sickle_benchmarks::{all_benchmarks, frontier_candidates};
-use sickle_core::{
-    CachePolicy, ExecTable, ProvTable, Query, SearchStats, Semantics, SynthConfig, SynthTask,
-    TaskContext,
-};
-use sickle_provenance::{demo_consistent, find_table_match, Demo, MatchDims, RefSet, RefUniverse};
+use sickle_core::{exec, CachePolicy, Query, SearchStats, Semantics, SynthTask, TaskContext};
+use sickle_provenance::{demo_consistent, find_table_match, MatchDims, RefSet};
 use sickle_table::Grid;
 
-/// Replays the search frontier of one benchmark (pruned exactly as the
-/// real search prunes it — [`frontier_candidates`]) and materializes up
-/// to `cap` concrete candidates at the provenance level.
-fn collect_instances(ctx: &TaskContext, config: &SynthConfig, cap: usize) -> Vec<Rc<ExecTable>> {
-    frontier_candidates(ctx, config, cap, 60_000)
-        .into_iter()
-        .filter_map(|q| {
-            ctx.eval_cache
-                .exec(&q, Semantics::Provenance, ctx.inputs())
-                .ok()
-        })
-        .collect()
+/// The blind acceptance path: uncached evaluation with its star,
+/// whole-grid conversion of the star into sets, blind prefilter, blind
+/// Def. 1 restart.
+fn accept_blind(ctx: &TaskContext, q: &Query) -> bool {
+    let Ok(result) = exec(Semantics::Provenance, q, ctx.inputs()) else {
+        return false;
+    };
+    let star = result.star();
+    let sets: Grid<RefSet> = star.map_columns(|col| ctx.universe.column_sets(col));
+    blind_match(ctx, &sets) && demo_consistent(ctx.demo(), &star).is_some()
 }
 
-/// The pre-change acceptance path: eager whole-grid conversion, blind
-/// prefilter, blind Def. 1 restart.
-fn accept_blind(
-    demo: &Demo,
-    demo_refs: &Grid<RefSet>,
-    universe: &RefUniverse,
-    star: &ProvTable,
-) -> bool {
-    let sets: Grid<RefSet> = star.map_columns(|col| universe.column_sets(col));
+/// Blind reference containment of the demonstration in `sets`.
+fn blind_match(ctx: &TaskContext, sets: &Grid<RefSet>) -> bool {
+    let demo_refs = &ctx.demo_refs;
     let dims = MatchDims {
         demo_rows: demo_refs.n_rows(),
         demo_cols: demo_refs.n_cols(),
         table_rows: sets.n_rows(),
         table_cols: sets.n_cols(),
     };
-    let feasible = find_table_match(dims, &mut |di, dj, ti, tj| {
+    find_table_match(dims, &mut |di, dj, ti, tj| {
         demo_refs[(di, dj)].is_subset_of(&sets[(ti, tj)])
     })
-    .is_some();
-    feasible && demo_consistent(demo, star).is_some()
+    .is_some()
 }
 
-/// The shipped acceptance stages 2–3 over every instance, through `ctx`'s
-/// capped cross-candidate memos; returns the accepted count.
-fn accept_staged(ctx: &TaskContext, instances: &[Rc<ExecTable>]) -> usize {
+/// The shipped acceptance path over every candidate, through `ctx`'s
+/// engine cache and verdict cache; returns the accepted count.
+fn accept_staged(ctx: &TaskContext, candidates: &[Query]) -> usize {
     let mut stats = SearchStats::default();
-    instances
+    candidates
         .iter()
-        .filter(|exec| {
-            ctx.accept_exec(exec, &mut stats)
-                .expect("candidates are materialized with a star channel")
+        .filter(|q| {
+            ctx.accept(q, &mut stats)
+                .expect("candidates evaluate with a step record")
         })
         .count()
 }
@@ -103,9 +89,9 @@ fn interleave(v: &[Query], ways: usize) -> Vec<Query> {
 
 /// One pass of the churn scenario: evaluate + accept every query of the
 /// stream through a fresh engine cache under `policy`, reading the
-/// engine's derived reference-set channel (what star-channel spilling
-/// frees and re-derives). Returns the wall-clock, the per-query verdicts
-/// and the cache's counter rows.
+/// engine's derived id channel and star (what demotion frees and the
+/// step record re-derives). Returns the wall-clock, the per-query
+/// verdicts and the cache's counter rows.
 fn churn_pass(
     task: &SynthTask,
     policy: CachePolicy,
@@ -119,19 +105,9 @@ fn churn_pass(
         .map(
             |q| match ctx.eval_cache.exec(q, Semantics::Provenance, ctx.inputs()) {
                 Ok(exec) => {
-                    let star = exec.star();
-                    let sets = exec.sets(&ctx.universe);
-                    let dims = MatchDims {
-                        demo_rows: ctx.demo_refs.n_rows(),
-                        demo_cols: ctx.demo_refs.n_cols(),
-                        table_rows: sets.n_rows(),
-                        table_cols: sets.n_cols(),
-                    };
-                    let feasible = find_table_match(dims, &mut |di, dj, ti, tj| {
-                        ctx.demo_refs[(di, dj)].is_subset_of(&sets[(ti, tj)])
-                    })
-                    .is_some();
-                    feasible && demo_consistent(&demo, star).is_some()
+                    let pool = ctx.pool();
+                    let sets = exec.set_ids(&ctx.universe, pool).map(|&id| pool.get(id));
+                    blind_match(&ctx, &sets) && demo_consistent(&demo, &exec.star()).is_some()
                 }
                 Err(_) => false,
             },
@@ -271,41 +247,36 @@ fn main() {
             continue;
         };
         let (task, _) = b.task(2022).expect("benchmark demos generate");
-        let demo = task.demo.clone();
-        let config = b.config();
         let ctx = TaskContext::new(task.clone());
-        let instances = collect_instances(&ctx, &config, cap);
-        total_instances += instances.len();
-        let universe = &ctx.universe;
-        let demo_refs = &ctx.demo_refs;
+        let candidates = frontier_candidates(&ctx, &b.config(), cap, 60_000);
+        total_instances += candidates.len();
 
-        // Cross-check: both paths must agree on every instance, with the
-        // staged side's memos warming across the stream as in the search.
+        // Cross-check: both paths must agree on every candidate, with the
+        // staged side's caches warming across the stream as in the search.
         {
             let staged_ctx = TaskContext::new(task.clone());
             let mut stats = SearchStats::default();
-            for (i, exec) in instances.iter().enumerate() {
-                let blind = accept_blind(&demo, demo_refs, universe, exec.star());
+            for (i, q) in candidates.iter().enumerate() {
                 let staged = staged_ctx
-                    .accept_exec(exec, &mut stats)
-                    .expect("candidates are materialized with a star channel");
-                assert_eq!(blind, staged, "verdict mismatch on {} #{i}", b.name);
+                    .accept(q, &mut stats)
+                    .expect("candidates evaluate with a step record");
+                assert_eq!(
+                    accept_blind(&ctx, q),
+                    staged,
+                    "verdict mismatch on {} #{i}",
+                    b.name
+                );
             }
         }
 
         let blind = time_best(iters, || {
-            instances
-                .iter()
-                .filter(|exec| accept_blind(&demo, demo_refs, universe, exec.star()))
-                .count()
+            candidates.iter().filter(|q| accept_blind(&ctx, q)).count()
         });
         // A fresh context per iteration: the measured quantity is one pass
         // of the candidate stream through the shipped machinery, including
-        // its cold start. (A star over the bulk-conversion threshold would
-        // keep its result-local sets across iterations; none of these
-        // tasks produces one.)
+        // its cold start.
         let staged = time_best(iters, || {
-            accept_staged(&TaskContext::new(task.clone()), &instances)
+            accept_staged(&TaskContext::new(task.clone()), &candidates)
         });
         report.row(&format!("accept/{:02}-{}", b.id, b.name), blind, staged);
     }
@@ -321,7 +292,7 @@ fn main() {
     // every policy sweeps constantly. The candidate stream is stride-
     // interleaved (shared children go cold between uses) and runs twice
     // (the second round re-probes what round one cached: a demoted entry
-    // pays set re-conversion, an evicted one pays full re-execution). The
+    // pays lazy re-derivation, an evicted one pays full re-execution). The
     // same stream runs (1) on an effectively unbounded cache ("blind"
     // reference verdicts) and (2) at the tiny cap with a low-water mark
     // above cap/2, where cold survivors get demoted. Any

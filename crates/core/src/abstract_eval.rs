@@ -17,9 +17,10 @@
 //!   group.
 //!
 //! Fully concrete (sub)queries are evaluated precisely through the shared
-//! columnar pipeline ([`crate::engine`]), whose lazily-derived ref-set
-//! channel ([`ExecTable::sets`]) *is* the exact abstraction — this is the
-//! third instantiation of the unified engine.
+//! columnar pipeline ([`crate::engine`]), whose lazily derived id channel
+//! ([`ExecTable::set_ids`]) *is* the exact abstraction — this is the
+//! third instantiation of the unified engine, and the same channel the
+//! acceptance prefilter reads.
 //!
 //! Abstract tables are grids of *interned set ids* over the search's
 //! [`RefSetPool`] ([`EvalCache::pool`]): hole-bearing operators broadcast
@@ -116,12 +117,13 @@ fn abstract_evaluate_uncached(
     let pool: &RefSetPool = cache.pool();
     // A fully concrete (sub)query is evaluated precisely by the engine —
     // the "pass the concrete output for further abstract reasoning" rule
-    // of §4. The engine's ref-set channel is the exact abstraction.
+    // of §4. The engine's id channel is the exact abstraction.
     if pq.is_concrete() {
         let q: Query = pq.to_concrete().expect("concrete by check");
         let exec = cache.exec(&q, Semantics::Provenance, inputs)?;
+        let sets = Grid::clone(&exec.set_ids(universe, pool));
         return Ok(AbsTable {
-            sets: exec.set_ids(universe, pool).clone(),
+            sets,
             concrete: Some(exec),
         });
     }

@@ -1,26 +1,37 @@
 //! The unified execution engine behind all three query semantics.
 //!
 //! One columnar operator pipeline implements every operator once, over
-//! [`Table`]s with `Arc`-shared columns, and produces an [`ExecTable`]
-//! whose channels are filled according to the requested [`Semantics`]:
+//! [`Table`]s with `Arc`-shared columns, and produces an [`ExecTable`].
+//! Its values are always computed eagerly. At [`Semantics::Provenance`]
+//! the result also keeps a small *step record*: its children plus what
+//! the operator decided (the row selection, the join pairs and their
+//! padding, the partition, the arithmetic template). Two more channels
+//! derive lazily from that record and the children's matching channels,
+//! one node at a time:
 //!
-//! * **values** — the concrete output `[[q]]` (always computed; it also
-//!   drives filtering, sorting and grouping for the star channel, so no
-//!   provenance term is ever evaluated to make those decisions);
-//! * **star** — the provenance-embedded output `[[q]]★` (Fig. 9), on
-//!   request;
-//! * **sets** — per-cell reference bitsets (`ref` of each star cell), the
-//!   substrate of the abstract analysis. Sets are *derived* from the star
-//!   channel on first access ([`ExecTable::sets`]) and memoized, so
-//!   pipelines that never reach the abstract analysis pay nothing for
-//!   them.
+//! * **values** — the concrete output `[[q]]`. It also drives filtering,
+//!   sorting, joining and grouping, so no provenance term is ever
+//!   evaluated to make those decisions;
+//! * **set ids** — every cell's exact reference set (`ref` of the
+//!   provenance cell), interned in a [`RefSetPool`]
+//!   ([`ExecTable::set_ids`]). A node unions its child's ids per group
+//!   (`group`, aggregate windows, `rank`), per window prefix (`cumsum`)
+//!   or over the template's parameters (`arithmetic`), and gathers them
+//!   for the row-moving operators; padding is the empty set. This is the
+//!   exact abstraction of the abstract analysis and the input of the
+//!   acceptance prefilter (Def. 3);
+//! * **star** — the provenance-embedded output `[[q]]★` (Fig. 9,
+//!   [`ExecTable::star`]), which only the Def. 1 match reads.
+//!
+//! Sets never go through the star, so a candidate the prefilter rejects
+//! never builds a provenance term.
 //!
 //! [`exec`] runs the pipeline over a whole query: at
 //! [`Semantics::Values`] it backs `evaluate`, at
 //! [`Semantics::Provenance`] it backs `prov_evaluate` and, through the
-//! sets channel, the concrete leaves of `abstract_evaluate`.
-//! [`EvalCache`] memoizes engine results keyed by `(query, semantics)` so
-//! skeleton refinement reuses inner-subquery evaluations across sibling
+//! id channel, the concrete leaves of `abstract_evaluate`. [`EvalCache`]
+//! memoizes engine results keyed by `(query, semantics)` so skeleton
+//! refinement reuses inner-subquery evaluations across sibling
 //! expansions.
 //!
 //! The pipeline also fuses `filter ∘ join`: the cross product is never
@@ -33,11 +44,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sickle_table::{
-    cross_selection, group_rows_by_keys, AggFunc, AnalyticFunc, CmpOp, Grid, Table, Value,
-    ValueInterner, ValueKey,
+    cross_selection, group_rows_by_keys, AggFunc, AnalyticFunc, ArithExpr, CmpOp, Grid, Table,
+    Value, ValueInterner, ValueKey,
 };
 
-use sickle_provenance::{CellRef, Expr, FxBuild, FxMap, RefSet, RefSetPool, RefUniverse, SetId};
+use sickle_provenance::{CellRef, Expr, FxBuild, FxMap, RefSetPool, RefUniverse, SetId};
 use std::hash::BuildHasher;
 
 use crate::ast::{Pred, Query};
@@ -51,33 +62,133 @@ use crate::stats::SearchStats;
 /// Which channels of an [`ExecTable`] a caller needs.
 ///
 /// Levels are strictly ordered: [`Semantics::Provenance`] computes
-/// everything [`Semantics::Values`] does. (The abstract analysis needs no
-/// third level: its per-cell reference sets are derived lazily from the
-/// star channel via [`ExecTable::sets`].)
+/// everything [`Semantics::Values`] does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Semantics {
     /// Concrete values only (`[[q]]`).
     Values,
-    /// Values plus provenance expressions (`[[q]]★`).
+    /// Values plus the step record from which the reference-set ids and
+    /// the provenance star (`[[q]]★`) derive on first use.
     Provenance,
 }
 
-impl Semantics {
-    fn wants_star(self) -> bool {
-        self >= Semantics::Provenance
+/// A channel derived on first use. Demotion empties it in place
+/// ([`ExecTable::drop_derived`]), and the next use derives it again.
+type Lazy<T> = RefCell<Option<Rc<T>>>;
+
+fn lazy<T>(cell: &Lazy<T>, derive: impl FnOnce() -> T) -> Rc<T> {
+    if let Some(v) = &*cell.borrow() {
+        return Rc::clone(v);
     }
+    let v = Rc::new(derive());
+    *cell.borrow_mut() = Some(Rc::clone(&v));
+    v
 }
 
-/// Output of the engine for one (sub)query: the concrete table plus the
-/// optional provenance side-channel and the lazily-derived abstract
-/// ref-set side-channel.
+/// Output of the engine for one (sub)query: the concrete table, plus at
+/// [`Semantics::Provenance`] the step record and the lazily derived id
+/// and star channels.
 #[derive(Debug, Clone)]
 pub struct ExecTable {
     values: Table,
-    star: Option<ProvTable>,
-    sets: OnceCell<Grid<RefSet>>,
-    set_ids: OnceCell<Grid<SetId>>,
+    /// How this result derives from its children; `None` at
+    /// [`Semantics::Values`].
+    step: Option<Step>,
+    set_ids: Lazy<Grid<SetId>>,
+    star: Lazy<ProvTable>,
 }
+
+/// What one operator decided, kept so the lazy channels can replay it
+/// over the children's channels.
+#[derive(Debug, Clone)]
+enum Step {
+    /// `Input(k)`: cell `(i, j)` is the reference `T_k[i, j]`.
+    Input(usize),
+    /// `filter` and `sort`: the rows `sel` of the child, in that order.
+    Rows(Rc<ExecTable>, Vec<usize>),
+    /// `join`, fused `filter ∘ join` and `left_join`: output row `i` is
+    /// left row `lsel[i]` next to right row `rsel[i]`, or next to null
+    /// padding (empty provenance) where `rsel[i]` is `None`.
+    Join {
+        left: Rc<ExecTable>,
+        right: Rc<ExecTable>,
+        lsel: Vec<usize>,
+        rsel: Vec<Option<usize>>,
+    },
+    /// `proj`: the child's columns `cols`.
+    Proj(Rc<ExecTable>, Vec<usize>),
+    /// `group`: one row per group of `parts`, its key columns and then
+    /// `agg` over the child's column `target`.
+    Group {
+        src: Rc<ExecTable>,
+        parts: Rc<GroupParts>,
+        agg: AggFunc,
+        target: usize,
+    },
+    /// `partition`: the child plus the window column of `func` over
+    /// column `target` within each of `groups`.
+    Partition {
+        src: Rc<ExecTable>,
+        groups: Groups,
+        func: AnalyticFunc,
+        target: usize,
+    },
+    /// `arithmetic`: the child plus `func` over the columns `cols`.
+    Arith {
+        src: Rc<ExecTable>,
+        func: ArithExpr,
+        cols: Vec<usize>,
+    },
+}
+
+/// The parts of a `group` output that depend on the child and the keys
+/// only, not on the aggregation: the row partition, each group's
+/// representative key values and, derived on first use, the key columns'
+/// ids and `group{…}` terms. Sibling aggregation choices share one
+/// through [`EvalCache::group_parts`].
+#[derive(Debug)]
+struct GroupParts {
+    groups: Groups,
+    keys: Vec<usize>,
+    values: Vec<Arc<Vec<Value>>>,
+    ids: OnceCell<Vec<SetColumn>>,
+    stars: OnceCell<Vec<Arc<Vec<Expr>>>>,
+}
+
+impl GroupParts {
+    fn new(src: &ExecTable, groups: Groups, keys: &[usize]) -> GroupParts {
+        let values = keys
+            .iter()
+            .map(|&k| {
+                let col = src.values.column(k);
+                Arc::new(groups.iter().map(|g| col[g[0]].clone()).collect())
+            })
+            .collect();
+        GroupParts {
+            groups,
+            keys: keys.to_vec(),
+            values,
+            ids: OnceCell::new(),
+            stars: OnceCell::new(),
+        }
+    }
+
+    /// Approximate heap bytes of the key values (the partition is shared
+    /// and charged where it is canonicalized, [`EvalCache::groups_of`]).
+    fn heap_bytes(&self) -> u64 {
+        (self.keys.len() * self.groups.len()) as u64 * VALUE_BYTES
+    }
+}
+
+/// Bytes of one value cell.
+const VALUE_BYTES: u64 = std::mem::size_of::<Value>() as u64;
+
+/// Bytes of one star cell (the term's own header; shared subterms are
+/// not counted).
+const EXPR_BYTES: u64 = std::mem::size_of::<Expr>() as u64;
+
+/// Bytes of one interned id.
+const SET_ID_BYTES: u64 = std::mem::size_of::<SetId>() as u64;
 
 impl ExecTable {
     /// The concrete output table `[[q]]`.
@@ -90,73 +201,288 @@ impl ExecTable {
         self.values
     }
 
-    /// The provenance-embedded output `[[q]]★`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the result was computed at [`Semantics::Values`]; use
-    /// [`ExecTable::try_star`] for a non-panicking probe.
-    pub fn star(&self) -> &ProvTable {
-        self.star
-            .as_ref()
-            .expect("provenance channel not requested")
-    }
-
-    /// The provenance channel, or `None` when the result was computed at
-    /// [`Semantics::Values`].
-    pub fn try_star(&self) -> Option<&ProvTable> {
-        self.star.as_ref()
-    }
-
-    /// Per-cell reference sets (`ref` of each star cell), computed from the
-    /// star channel on first access and memoized.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the result was computed at [`Semantics::Values`].
-    pub fn sets(&self, universe: &RefUniverse) -> &Grid<RefSet> {
-        self.sets
-            .get_or_init(|| self.star().map_columns(|col| universe.column_sets(col)))
-    }
-
-    /// Per-cell reference sets interned into `pool`, computed from
-    /// [`ExecTable::sets`] on first access and memoized. All accesses of
-    /// one result must use the same pool (the engine cache guarantees
-    /// this: one pool is threaded through a whole search).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the result was computed at [`Semantics::Values`].
-    pub fn set_ids(&self, universe: &RefUniverse, pool: &RefSetPool) -> &Grid<SetId> {
-        // Hash-consed, not raw-registered: the same concrete subquery can
-        // be re-evaluated after an engine-cache clear (and by concurrent
-        // requests on one session), and interning keeps the shared pool's
-        // growth bounded by the number of *distinct* sets.
-        self.set_ids
-            .get_or_init(|| self.sets(universe).map(|s| pool.intern(s.clone())))
-    }
-
     /// The semantics level this result was computed at.
     pub fn semantics(&self) -> Semantics {
-        if self.star.is_some() {
+        if self.step.is_some() {
             Semantics::Provenance
         } else {
             Semantics::Values
         }
     }
 
-    /// A values-only view of this result (columns shared, star dropped).
+    /// The provenance-embedded output `[[q]]★`, derived from the step
+    /// record and the children's stars on first use and memoized.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the result was computed at [`Semantics::Values`].
+    pub fn star(&self) -> Rc<ProvTable> {
+        let step = self
+            .step
+            .as_ref()
+            .expect("provenance channel not requested");
+        lazy(&self.star, || self.derive_star(step))
+    }
+
+    /// Whether the star channel is held: derived, and not freed by a
+    /// demotion since. Derives nothing.
+    pub fn has_star(&self) -> bool {
+        self.star.borrow().is_some()
+    }
+
+    /// Every cell's exact reference set (`ref` of the star cell),
+    /// interned into `pool`: derived from the step record and the
+    /// children's ids on first use and memoized, without building a
+    /// provenance term. All accesses of one result, and of the results
+    /// it derives from, must use the same pool and universe (the engine
+    /// cache guarantees this: one pool is threaded through a whole
+    /// search).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the result was computed at [`Semantics::Values`].
+    pub fn set_ids(&self, universe: &RefUniverse, pool: &RefSetPool) -> Rc<Grid<SetId>> {
+        let step = self
+            .step
+            .as_ref()
+            .expect("provenance channel not requested");
+        lazy(&self.set_ids, || self.derive_ids(step, universe, pool))
+    }
+
+    /// A values-only view of this result (columns shared, step dropped).
     /// Used by the cache when a [`Semantics::Values`] request is assembled
     /// from children that happen to be cached at the provenance level, so
-    /// the parent step does not build star terms nobody asked for.
+    /// the parent step records nothing nobody asked for.
     fn values_only(&self) -> ExecTable {
-        ExecTable {
-            values: self.values.clone(),
-            star: None,
-            sets: OnceCell::new(),
-            set_ids: OnceCell::new(),
+        table(self.values.clone(), None)
+    }
+
+    /// Frees the derived channels (ids and star), which the step record
+    /// re-derives on the next use; returns whether either was held.
+    fn drop_derived(&self) -> bool {
+        let ids = self.set_ids.borrow_mut().take().is_some();
+        let star = self.star.borrow_mut().take().is_some();
+        ids || star
+    }
+
+    /// Approximate bytes this result holds: its values and selection
+    /// vectors, plus each derived channel while it is held.
+    fn bytes(&self) -> u64 {
+        let cells = (self.values.n_rows() as u64).saturating_mul(self.values.n_cols() as u64);
+        let sel = match &self.step {
+            Some(Step::Rows(_, sel)) => std::mem::size_of_val(sel.as_slice()),
+            Some(Step::Join { lsel, rsel, .. }) => {
+                std::mem::size_of_val(lsel.as_slice()) + std::mem::size_of_val(rsel.as_slice())
+            }
+            _ => 0,
+        } as u64;
+        let ids = if self.set_ids.borrow().is_some() {
+            SET_ID_BYTES
+        } else {
+            0
+        };
+        let star = if self.has_star() { EXPR_BYTES } else { 0 };
+        cells.saturating_mul(VALUE_BYTES + ids + star) + sel
+    }
+
+    /// The grid over this result's shape whose cell `(i, j)` is
+    /// `cell(T_k[i, j])`: the channels of input `k`.
+    fn input_cells<C>(&self, k: usize, mut cell: impl FnMut(CellRef) -> C) -> Grid<C> {
+        let n_rows = self.values.n_rows();
+        Grid::from_columns(
+            (0..self.values.n_cols())
+                .map(|j| Arc::new((0..n_rows).map(|i| cell(CellRef::new(k, i, j))).collect()))
+                .collect(),
+        )
+    }
+
+    fn derive_ids(&self, step: &Step, u: &RefUniverse, pool: &RefSetPool) -> Grid<SetId> {
+        let n_rows = self.values.n_rows();
+        match step {
+            Step::Input(k) => self.input_cells(*k, |r| pool.intern(u.singleton(r))),
+            Step::Rows(src, sel) => src.set_ids(u, pool).select_rows(sel),
+            Step::Join {
+                left,
+                right,
+                lsel,
+                rsel,
+            } => left.set_ids(u, pool).select_rows(lsel).hcat(&gather_padded(
+                &right.set_ids(u, pool),
+                rsel,
+                &SetId::EMPTY,
+            )),
+            Step::Proj(src, cols) => src.set_ids(u, pool).select_columns(cols),
+            Step::Group {
+                src, parts, target, ..
+            } => {
+                let ids = src.set_ids(u, pool);
+                let per_group = |c: usize| -> SetColumn {
+                    let col = ids.column(c);
+                    Arc::new(
+                        parts
+                            .groups
+                            .iter()
+                            .map(|g| pool.union_rows(col, g))
+                            .collect(),
+                    )
+                };
+                let mut cols = parts
+                    .ids
+                    .get_or_init(|| parts.keys.iter().map(|&k| per_group(k)).collect())
+                    .clone();
+                cols.push(per_group(*target));
+                Grid::from_columns(cols)
+            }
+            Step::Partition {
+                src,
+                groups,
+                func,
+                target,
+            } => {
+                let ids = src.set_ids(u, pool);
+                let col = ids.column(*target);
+                let mut out = vec![SetId::EMPTY; n_rows];
+                for g in groups.iter() {
+                    if *func == AnalyticFunc::CumSum {
+                        for (&i, id) in g.iter().zip(pool.prefix_unions(col, g)) {
+                            out[i] = id;
+                        }
+                    } else {
+                        // Aggregate and rank terms both reference every
+                        // member of the row's group.
+                        let all = pool.union_rows(col, g);
+                        for &i in g {
+                            out[i] = all;
+                        }
+                    }
+                }
+                ids.with_column(out)
+            }
+            Step::Arith { src, func, cols } => {
+                let ids = src.set_ids(u, pool);
+                let mut used = vec![false; cols.len()];
+                mark_params(func, &mut used);
+                let args: Vec<&[SetId]> = cols
+                    .iter()
+                    .zip(&used)
+                    .filter(|(_, &used)| used)
+                    .map(|(&c, _)| ids.column(c))
+                    .collect();
+                let mut buf = Vec::with_capacity(args.len());
+                let out = (0..n_rows)
+                    .map(|r| {
+                        buf.clear();
+                        buf.extend(args.iter().map(|col| col[r]));
+                        pool.union_slice(&buf)
+                    })
+                    .collect();
+                ids.with_column(out)
+            }
         }
     }
+
+    fn derive_star(&self, step: &Step) -> ProvTable {
+        let n_rows = self.values.n_rows();
+        match step {
+            Step::Input(k) => self.input_cells(*k, Expr::Ref),
+            Step::Rows(src, sel) => src.star().select_rows(sel),
+            Step::Join {
+                left,
+                right,
+                lsel,
+                rsel,
+            } => left.star().select_rows(lsel).hcat(&gather_padded(
+                &right.star(),
+                rsel,
+                &Expr::Const(Value::Null),
+            )),
+            Step::Proj(src, cols) => src.star().select_columns(cols),
+            Step::Group {
+                src,
+                parts,
+                agg,
+                target,
+            } => {
+                let sg = src.star();
+                let mut cols = parts
+                    .stars
+                    .get_or_init(|| {
+                        parts
+                            .keys
+                            .iter()
+                            .map(|&k| Arc::new(group_key_column(sg.column(k), &parts.groups)))
+                            .collect()
+                    })
+                    .clone();
+                cols.push(Arc::new(aggregate_column(
+                    *agg,
+                    sg.column(*target),
+                    &parts.groups,
+                )));
+                Grid::from_columns(cols)
+            }
+            Step::Partition {
+                src,
+                groups,
+                func,
+                target,
+            } => {
+                let sg = src.star();
+                sg.with_column(window_column(*func, sg.column(*target), groups))
+            }
+            Step::Arith { src, func, cols } => {
+                let sg = src.star();
+                let arg_cols: Vec<&[Expr]> = cols.iter().map(|&c| sg.column(c)).collect();
+                let mut args = Vec::with_capacity(cols.len());
+                sg.with_column(
+                    (0..n_rows)
+                        .map(|r| {
+                            args.clear();
+                            args.extend(arg_cols.iter().map(|col| col[r].clone()));
+                            expand_arith(func, &args)
+                        })
+                        .collect(),
+                )
+            }
+        }
+    }
+}
+
+/// Marks the parameters `func` reads: an arithmetic cell references
+/// exactly the cells of those argument columns.
+fn mark_params(func: &ArithExpr, used: &mut [bool]) {
+    match func {
+        ArithExpr::Param(i) => {
+            if let Some(u) = used.get_mut(*i) {
+                *u = true;
+            }
+        }
+        ArithExpr::Lit(_) => {}
+        ArithExpr::Bin(_, l, r) => {
+            mark_params(l, used);
+            mark_params(r, used);
+        }
+    }
+}
+
+/// Gathers the rows `sel` of every column of `g`, with `pad` where a row
+/// is `None`.
+fn gather_padded<C: Clone>(g: &Grid<C>, sel: &[Option<usize>], pad: &C) -> Grid<C> {
+    Grid::from_columns(
+        (0..g.n_cols())
+            .map(|c| {
+                let col = g.column(c);
+                Arc::new(
+                    sel.iter()
+                        .map(|s| match s {
+                            Some(r) => col[*r].clone(),
+                            None => pad.clone(),
+                        })
+                        .collect(),
+                )
+            })
+            .collect(),
+    )
 }
 
 /// Evaluates a whole query tree through the shared pipeline at semantics
@@ -169,17 +495,16 @@ impl ExecTable {
 /// out-of-range columns.
 pub fn exec(sem: Semantics, q: &Query, inputs: &[Table]) -> Result<ExecTable, EvalError> {
     if let Some((left, right, pred)) = fused_filter_join(q) {
-        let l = exec(sem, left, inputs)?;
-        let r = exec(sem, right, inputs)?;
-        return exec_filtered_join(&l, &r, pred);
+        let l = Rc::new(exec(sem, left, inputs)?);
+        let r = Rc::new(exec(sem, right, inputs)?);
+        return exec_filtered_join_with(&l, &r, pred, JoinStrategy::Auto, &mut Vec::new());
     }
     let children = q
         .children()
         .into_iter()
-        .map(|c| exec(sem, c, inputs))
+        .map(|c| exec(sem, c, inputs).map(Rc::new))
         .collect::<Result<Vec<_>, _>>()?;
-    let child_refs: Vec<&ExecTable> = children.iter().collect();
-    exec_step(sem, q, &child_refs, inputs)
+    exec_step(sem, q, &children, inputs)
 }
 
 // ---------------------------------------------------------------------------
@@ -199,7 +524,8 @@ fn fused_filter_join(q: &Query) -> Option<(&Query, &Query, &Pred)> {
 
 /// Applies the rule of `q`'s *top* operator, given the already-evaluated
 /// results of its children (empty for `Input`): one step of the shared
-/// pipeline.
+/// pipeline. The result records its step (and so pins `children`) when
+/// `sem` is [`Semantics::Provenance`].
 ///
 /// # Errors
 ///
@@ -211,33 +537,49 @@ fn fused_filter_join(q: &Query) -> Option<(&Query, &Query, &Pred)> {
 pub fn exec_step(
     sem: Semantics,
     q: &Query,
-    children: &[&ExecTable],
+    children: &[Rc<ExecTable>],
     inputs: &[Table],
 ) -> Result<ExecTable, EvalError> {
     match q {
         Query::Input(k) => exec_input(sem, *k, inputs),
-        Query::Filter { pred, .. } => exec_filter(children[0], pred),
-        Query::Join { .. } => Ok(exec_join(children[0], children[1])),
-        Query::LeftJoin { pred, .. } => exec_left_join(sem, children[0], children[1], pred),
-        Query::Proj { cols, .. } => exec_proj(children[0], cols),
-        Query::Sort { cols, asc, .. } => exec_sort(children[0], cols, *asc),
+        Query::Filter { pred, .. } => exec_filter(&children[0], pred),
+        Query::Join { .. } => Ok(exec_join(&children[0], &children[1])),
+        Query::LeftJoin { pred, .. } => exec_left_join(&children[0], &children[1], pred),
+        Query::Proj { cols, .. } => exec_proj(&children[0], cols),
+        Query::Sort { cols, asc, .. } => exec_sort(&children[0], cols, *asc),
         Query::Group {
             keys, agg, target, ..
-        } => exec_group(sem, children[0], keys, *agg, *target),
+        } => {
+            let src = &children[0];
+            check_grouping(src, keys, *target, "group")?;
+            let groups = Rc::new(group_rows_by_keys(src.values.grid(), keys));
+            let parts = Rc::new(GroupParts::new(src, groups, keys));
+            Ok(group_over(sem, src, &parts, *agg, *target))
+        }
         Query::Partition {
             keys, func, target, ..
-        } => exec_partition(sem, children[0], keys, *func, *target),
-        Query::Arith { func, cols, .. } => exec_arith(children[0], func, cols),
+        } => {
+            let src = &children[0];
+            check_grouping(src, keys, *target, "partition")?;
+            let groups = Rc::new(group_rows_by_keys(src.values.grid(), keys));
+            Ok(partition_over(sem, src, groups, keys, *func, *target))
+        }
+        Query::Arith { func, cols, .. } => exec_arith(&children[0], func, cols),
     }
 }
 
-fn table(values: Table, star: Option<ProvTable>) -> ExecTable {
+fn table(values: Table, step: Option<Step>) -> ExecTable {
     ExecTable {
         values,
-        star,
-        sets: OnceCell::new(),
-        set_ids: OnceCell::new(),
+        step,
+        set_ids: RefCell::new(None),
+        star: RefCell::new(None),
     }
+}
+
+/// Whether `src` records its step, so a parent built over it can too.
+fn provenance(src: &ExecTable) -> bool {
+    src.step.is_some()
 }
 
 fn exec_input(sem: Semantics, k: usize, inputs: &[Table]) -> Result<ExecTable, EvalError> {
@@ -245,21 +587,9 @@ fn exec_input(sem: Semantics, k: usize, inputs: &[Table]) -> Result<ExecTable, E
         index: k,
         available: inputs.len(),
     })?;
-    let values = t.clone(); // columns are shared, not copied
-    let star = sem.wants_star().then(|| {
-        Grid::from_columns(
-            (0..t.n_cols())
-                .map(|j| {
-                    std::sync::Arc::new(
-                        (0..t.n_rows())
-                            .map(|i| Expr::Ref(CellRef::new(k, i, j)))
-                            .collect(),
-                    )
-                })
-                .collect(),
-        )
-    });
-    Ok(table(values, star))
+    // Columns are shared, not copied.
+    let step = (sem == Semantics::Provenance).then_some(Step::Input(k));
+    Ok(table(t.clone(), step))
 }
 
 /// Row accessor for predicate evaluation over (possibly virtually
@@ -298,32 +628,23 @@ fn pred_holds(pred: &Pred, row: &RowAccess<'_>) -> bool {
     pred.eval_with(&|c| row.get(c))
 }
 
-/// Applies one selection vector to every channel of an exec table.
-fn select_rows(src: &ExecTable, sel: &[usize], names: Vec<String>) -> ExecTable {
-    table(
-        Table::from_named_grid(names, src.values.grid().select_rows(sel)),
-        src.star.as_ref().map(|s| s.select_rows(sel)),
-    )
+/// The rows `sel` of `src`, in that order (`filter`, `sort`).
+fn select_rows(src: &Rc<ExecTable>, sel: Vec<usize>) -> ExecTable {
+    let values = Table::from_named_grid(
+        src.values.names().to_vec(),
+        src.values.grid().select_rows(&sel),
+    );
+    let step = provenance(src).then(|| Step::Rows(Rc::clone(src), sel));
+    table(values, step)
 }
 
-fn exec_filter(src: &ExecTable, pred: &Pred) -> Result<ExecTable, EvalError> {
-    let mut keep = Vec::new();
-    exec_filter_with(src, pred, &mut keep)
-}
-
-/// `filter`, writing the surviving row indices into a caller-pooled
-/// buffer (cleared here) so per-candidate allocation amortizes across the
-/// search.
-fn exec_filter_with(
-    src: &ExecTable,
-    pred: &Pred,
-    keep: &mut Vec<usize>,
-) -> Result<ExecTable, EvalError> {
+fn exec_filter(src: &Rc<ExecTable>, pred: &Pred) -> Result<ExecTable, EvalError> {
     check_pred(pred, src.values.n_cols(), "filter")?;
     let grid = src.values.grid();
-    keep.clear();
-    keep.extend((0..grid.n_rows()).filter(|&r| pred_holds(pred, &RowAccess::One(grid, r))));
-    Ok(select_rows(src, keep, src.values.names().to_vec()))
+    let keep = (0..grid.n_rows())
+        .filter(|&r| pred_holds(pred, &RowAccess::One(grid, r)))
+        .collect();
+    Ok(select_rows(src, keep))
 }
 
 fn joined_names(l: &ExecTable, r: &ExecTable) -> Vec<String> {
@@ -332,27 +653,35 @@ fn joined_names(l: &ExecTable, r: &ExecTable) -> Vec<String> {
     names
 }
 
-/// Gathers the two sides of a join through a selection-vector pair and
-/// concatenates the channels column-wise.
-fn gather_join(l: &ExecTable, r: &ExecTable, lsel: &[usize], rsel: &[usize]) -> ExecTable {
-    table(
-        Table::from_named_grid(
-            joined_names(l, r),
-            l.values
-                .grid()
-                .select_rows(lsel)
-                .hcat(&r.values.grid().select_rows(rsel)),
-        ),
-        match (&l.star, &r.star) {
-            (Some(ls), Some(rs)) => Some(ls.select_rows(lsel).hcat(&rs.select_rows(rsel))),
-            _ => None,
-        },
-    )
+/// Gathers the two sides of a join through a selection-vector pair
+/// (`None` on the right is null padding) and concatenates them
+/// column-wise.
+fn gather_join(
+    l: &Rc<ExecTable>,
+    r: &Rc<ExecTable>,
+    lsel: Vec<usize>,
+    rsel: Vec<Option<usize>>,
+) -> ExecTable {
+    let values = Table::from_named_grid(
+        joined_names(l, r),
+        l.values.grid().select_rows(&lsel).hcat(&gather_padded(
+            r.values.grid(),
+            &rsel,
+            &Value::Null,
+        )),
+    );
+    let step = (provenance(l) && provenance(r)).then(|| Step::Join {
+        left: Rc::clone(l),
+        right: Rc::clone(r),
+        lsel,
+        rsel,
+    });
+    table(values, step)
 }
 
-fn exec_join(l: &ExecTable, r: &ExecTable) -> ExecTable {
+fn exec_join(l: &Rc<ExecTable>, r: &Rc<ExecTable>) -> ExecTable {
     let (lsel, rsel) = cross_selection(l.values.n_rows(), r.values.n_rows());
-    gather_join(l, r, &lsel, &rsel)
+    gather_join(l, r, lsel, rsel.into_iter().map(Some).collect())
 }
 
 /// Join execution strategy of the fused `filter ∘ join` path — the A/B
@@ -367,18 +696,6 @@ pub enum JoinStrategy {
     /// Force the legacy O(|L|·|R|) nested loop (the pre-hash-join engine,
     /// kept as the A/B baseline).
     CrossLoop,
-}
-
-/// Reusable scratch of the filter/join execution paths: selection
-/// vectors and key buffers, pooled in [`EvalCache`] so per-candidate
-/// allocation amortizes across the search instead of scaling with row
-/// count (buffers are cleared between uses, never shrunk).
-#[derive(Debug, Default)]
-struct ExecScratch {
-    lsel: Vec<usize>,
-    rsel: Vec<usize>,
-    keep: Vec<usize>,
-    probe: Vec<ValueKey>,
 }
 
 /// Splits a join predicate into hash-joinable equi keys and residual
@@ -420,20 +737,17 @@ fn split_equi_pred(pred: &Pred, left_cols: usize) -> (Vec<(usize, usize)>, Vec<&
 /// only. Match lists hold right rows in ascending order and the probe walks
 /// left rows in order, so the emitted (lrow, rrow) pairs are exactly the
 /// legacy nested loop's lrow-major sequence — the gathered output is
-/// byte-identical (values and star) to the cross-product path.
+/// byte-identical (values and derived channels) to the cross-product path.
+/// `probe` is a reusable key buffer of the multi-key path.
 fn exec_hash_join(
-    l: &ExecTable,
-    r: &ExecTable,
+    l: &Rc<ExecTable>,
+    r: &Rc<ExecTable>,
     keys: &[(usize, usize)],
     residual: &[&Pred],
-    scratch: &mut ExecScratch,
+    probe: &mut Vec<ValueKey>,
 ) -> ExecTable {
     let (lg, rg) = (l.values.grid(), r.values.grid());
-    let ExecScratch {
-        lsel, rsel, probe, ..
-    } = scratch;
-    lsel.clear();
-    rsel.clear();
+    let (mut lsel, mut rsel) = (Vec::new(), Vec::new());
     let mut interner = ValueInterner::new();
     let residual_holds = |lrow: usize, rrow: usize| {
         residual.is_empty() || {
@@ -446,6 +760,14 @@ fn exec_hash_join(
             residual.iter().all(|p| pred_holds(p, &row))
         }
     };
+    let mut emit = |lrow: usize, rows: &[usize]| {
+        for &rrow in rows {
+            if residual_holds(lrow, rrow) {
+                lsel.push(lrow);
+                rsel.push(Some(rrow));
+            }
+        }
+    };
     if let [(lc, rc)] = keys {
         // Single-key fast path: the interned key itself is the hash key.
         let mut build: FxMap<ValueKey, Vec<usize>> = FxMap::default();
@@ -454,12 +776,7 @@ fn exec_hash_join(
         }
         for (lrow, v) in lg.column(*lc).iter().enumerate() {
             if let Some(rows) = build.get(&interner.key(v)) {
-                for &rrow in rows {
-                    if residual_holds(lrow, rrow) {
-                        lsel.push(lrow);
-                        rsel.push(rrow);
-                    }
-                }
+                emit(lrow, rows);
             }
         }
     } else {
@@ -480,12 +797,7 @@ fn exec_hash_join(
             probe.clear();
             probe.extend(lcols.iter().map(|col| interner.key(&col[lrow])));
             if let Some(rows) = build.get(probe.as_slice()) {
-                for &rrow in rows {
-                    if residual_holds(lrow, rrow) {
-                        lsel.push(lrow);
-                        rsel.push(rrow);
-                    }
-                }
+                emit(lrow, rows);
             }
         }
     }
@@ -496,16 +808,9 @@ fn exec_hash_join(
 /// tested against the full predicate. O(|L|·|R|) — kept as the fallback for
 /// genuinely non-equi predicates and as the A/B baseline of the scale
 /// bench.
-fn exec_cross_loop(
-    l: &ExecTable,
-    r: &ExecTable,
-    pred: &Pred,
-    scratch: &mut ExecScratch,
-) -> ExecTable {
+fn exec_cross_loop(l: &Rc<ExecTable>, r: &Rc<ExecTable>, pred: &Pred) -> ExecTable {
     let (lg, rg) = (l.values.grid(), r.values.grid());
-    let ExecScratch { lsel, rsel, .. } = scratch;
-    lsel.clear();
-    rsel.clear();
+    let (mut lsel, mut rsel) = (Vec::new(), Vec::new());
     for lrow in 0..lg.n_rows() {
         for rrow in 0..rg.n_rows() {
             let row = RowAccess::Concat {
@@ -516,7 +821,7 @@ fn exec_cross_loop(
             };
             if pred_holds(pred, &row) {
                 lsel.push(lrow);
-                rsel.push(rrow);
+                rsel.push(Some(rrow));
             }
         }
     }
@@ -528,28 +833,22 @@ fn exec_cross_loop(
 /// cross-side equality conjunct (and the strategy allows it); otherwise
 /// the nested pair loop.
 fn exec_filtered_join_with(
-    l: &ExecTable,
-    r: &ExecTable,
+    l: &Rc<ExecTable>,
+    r: &Rc<ExecTable>,
     pred: &Pred,
     strategy: JoinStrategy,
-    scratch: &mut ExecScratch,
+    probe: &mut Vec<ValueKey>,
 ) -> Result<ExecTable, EvalError> {
     check_pred(pred, l.values.n_cols() + r.values.n_cols(), "filter")?;
     if strategy == JoinStrategy::CrossLoop {
-        return Ok(exec_cross_loop(l, r, pred, scratch));
+        return Ok(exec_cross_loop(l, r, pred));
     }
     let (keys, residual) = split_equi_pred(pred, l.values.n_cols());
     if keys.is_empty() {
-        Ok(exec_cross_loop(l, r, pred, scratch))
+        Ok(exec_cross_loop(l, r, pred))
     } else {
-        Ok(exec_hash_join(l, r, &keys, &residual, scratch))
+        Ok(exec_hash_join(l, r, &keys, &residual, probe))
     }
-}
-
-/// `filter(join(l, r), p)` under the default [`JoinStrategy::Auto`].
-fn exec_filtered_join(l: &ExecTable, r: &ExecTable, pred: &Pred) -> Result<ExecTable, EvalError> {
-    let mut scratch = ExecScratch::default();
-    exec_filtered_join_with(l, r, pred, JoinStrategy::Auto, &mut scratch)
 }
 
 /// Executes `filter(join(l, r), p)` under an explicit [`JoinStrategy`] —
@@ -567,18 +866,16 @@ pub fn exec_filtered_join_strategy(
     pred: &Pred,
     strategy: JoinStrategy,
 ) -> Result<ExecTable, EvalError> {
-    let mut scratch = ExecScratch::default();
-    exec_filtered_join_with(l, r, pred, strategy, &mut scratch)
+    let (l, r) = (Rc::new(l.clone()), Rc::new(r.clone()));
+    exec_filtered_join_with(&l, &r, pred, strategy, &mut Vec::new())
 }
 
 fn exec_left_join(
-    sem: Semantics,
-    l: &ExecTable,
-    r: &ExecTable,
+    l: &Rc<ExecTable>,
+    r: &Rc<ExecTable>,
     pred: &Pred,
 ) -> Result<ExecTable, EvalError> {
-    let (ln, rn) = (l.values.n_cols(), r.values.n_cols());
-    check_pred(pred, ln + rn, "left_join")?;
+    check_pred(pred, l.values.n_cols() + r.values.n_cols(), "left_join")?;
     let (lg, rg) = (l.values.grid(), r.values.grid());
     // Selection pair with `None` marking null padding on the right.
     let mut lsel: Vec<usize> = Vec::new();
@@ -603,47 +900,18 @@ fn exec_left_join(
             rsel.push(None);
         }
     }
-
-    fn gather_padded<C: Clone>(g: &Grid<C>, sel: &[Option<usize>], pad: &C) -> Grid<C> {
-        Grid::from_columns(
-            (0..g.n_cols())
-                .map(|c| {
-                    let col = g.column(c);
-                    std::sync::Arc::new(
-                        sel.iter()
-                            .map(|s| match s {
-                                Some(r) => col[*r].clone(),
-                                None => pad.clone(),
-                            })
-                            .collect(),
-                    )
-                })
-                .collect(),
-        )
-    }
-
-    let values = Table::from_named_grid(
-        joined_names(l, r),
-        lg.select_rows(&lsel)
-            .hcat(&gather_padded(rg, &rsel, &Value::Null)),
-    );
-    let star = sem.wants_star().then(|| {
-        l.star()
-            .select_rows(&lsel)
-            .hcat(&gather_padded(r.star(), &rsel, &Expr::Const(Value::Null)))
-    });
-    Ok(table(values, star))
+    Ok(gather_join(l, r, lsel, rsel))
 }
 
-fn exec_proj(src: &ExecTable, cols: &[usize]) -> Result<ExecTable, EvalError> {
+fn exec_proj(src: &Rc<ExecTable>, cols: &[usize]) -> Result<ExecTable, EvalError> {
     check_cols(cols, src.values.n_cols(), "proj")?;
     Ok(table(
         src.values.project(cols),
-        src.star.as_ref().map(|s| s.select_columns(cols)),
+        provenance(src).then(|| Step::Proj(Rc::clone(src), cols.to_vec())),
     ))
 }
 
-fn exec_sort(src: &ExecTable, cols: &[usize], asc: bool) -> Result<ExecTable, EvalError> {
+fn exec_sort(src: &Rc<ExecTable>, cols: &[usize], asc: bool) -> Result<ExecTable, EvalError> {
     check_cols(cols, src.values.n_cols(), "sort")?;
     let key_cols: Vec<&[Value]> = cols.iter().map(|&c| src.values.column(c)).collect();
     let mut order: Vec<usize> = (0..src.values.n_rows()).collect();
@@ -661,116 +929,61 @@ fn exec_sort(src: &ExecTable, cols: &[usize], asc: bool) -> Result<ExecTable, Ev
             cmp.reverse()
         }
     });
-    Ok(select_rows(src, &order, src.values.names().to_vec()))
+    Ok(select_rows(src, order))
 }
 
-fn exec_group(
-    sem: Semantics,
+/// Checks the key and target columns of a `group` or `partition`.
+fn check_grouping(
     src: &ExecTable,
     keys: &[usize],
-    agg: AggFunc,
     target: usize,
-) -> Result<ExecTable, EvalError> {
-    check_cols(keys, src.values.n_cols(), "group")?;
-    check_cols(&[target], src.values.n_cols(), "group")?;
-    let groups = group_rows_by_keys(src.values.grid(), keys);
-    let key_cols = key_columns(sem, src, &groups, keys);
-    Ok(group_over(sem, src, &groups, keys, &key_cols, agg, target))
+    operator: &'static str,
+) -> Result<(), EvalError> {
+    check_cols(keys, src.values.n_cols(), operator)?;
+    check_cols(&[target], src.values.n_cols(), operator)
 }
 
-/// The key columns of a `group` over the row partition `groups` of `src`
-/// by `keys`: each group's representative key values and, when `sem`
-/// wants the star channel, its `group{…}` key terms. They depend on the
-/// partition and keys only, not on the aggregation.
-fn key_columns(
-    sem: Semantics,
-    src: &ExecTable,
-    groups: &[Vec<usize>],
-    keys: &[usize],
-) -> KeyColumns {
-    let values = keys
-        .iter()
-        .map(|&k| {
-            let col = src.values.column(k);
-            Arc::new(groups.iter().map(|g| col[g[0]].clone()).collect())
-        })
-        .collect();
-    let stars = if sem.wants_star() {
-        let sg = src.star();
-        keys.iter()
-            .map(|&k| Arc::new(group_key_column(sg.column(k), groups)))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    (values, stars)
-}
-
-/// The `group` step over an already-computed row partition `groups` of
-/// `src` by `keys` (whose columns the caller has checked) and its
-/// [`key_columns`]: the key columns are shared into the output as-is and
+/// The `group` step over its [`GroupParts`] (whose columns the caller
+/// has checked): the key columns are shared into the output as-is and
 /// only the aggregate column is built here.
 fn group_over(
     sem: Semantics,
-    src: &ExecTable,
-    groups: &[Vec<usize>],
-    keys: &[usize],
-    (key_values, key_stars): &KeyColumns,
+    src: &Rc<ExecTable>,
+    parts: &Rc<GroupParts>,
     agg: AggFunc,
     target: usize,
 ) -> ExecTable {
-    let mut names: Vec<String> = keys
-        .iter()
-        .map(|&k| src.values.names()[k].clone())
-        .collect();
-    names.push(format!("{agg}({})", src.values.names()[target]));
-
-    // Values channel: representative key cells + the aggregate.
+    let names = src.values.names();
+    let mut out_names: Vec<String> = parts.keys.iter().map(|&k| names[k].clone()).collect();
+    out_names.push(format!("{agg}({})", names[target]));
     let target_col = src.values.column(target);
-    let mut value_cols = Vec::with_capacity(keys.len() + 1);
-    value_cols.extend(key_values.iter().cloned());
-    value_cols.push(Arc::new(
-        groups
+    let mut cols = parts.values.clone();
+    cols.push(Arc::new(
+        parts
+            .groups
             .iter()
             .map(|g| agg.apply_indexed(target_col, g))
             .collect(),
     ));
-    let values = Table::from_named_grid(names, Grid::from_columns(value_cols));
-
-    // Star channel: group{…} key terms and α(members…) aggregates.
-    let star = sem.wants_star().then(|| {
-        let mut cols = Vec::with_capacity(keys.len() + 1);
-        cols.extend(key_stars.iter().cloned());
-        cols.push(Arc::new(aggregate_column(
-            agg,
-            src.star().column(target),
-            groups,
-        )));
-        Grid::from_columns(cols)
+    let step = (sem == Semantics::Provenance && provenance(src)).then(|| Step::Group {
+        src: Rc::clone(src),
+        parts: Rc::clone(parts),
+        agg,
+        target,
     });
-
-    table(values, star)
-}
-
-fn exec_partition(
-    sem: Semantics,
-    src: &ExecTable,
-    keys: &[usize],
-    func: AnalyticFunc,
-    target: usize,
-) -> Result<ExecTable, EvalError> {
-    check_cols(keys, src.values.n_cols(), "partition")?;
-    check_cols(&[target], src.values.n_cols(), "partition")?;
-    let groups = group_rows_by_keys(src.values.grid(), keys);
-    Ok(partition_over(sem, src, &groups, keys, func, target))
+    table(
+        Table::from_named_grid(out_names, Grid::from_columns(cols)),
+        step,
+    )
 }
 
 /// The `partition` step over an already-computed row partition `groups`
-/// of `src` by `keys` (whose columns the caller has checked).
+/// of `src` (whose columns the caller has checked): existing columns
+/// shared, one window column appended.
 fn partition_over(
     sem: Semantics,
-    src: &ExecTable,
-    groups: &[Vec<usize>],
+    src: &Rc<ExecTable>,
+    groups: Groups,
     keys: &[usize],
     func: AnalyticFunc,
     target: usize,
@@ -780,62 +993,48 @@ fn partition_over(
         "{func}({}) over {keys:?}",
         src.values.names()[target]
     ));
-
-    // Values channel: existing columns shared, one window column appended.
     let target_col = src.values.column(target);
     let mut new_col: Vec<Value> = vec![Value::Null; src.values.n_rows()];
-    for g in groups {
+    for g in groups.iter() {
         for (&i, v) in g.iter().zip(func.apply_indexed(target_col, g)) {
             new_col[i] = v;
         }
     }
     let values = Table::from_named_grid(names, src.values.grid().with_column(new_col));
-
-    // Star channel: per-row window terms over the partition's members.
-    let star = sem.wants_star().then(|| {
-        let sg = src.star();
-        sg.with_column(window_column(func, sg.column(target), groups))
+    let step = (sem == Semantics::Provenance && provenance(src)).then(|| Step::Partition {
+        src: Rc::clone(src),
+        groups,
+        func,
+        target,
     });
-
-    table(values, star)
+    table(values, step)
 }
 
 fn exec_arith(
-    src: &ExecTable,
-    func: &sickle_table::ArithExpr,
+    src: &Rc<ExecTable>,
+    func: &ArithExpr,
     cols: &[usize],
 ) -> Result<ExecTable, EvalError> {
-    let n_cols = src.values.n_cols();
-    check_cols(cols, n_cols, "arithmetic")?;
-    let n_rows = src.values.n_rows();
-
+    check_cols(cols, src.values.n_cols(), "arithmetic")?;
     let mut names = src.values.names().to_vec();
     names.push(format!("{func}{cols:?}"));
-
     let arg_cols: Vec<&[Value]> = cols.iter().map(|&c| src.values.column(c)).collect();
-    let mut new_col = Vec::with_capacity(n_rows);
     let mut args = vec![Value::Null; cols.len()];
-    for r in 0..n_rows {
-        for (a, col) in args.iter_mut().zip(&arg_cols) {
-            *a = col[r].clone();
-        }
-        new_col.push(func.eval(&args));
-    }
+    let new_col = (0..src.values.n_rows())
+        .map(|r| {
+            for (a, col) in args.iter_mut().zip(&arg_cols) {
+                *a = col[r].clone();
+            }
+            func.eval(&args)
+        })
+        .collect();
     let values = Table::from_named_grid(names, src.values.grid().with_column(new_col));
-
-    let star = src.star.as_ref().map(|sg| {
-        let arg_cols: Vec<&[Expr]> = cols.iter().map(|&c| sg.column(c)).collect();
-        sg.with_column(
-            (0..n_rows)
-                .map(|r| {
-                    let args: Vec<Expr> = arg_cols.iter().map(|col| col[r].clone()).collect();
-                    expand_arith(func, &args)
-                })
-                .collect(),
-        )
+    let step = provenance(src).then(|| Step::Arith {
+        src: Rc::clone(src),
+        func: func.clone(),
+        cols: cols.to_vec(),
     });
-
-    Ok(table(values, star))
+    Ok(table(values, step))
 }
 
 pub(crate) fn check_cols(
@@ -895,27 +1094,16 @@ pub struct EvalCache {
     /// repeat to one map probe, with no locking (the engine cache is
     /// thread-local).
     col_unions: Memo<usize, SetId, MEMO_CAP, SetColumn>,
-    /// Star-column reference-set memo keyed by column identity. Sibling
-    /// concrete candidates over one subquery share its star columns by
-    /// `Arc` (structure-preserving operators append a column and pass
-    /// the rest through; grouped candidates share key columns via
-    /// [`EvalCache::group_parts`]), so the acceptance prefilter's cell
-    /// conversions repeat across hundreds of candidates — this memo
-    /// converts a column once (bulk, on first probe) and every later
-    /// candidate's probes reduce to one map probe per column. Columns
-    /// the matcher never probes are never converted.
-    star_cols: Memo<usize, Arc<Vec<RefSet>>, COLUMN_MEMO_CAP, Arc<Vec<Expr>>>,
-    /// Grouping-skeleton memo keyed by `[child result identity, star
-    /// wanted, key columns…]` (one slice, so a probe borrows the reusable
-    /// [`EvalCache::parts_probe`] buffer): the row partition and
-    /// [`key_columns`] of a `group` operator depend on the child and keys
-    /// only — every sibling aggregation choice shares them, and
-    /// `Arc`-sharing the columns also lets [`EvalCache::star_cols`] hits
-    /// carry across those siblings. Holding the partition here lets
-    /// sibling `group` candidates skip [`EvalCache::groups_of`]:
+    /// Grouping-skeleton memo keyed by `[child result identity, key
+    /// columns…]` (one slice, so a probe borrows the reusable
+    /// [`EvalCache::parts_probe`] buffer): the [`GroupParts`] of a
+    /// `group` operator depend on the child and keys only, so every
+    /// sibling aggregation choice shares one, and with it the key
+    /// columns' values, ids and star terms. Holding the partition here
+    /// lets sibling `group` candidates skip [`EvalCache::groups_of`]:
     /// recomputing it per candidate made the benchmark's `suite`
     /// workload 5–8% slower (`pass_norm_s`, 2-vCPU x86-64 VM).
-    group_parts: Memo<Box<[usize]>, (Groups, KeyColumns), COLUMN_MEMO_CAP, Rc<ExecTable>>,
+    group_parts: Memo<Box<[usize]>, Rc<GroupParts>, COLUMN_MEMO_CAP, Rc<ExecTable>>,
     /// Probe buffer of [`EvalCache::group_parts`], reused so a hit does
     /// not allocate.
     parts_probe: RefCell<Vec<usize>>,
@@ -928,11 +1116,9 @@ pub struct EvalCache {
     /// Per-group column unions keyed by (column identity, groups
     /// identity), the inner loop of the strong rules. Pins both.
     group_unions: Memo<(usize, usize), SetColumn, MEMO_CAP, (SetColumn, Groups)>,
-    /// Pooled scratch of the filter/join paths: selection vectors
-    /// and key buffers reused across every candidate evaluated through
-    /// this cache, so per-candidate allocation stops scaling with row
-    /// count.
-    scratch: RefCell<ExecScratch>,
+    /// Key buffer of the multi-key hash join, reused across every
+    /// candidate evaluated through this cache.
+    probe: RefCell<Vec<ValueKey>>,
     /// Eviction policy of the concrete store (cap, hysteresis target).
     policy: CachePolicy,
     /// The search-counter rows this cache feeds (`cache_evictions`,
@@ -940,9 +1126,9 @@ pub struct EvalCache {
     /// `time_join_s`, `join_rows`), added to as they happen and drained
     /// by [`EvalCache::take_counters`].
     counters: RefCell<SearchStats>,
-    /// Approximate bytes resident in the concrete store: each insert
-    /// charges its slot's bytes, evictions and demotions release them
-    /// (see [`ExecSlot::bytes`]).
+    /// Approximate bytes resident in the concrete store: the sum of the
+    /// slots' [`ExecSlot::bytes`], kept as inserts, sweeps and
+    /// [`EvalCache::remeasure`] move them.
     resident: Cell<u64>,
     /// Hashes of fully evicted queries, consumed on re-insert to count
     /// churn-induced re-evaluations. Cleared when full, which
@@ -960,10 +1146,6 @@ type Groups = Rc<Vec<Vec<usize>>>;
 /// A shared column of interned reference-set ids.
 type SetColumn = Arc<Vec<SetId>>;
 
-/// The [`key_columns`] of a `group` output: representative key values,
-/// plus `group{…}` key terms when the star channel is wanted.
-type KeyColumns = (Vec<Arc<Vec<Value>>>, Vec<Arc<Vec<Expr>>>);
-
 /// One exec-cache slot: per-semantics-level results plus the
 /// second-chance bit and the probe count consumed by the sweep.
 #[derive(Debug, Default)]
@@ -978,15 +1160,25 @@ struct ExecSlot {
     /// channels nobody consumed — the sweep frees them regardless of the
     /// hot bit.
     probes: Cell<u32>,
-    /// Approximate bytes charged against this slot (value + star
-    /// channels, per cell, plus a fixed per-entry overhead). Released in
-    /// full on eviction and partially on demotion, so
-    /// [`EvalCache::resident`] never releases more than was charged.
+    /// Bytes charged against this slot when it was last measured
+    /// ([`ExecSlot::measure`]): a fixed per-entry overhead plus what its
+    /// results hold — values and selection vectors, 4-byte ids and star
+    /// cells once derived. Derived channels built after a measurement
+    /// are charged at the next sweep or [`EvalCache::remeasure`].
     bytes: Cell<u64>,
 }
 
-/// Bound on the concrete exec-table cache (entries hold full provenance
-/// tables at the provenance level).
+impl ExecSlot {
+    /// The bytes the slot holds now.
+    fn measure(&self) -> u64 {
+        self.value
+            .iter()
+            .flatten()
+            .fold(ENTRY_MEM_BYTES, |sum, t| sum.saturating_add(t.bytes()))
+    }
+}
+
+/// Bound on the concrete exec-table cache.
 const EXEC_CACHE_CAP: usize = 4_000;
 
 /// Bound on the partial-query abstract-table cache. The search visits the
@@ -994,19 +1186,9 @@ const EXEC_CACHE_CAP: usize = 4_000;
 /// keeps the hit rate high while capping memory.
 const ABS_CACHE_CAP: usize = 8_000;
 
-/// Approximate resident bytes per cached cell: one `Value` plus one star
-/// `Expr` (both small enum headers; string/aggregate payloads are
-/// amortized into the weight rather than measured).
-const CELL_MEM_BYTES: u64 = 56;
-
 /// Approximate fixed bytes per cache entry (query key, slot, hash
 /// bucket, table headers).
 const ENTRY_MEM_BYTES: u64 = 256;
-
-/// Fraction (denominator) of a slot's bytes attributed to the derived
-/// ref-set channels a demotion frees: demotion releases `bytes / 2`,
-/// keeping the value + star half charged.
-const DEMOTE_RELEASE_DIV: u64 = 2;
 
 /// Bound on the evicted-query fingerprint set behind the re-evaluation
 /// counter.
@@ -1020,11 +1202,11 @@ const EVICTED_TRACK_CAP: usize = 65_536;
 /// `cap - low_water` inserts). The victims depend only on the insert and
 /// probe sequence, so every counter the cache feeds is exact. Survivors
 /// that are cold or were never re-probed are *demoted*: their derived
-/// reference-set channels (and the cross-candidate star-column
-/// conversions) are freed while the value and star columns stay, so a
-/// later re-probe pays only set re-conversion, never a full join
-/// re-execution. Raising `low_water` above `cap / 2` keeps more entries
-/// per sweep, trading peak RSS for fewer re-evaluations.
+/// channels (ids and star) are freed while the values and the step
+/// record stay, so a later re-probe pays only the lazy re-derivation,
+/// never a full join re-execution. Raising `low_water` above `cap / 2`
+/// keeps more entries per sweep, trading peak RSS for fewer
+/// re-evaluations.
 ///
 /// Marked `#[non_exhaustive]`: construct via [`CachePolicy::default`]
 /// plus the `with_*` builders.
@@ -1103,10 +1285,9 @@ fn second_chance_sweep<K, V>(map: &mut FxMap<K, Warm<V>>, cap: usize) {
 /// canonicalization, per-group unions).
 const MEMO_CAP: usize = 16_384;
 
-/// Bound on the memos that pin whole columns or grouping skeletons
-/// (star-column sets, group parts). Much lower than [`MEMO_CAP`]: each
-/// entry holds a column's worth of data, and pinning it keeps the data
-/// alive past engine-cache eviction.
+/// Bound on the grouping-skeleton memo. Much lower than [`MEMO_CAP`]:
+/// each entry pins a child result and a column's worth of key values,
+/// keeping them alive past engine-cache eviction.
 const COLUMN_MEMO_CAP: usize = 4_096;
 
 impl EvalCache {
@@ -1152,21 +1333,42 @@ impl EvalCache {
         self.counters.take()
     }
 
-    /// Approximate bytes resident in the concrete store (see
-    /// [`EvalCache::resident`]).
+    /// Approximate bytes this cache holds: the concrete store as last
+    /// measured (see [`EvalCache::resident`]) plus its side memos.
     pub(crate) fn resident_bytes(&self) -> u64 {
         self.resident.get()
+            + self.col_unions.bytes()
+            + self.group_parts.bytes()
+            + self.groups_canon.bytes()
+            + self.group_unions.bytes()
+            + self.evicted.bytes()
+    }
+
+    /// Measures every slot again, charging the derived channels built
+    /// since its last measurement (a search calls this when it ends).
+    pub(crate) fn remeasure(&self) {
+        Self::remeasure_map(&self.map.borrow(), &self.resident);
+    }
+
+    fn remeasure_map(map: &FxMap<Query, ExecSlot>, resident: &Cell<u64>) {
+        for slot in map.values() {
+            let now = slot.measure();
+            resident.set(resident.get().saturating_sub(slot.bytes.get()) + now);
+            slot.bytes.set(now);
+        }
     }
 
     /// The hysteresis-bounded sweep of the concrete store.
     ///
-    /// Evicts cold entries, then — if the map is still above the
-    /// low-water mark — hot ones, each in map iteration order, until the
-    /// map is down to the low-water mark. The victims are a function of
-    /// the insert and probe sequence alone. Survivors that are cold or were never re-probed
-    /// are *demoted* instead of dropped. Hot flags are consumed, exactly
-    /// as in the abstract store's second-chance sweep.
+    /// Measures every slot, then evicts cold entries and — if the map is
+    /// still above the low-water mark — hot ones, each in map iteration
+    /// order, until the map is down to the low-water mark. The victims
+    /// are a function of the insert and probe sequence alone. Survivors
+    /// that are cold or were never re-probed are *demoted* instead of
+    /// dropped. Hot flags are consumed, exactly as in the abstract
+    /// store's second-chance sweep.
     fn sweep_exec(&self, map: &mut FxMap<Query, ExecSlot>) {
+        Self::remeasure_map(map, &self.resident);
         let mut counters = self.counters.borrow_mut();
         // The target is clamped so a sweep always frees at least ~cap/8
         // entries: a low-water at (or above) cap-1 would otherwise free
@@ -1201,91 +1403,38 @@ impl EvalCache {
         // second chance. The trigger is benefit-aware: a survivor is
         // demoted when it is cold *or* was never re-probed since the last
         // sweep (`probes == 0`) — an entry inserted hot but never hit
-        // again has paid for derived ref-set channels nobody consumed, so
-        // spilling them is free upside at *any* low-water mark, not just
+        // again has paid for derived channels nobody consumed, so
+        // freeing them is free upside at *any* low-water mark, not just
         // one above cap/2. Probe counts decay geometrically (halved per
         // sweep) so sustained reuse is required to stay materialized.
-        // Address-keyed memo purges for replaced entries are batched into
-        // one retain per memo — a retain per demotion would make the
-        // sweep O(survivors × memo).
-        let mut purge: Vec<usize> = Vec::new();
         for slot in map.values_mut() {
             let probes = slot.probes.get();
-            if (!slot.hot.get() || probes == 0) && self.demote_slot(slot, &mut purge) {
+            if (!slot.hot.get() || probes == 0) && Self::demote_slot(slot) {
                 counters.cache_demotions += 1;
-                // The freed derived channels are roughly half the slot's
-                // footprint; decrement the slot so a later eviction (or
-                // repeat demotion) cannot release more than was charged.
-                let freed = slot.bytes.get() / DEMOTE_RELEASE_DIV;
-                slot.bytes.set(slot.bytes.get() - freed);
-                self.resident.set(self.resident.get().saturating_sub(freed));
+                let now = slot.measure();
+                self.resident.set(
+                    self.resident
+                        .get()
+                        .saturating_sub(slot.bytes.get().saturating_sub(now)),
+                );
+                slot.bytes.set(now);
             }
             slot.hot.set(false);
             slot.probes.set(probes / 2);
         }
-        if !purge.is_empty() {
-            purge.sort_unstable();
-            let gone = |addr: usize| purge.binary_search(&addr).is_ok();
-            self.groups_canon.retain(|k| !gone(k.0));
-            self.group_parts.retain(|k| !gone(k[0]));
-        }
     }
 
-    /// Frees a slot's derived reference-set channels — the whole-grid and
-    /// per-cell `RefSet` conversions plus the interned id grids — and the
-    /// cross-candidate star-column conversions pinned by
-    /// [`EvalCache::star_cols`], while keeping the value and star
-    /// columns. A later hit re-derives the sets lazily (identical by
-    /// construction: the star channel they convert from is unchanged).
-    /// Replaced entries push their old address into `purge` for the
-    /// caller's batched memo purge. Returns whether anything was actually
-    /// freed.
-    fn demote_slot(&self, slot: &mut ExecSlot, purge: &mut Vec<usize>) -> bool {
-        let mut any = false;
-        for level in slot.value.iter_mut() {
-            let Some(rc) = level else { continue };
-            // Purge the bulk conversions of star columns this entry
-            // *exclusively* owns (the per-column `RefSet` vectors the
-            // spill exists to free). Pass-through operators share column
-            // `Arc`s across entries, and a shared column's conversion
-            // may be serving a hot, resident sibling — purging it would
-            // force that sibling to reconvert after every sweep. Two
-            // strong counts = this entry's star grid plus the memo's own
-            // pin; anything higher means someone else still uses it.
-            if let Some(star) = rc.try_star() {
-                for c in 0..star.n_cols() {
-                    let col = star.column_arc(c);
-                    if Arc::strong_count(col) <= 2
-                        && self.star_cols.remove(&(Arc::as_ptr(col) as usize))
-                    {
-                        any = true;
-                    }
-                }
-            }
-            if rc.sets.get().is_none() && rc.set_ids.get().is_none() {
-                continue;
-            }
-            if let Some(table) = Rc::get_mut(rc) {
-                table.sets.take();
-                table.set_ids.take();
-            } else {
-                // Pinned elsewhere (a grouping memo, an in-flight sibling
-                // evaluation): swap in a shallow clone sharing the value
-                // and star columns; the caller purges the address-keyed
-                // memo entries pinning the old result so its derived
-                // channels actually drop.
-                purge.push(Rc::as_ptr(rc) as usize);
-                let fresh = Rc::new(ExecTable {
-                    values: rc.values.clone(),
-                    star: rc.star.clone(),
-                    sets: OnceCell::new(),
-                    set_ids: OnceCell::new(),
-                });
-                *level = Some(fresh);
-            }
-            any = true;
+    /// Frees a slot's derived channels — the interned id grids and the
+    /// star terms — in place, keeping the values and the step record. A
+    /// later use re-derives them (identical by construction: the step
+    /// record and the children they derive from are unchanged). Returns
+    /// whether anything was actually freed.
+    fn demote_slot(slot: &ExecSlot) -> bool {
+        let mut freed = false;
+        for t in slot.value.iter().flatten() {
+            freed |= t.drop_derived();
         }
-        any
+        freed
     }
 
     /// Memoized union of one shared column (see
@@ -1296,37 +1445,15 @@ impl EvalCache {
             return id;
         }
         let id = self.pool.union_slice(col);
-        self.col_unions.insert_pinned(key, Arc::clone(col), id);
+        self.col_unions.insert_pinned(key, Arc::clone(col), id, 0);
         id
     }
 
-    /// Memoized reference sets of one star column, keyed by the column's
-    /// identity (see [`EvalCache::star_cols`]). Converted in bulk on the
-    /// first probe of any of its cells; the returned `Arc` indexes
-    /// directly per row.
-    pub(crate) fn star_col_sets(
-        &self,
-        star: &crate::prov_eval::ProvTable,
-        universe: &RefUniverse,
-        col: usize,
-    ) -> Arc<Vec<RefSet>> {
-        let col_arc = star.column_arc(col);
-        let key = Arc::as_ptr(col_arc) as usize;
-        if let Some(sets) = self.star_cols.get(&key, Arc::clone) {
-            return sets;
-        }
-        let sets = Arc::new(universe.column_sets(col_arc.iter()));
-        self.star_cols
-            .insert_pinned(key, Arc::clone(col_arc), Arc::clone(&sets));
-        sets
-    }
-
     /// Engine step for a `group` operator through the grouping-skeleton
-    /// memo ([`EvalCache::group_parts`]): the row partition and the
-    /// [`key_columns`] are computed once per (child, keys) and shared
-    /// across every sibling aggregation choice — only the aggregate
-    /// column is built per candidate. Output is identical to
-    /// [`exec_step`] on a `group` query.
+    /// memo ([`EvalCache::group_parts`]): the [`GroupParts`] are computed
+    /// once per (child, keys) and shared across every sibling aggregation
+    /// choice — only the aggregate column is built per candidate. Output
+    /// is identical to [`exec_step`] on a `group` query.
     fn exec_group_shared(
         &self,
         sem: Semantics,
@@ -1335,27 +1462,26 @@ impl EvalCache {
         agg: AggFunc,
         target: usize,
     ) -> Result<ExecTable, EvalError> {
-        check_cols(keys, child.values.n_cols(), "group")?;
-        check_cols(&[target], child.values.n_cols(), "group")?;
+        check_grouping(child, keys, target, "group")?;
         let mut probe = self.parts_probe.borrow_mut();
         probe.clear();
-        probe.extend([Rc::as_ptr(child) as usize, usize::from(sem.wants_star())]);
+        probe.push(Rc::as_ptr(child) as usize);
         probe.extend_from_slice(keys);
-        let over = |groups: &Groups, key_cols: &KeyColumns| {
-            group_over(sem, child, groups, keys, key_cols, agg, target)
+        let parts = match self.group_parts.get(probe.as_slice(), Rc::clone) {
+            Some(parts) => parts,
+            None => {
+                let parts = Rc::new(GroupParts::new(child, self.groups_of(child, keys), keys));
+                let heap = 8 * probe.len() as u64 + parts.heap_bytes();
+                self.group_parts.insert_pinned(
+                    probe.as_slice().into(),
+                    Rc::clone(child),
+                    Rc::clone(&parts),
+                    heap,
+                );
+                parts
+            }
         };
-        if let Some(out) = self.group_parts.get(probe.as_slice(), |(g, k)| over(g, k)) {
-            return Ok(out);
-        }
-        let groups = self.groups_of(child, keys);
-        let key_cols = key_columns(sem, child, &groups, keys);
-        let out = over(&groups, &key_cols);
-        self.group_parts.insert_pinned(
-            probe.as_slice().into(),
-            Rc::clone(child),
-            (groups, key_cols),
-        );
-        Ok(out)
+        Ok(group_over(sem, child, &parts, agg, target))
     }
 
     /// Engine step for a `partition` operator through the shared grouping
@@ -1371,10 +1497,9 @@ impl EvalCache {
         func: AnalyticFunc,
         target: usize,
     ) -> Result<ExecTable, EvalError> {
-        check_cols(keys, child.values.n_cols(), "partition")?;
-        check_cols(&[target], child.values.n_cols(), "partition")?;
+        check_grouping(child, keys, target, "partition")?;
         let groups = self.groups_of(child, keys);
-        Ok(partition_over(sem, child, &groups, keys, func, target))
+        Ok(partition_over(sem, child, groups, keys, func, target))
     }
 
     /// The row partition of a concrete engine result by `keys`,
@@ -1389,8 +1514,10 @@ impl EvalCache {
             return canon;
         }
         let groups = Rc::clone(&probe.1);
+        // One row index per row, plus one vector header per group.
+        let heap = (8 * conc.values.n_rows() + 24 * groups.len()) as u64;
         self.groups_canon
-            .insert_pinned(probe, Rc::clone(conc), Rc::clone(&groups));
+            .insert_pinned(probe, Rc::clone(conc), Rc::clone(&groups), heap);
         groups
     }
 
@@ -1411,6 +1538,7 @@ impl EvalCache {
             key,
             (Arc::clone(col), Rc::clone(groups)),
             Arc::clone(&unions),
+            SET_ID_BYTES * unions.len() as u64,
         );
         unions
     }
@@ -1447,8 +1575,7 @@ impl EvalCache {
         // the cache instead of being re-evaluated per leaf; `filter ∘ join`
         // fuses into a selection-vector pass. A child served from a
         // higher-level cache entry is narrowed to the requested level so
-        // structure-propagating operators don't build star terms nobody
-        // asked for.
+        // the parent records no step nobody asked for.
         let narrow = |child: Rc<ExecTable>| {
             if sem == Semantics::Values && child.semantics() > sem {
                 Rc::new(child.values_only())
@@ -1464,19 +1591,8 @@ impl EvalCache {
             let r = narrow(self.exec(right, sem, inputs)?);
             let t0 = Instant::now();
             let out = {
-                let mut scratch = self.scratch.borrow_mut();
-                exec_filtered_join_with(&l, &r, pred, JoinStrategy::Auto, &mut scratch)?
-            };
-            (out, t0.elapsed())
-        } else if let Query::Filter { src, pred } = q {
-            // Plain filter (the fused branch above took filter-over-join):
-            // runs through the pooled selection buffer so candidate churn
-            // does not allocate per row count.
-            let child = narrow(self.exec(src, sem, inputs)?);
-            let t0 = Instant::now();
-            let out = {
-                let mut scratch = self.scratch.borrow_mut();
-                exec_filter_with(&child, pred, &mut scratch.keep)?
+                let mut probe = self.probe.borrow_mut();
+                exec_filtered_join_with(&l, &r, pred, JoinStrategy::Auto, &mut probe)?
             };
             (out, t0.elapsed())
         } else if let Query::Group {
@@ -1519,9 +1635,8 @@ impl EvalCache {
                 .into_iter()
                 .map(|c| self.exec(c, sem, inputs).map(&narrow))
                 .collect::<Result<Vec<_>, _>>()?;
-            let child_refs: Vec<&ExecTable> = children.iter().map(Rc::as_ref).collect();
             let t0 = Instant::now();
-            (exec_step(sem, q, &child_refs, inputs)?, t0.elapsed())
+            (exec_step(sem, q, &children, inputs)?, t0.elapsed())
         };
         if matches!(q, Query::Join { .. } | Query::LeftJoin { .. })
             || fused_filter_join(q).is_some()
@@ -1549,9 +1664,6 @@ impl EvalCache {
             counters.cache_reevals += 1;
             counters.cache_reeval_time += step;
         }
-        let cells =
-            (computed.values.n_rows() as u64).saturating_mul(computed.values.n_cols() as u64);
-        let mem = ENTRY_MEM_BYTES.saturating_add(cells.saturating_mul(CELL_MEM_BYTES));
         let rc = Rc::new(computed);
         let mut map = self.map.borrow_mut();
         if map.len() >= self.policy.cap {
@@ -1560,8 +1672,10 @@ impl EvalCache {
         let slot = map.entry(q.clone()).or_default();
         slot.value[actual as usize] = Some(Rc::clone(&rc));
         slot.hot.set(true);
-        slot.bytes.set(slot.bytes.get().saturating_add(mem));
-        self.resident.set(self.resident.get().saturating_add(mem));
+        let now = slot.measure();
+        self.resident
+            .set(self.resident.get().saturating_sub(slot.bytes.get()) + now);
+        slot.bytes.set(now);
         Ok(rc)
     }
 
@@ -1618,6 +1732,7 @@ impl EvalCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sickle_provenance::RefSet;
     use sickle_table::{AggFunc, ArithExpr, ArithOp, CmpOp};
     use std::time::Duration;
 
@@ -1643,8 +1758,8 @@ mod tests {
         let p = exec(Semantics::Provenance, &q, &inputs).unwrap();
         assert_eq!(p.semantics(), Semantics::Provenance);
         let u = RefUniverse::from_tables(&inputs);
-        let a = exec(Semantics::Provenance, &q, &inputs).unwrap();
-        assert_eq!(a.sets(&u)[(0, 0)].len(), 1);
+        let pool = RefSetPool::new();
+        assert_eq!(pool.set_len(p.set_ids(&u, &pool)[(0, 0)]), 1);
     }
 
     #[test]
@@ -1657,7 +1772,7 @@ mod tests {
         };
         let inputs = [input()];
         let out = exec(Semantics::Provenance, &q, &inputs).unwrap();
-        let via_star = crate::prov_eval::concretize(out.star(), &inputs);
+        let via_star = crate::prov_eval::concretize(&out.star(), &inputs);
         assert!(via_star.bag_eq(out.table()));
     }
 
@@ -1696,12 +1811,15 @@ mod tests {
         .unwrap();
         for inputs in [[input()], [wide]] {
             let u = RefUniverse::from_tables(&inputs);
+            let pool = RefSetPool::new();
             let out = exec(Semantics::Provenance, &q, &inputs).unwrap();
-            // The lazily-derived sets equal ref-collection over star, and
-            // the direct term walk equals collecting the references; both
-            // equal a set grown one `insert` at a time.
+            // The lazily derived ids equal ref-collection over the star,
+            // and the direct term walk equals collecting the references;
+            // both equal a set grown one `insert` at a time.
+            let ids = out.set_ids(&u, &pool);
+            assert!(!out.has_star(), "ids derive without the star");
             let from_star = out.star().map(|e| u.set_from(e.refs()));
-            assert_eq!(*out.sets(&u), from_star);
+            assert_eq!(ids.map(|&id| pool.get(id)), from_star);
             for col in out.star().columns() {
                 for e in col.iter() {
                     let mut inserted = u.empty_set();
@@ -1713,6 +1831,117 @@ mod tests {
             let high = |s: &RefSet| s.iter(&u).any(|r| u.index(r).is_some_and(|b| b >= 128));
             let any_high = from_star.columns().any(|col| col.iter().any(high));
             assert_eq!(any_high, u.n_bits() > 128);
+        }
+    }
+
+    /// Derives `q`'s id channel (before any star exists) and checks it
+    /// against interning the references of each star cell. Returns the
+    /// ids resolved to sets, and the universe they live in.
+    fn lazy_sets(q: &Query, inputs: &[Table]) -> (Grid<RefSet>, RefUniverse) {
+        let u = RefUniverse::from_tables(inputs);
+        let pool = RefSetPool::new();
+        let out = exec(Semantics::Provenance, q, inputs).unwrap();
+        let ids = out.set_ids(&u, &pool);
+        assert!(!out.has_star(), "{q}: ids must derive without the star");
+        let from_star = out.star().map_columns(|col| {
+            u.column_sets(col)
+                .into_iter()
+                .map(|s| pool.intern(s))
+                .collect()
+        });
+        assert_eq!(*ids, from_star, "{q}");
+        (ids.map(|&id| pool.get(id)), u)
+    }
+
+    /// The cell references of `refs` (input 0) as a set.
+    fn refs(u: &RefUniverse, cells: &[(usize, usize)]) -> RefSet {
+        u.set_from(cells.iter().map(|&(i, j)| CellRef::new(0, i, j)))
+    }
+
+    #[test]
+    fn left_join_padding_has_empty_sets() {
+        // Same city and more than 30 enrolled on the right: only right
+        // row 3 (city B) qualifies, so the city-A rows are padded.
+        let q = Query::LeftJoin {
+            left: Box::new(Query::Input(0)),
+            right: Box::new(Query::Input(0)),
+            pred: Pred::And(
+                Box::new(Pred::ColCmp(0, CmpOp::Eq, 4)),
+                Box::new(Pred::ColConst(6, CmpOp::Gt, Value::Int(30))),
+            ),
+        };
+        let (sets, u) = lazy_sets(&q, &[input()]);
+        assert_eq!(sets.n_rows(), 4);
+        for row in 0..4 {
+            assert_eq!(sets[(row, 0)], refs(&u, &[(row, 0)]));
+            for col in 0..4 {
+                let right = if row >= 2 {
+                    refs(&u, &[(3, col)])
+                } else {
+                    u.empty_set()
+                };
+                assert_eq!(sets[(row, 4 + col)], right, "row {row} col {col}");
+            }
+        }
+    }
+
+    #[test]
+    fn cumsum_sets_are_row_prefixes_of_their_partition() {
+        let q = Query::Partition {
+            src: Box::new(Query::Input(0)),
+            keys: vec![0],
+            func: AnalyticFunc::CumSum,
+            target: 2,
+        };
+        let (sets, u) = lazy_sets(&q, &[input()]);
+        assert_eq!(sets[(0, 4)], refs(&u, &[(0, 2)]));
+        assert_eq!(sets[(1, 4)], refs(&u, &[(0, 2), (1, 2)]));
+        assert_eq!(sets[(2, 4)], refs(&u, &[(2, 2)]));
+        assert_eq!(sets[(3, 4)], refs(&u, &[(2, 2), (3, 2)]));
+    }
+
+    #[test]
+    fn rank_sets_cover_the_whole_partition() {
+        for func in [AnalyticFunc::Rank, AnalyticFunc::DenseRank] {
+            let q = Query::Partition {
+                src: Box::new(Query::Input(0)),
+                keys: vec![1],
+                func,
+                target: 2,
+            };
+            let (sets, u) = lazy_sets(&q, &[input()]);
+            // Quarter 1 is rows 0 and 2, quarter 2 rows 1 and 3.
+            for (row, group) in [(0, [0, 2]), (2, [0, 2]), (1, [1, 3]), (3, [1, 3])] {
+                assert_eq!(
+                    sets[(row, 4)],
+                    refs(&u, &[(group[0], 2), (group[1], 2)]),
+                    "{func} row {row}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn arithmetic_sets_union_only_the_used_parameters() {
+        // `x0 * 100` over columns (enrolled, pop): pop is an argument the
+        // template never reads, so it contributes no reference.
+        let q = Query::Arith {
+            src: Box::new(Query::Input(0)),
+            func: ArithExpr::bin(ArithOp::Mul, ArithExpr::Param(0), ArithExpr::lit(100.0)),
+            cols: vec![2, 3],
+        };
+        let (sets, u) = lazy_sets(&q, &[input()]);
+        for row in 0..4 {
+            assert_eq!(sets[(row, 4)], refs(&u, &[(row, 2)]));
+        }
+        let ratio = Query::Arith {
+            src: Box::new(Query::Input(0)),
+            func: ArithExpr::bin(ArithOp::Div, ArithExpr::Param(1), ArithExpr::Param(0)),
+            cols: vec![3, 2],
+        };
+        let (sets, u) = lazy_sets(&ratio, &[input()]);
+        for row in 0..4 {
+            assert_eq!(sets[(row, 4)], refs(&u, &[(row, 2), (row, 3)]));
         }
     }
 
@@ -1740,7 +1969,7 @@ mod tests {
         // shared by the group's rows on both paths.
         let q = window(AnalyticFunc::Agg(AggFunc::Sum));
         let cached = cache.exec(&q, Semantics::Provenance, &inputs).unwrap();
-        for star in [cached.star(), &crate::prov_evaluate(&q, &inputs).unwrap()] {
+        for star in [&*cached.star(), &crate::prov_evaluate(&q, &inputs).unwrap()] {
             let args = |i: usize| match &star[(i, 4)] {
                 Expr::Apply(_, args) => Arc::clone(args),
                 other => panic!("expected a sum term, got {other}"),
@@ -1816,7 +2045,7 @@ mod tests {
         let inputs = [input()];
         let fused = exec(Semantics::Provenance, &q, &inputs).unwrap();
         // Unfused: evaluate the join, then filter as a separate step.
-        let j = exec(Semantics::Provenance, &join, &inputs).unwrap();
+        let j = Rc::new(exec(Semantics::Provenance, &join, &inputs).unwrap());
         let unfused = exec_filter(&j, &Pred::ColCmp(0, CmpOp::Eq, 4)).unwrap();
         assert!(fused.table().bag_eq(unfused.table()));
         assert_eq!(fused.star(), unfused.star());
@@ -1999,7 +2228,7 @@ mod tests {
     }
 
     #[test]
-    fn demoted_entry_keeps_star_and_rederives_identical_sets() {
+    fn demoted_entry_keeps_values_and_rederives_identical_channels() {
         let q = Query::Group {
             src: Box::new(Query::Input(0)),
             keys: vec![0],
@@ -2008,43 +2237,47 @@ mod tests {
         };
         let inputs = [input()];
         let u = RefUniverse::from_tables(&inputs);
-        // Reference: a never-evicted cache.
+        // Reference: a never-demoted cache.
         let fresh = EvalCache::new();
         let reference = fresh.exec(&q, Semantics::Provenance, &inputs).unwrap();
-        let ref_sets = reference.sets(&u).clone();
+        let ref_ids = reference
+            .set_ids(&u, fresh.pool())
+            .map(|&id| fresh.pool().get(id));
+        let ref_star = reference.star();
 
         let cache = EvalCache::with_policy(CachePolicy::default());
         let exec = cache.exec(&q, Semantics::Provenance, &inputs).unwrap();
-        exec.sets(&u);
         exec.set_ids(&u, cache.pool());
-        let star_before = exec.star().clone();
-        drop(exec); // release the caller's pin so demotion can act in place
+        exec.star();
+        let values_before = exec.table().clone();
         {
             let mut map = cache.map.borrow_mut();
             let mut demoted = 0;
-            let mut purge = Vec::new();
             for slot in map.values_mut() {
                 slot.hot.set(false);
-                if cache.demote_slot(slot, &mut purge) {
+                if EvalCache::demote_slot(slot) {
                     demoted += 1;
                 }
             }
-            // Only the group entry had materialized channels to free; the
-            // child entry (nothing derived) is a no-op.
-            assert_eq!(demoted, 1);
+            // The group entry and its input child both derived channels
+            // (the group's ids and star read the child's).
+            assert_eq!(demoted, 2);
         }
-        // The demoted entry still hits at the provenance level, with the
-        // star channel intact and the derived channels empty.
+        // Demotion frees in place: our own handle sees the channels gone,
+        // the values intact, and re-derivation identical to the
+        // never-demoted run.
         let demoted = cache.peek(&q).expect("entry stays cached");
-        assert_eq!(*demoted.star(), star_before);
-        assert!(demoted.sets.get().is_none(), "sets must be freed");
-        assert!(demoted.set_ids.get().is_none(), "set ids must be freed");
-        // Re-derivation is byte-identical to the never-evicted run.
-        assert_eq!(*demoted.sets(&u), ref_sets);
+        assert!(Rc::ptr_eq(&demoted, &exec));
+        assert!(!demoted.has_star(), "star must be freed");
+        assert!(demoted.set_ids.borrow().is_none(), "ids must be freed");
+        assert_eq!(*demoted.table(), values_before);
+        let ids = demoted.set_ids(&u, cache.pool());
+        assert_eq!(ids.map(|&id| cache.pool().get(id)), ref_ids);
+        assert_eq!(*demoted.star(), *ref_star);
     }
 
     #[test]
-    fn demotion_replaces_pinned_entries_and_purges_their_memos() {
+    fn demotion_frees_pinned_entries_in_place() {
         let group = Query::Group {
             src: Box::new(Query::Input(0)),
             keys: vec![0],
@@ -2054,33 +2287,75 @@ mod tests {
         let inputs = [input()];
         let u = RefUniverse::from_tables(&inputs);
         let cache = EvalCache::new();
-        // Materialize through the grouping memos so the child is pinned by
-        // `groups_canon` / `group_parts` (and hold our own pin too).
+        // The child is pinned by the grouping memos, by the group's step
+        // record and by our own handle.
         let child = cache
             .exec(&Query::Input(0), Semantics::Provenance, &inputs)
             .unwrap();
-        cache.exec(&group, Semantics::Provenance, &inputs).unwrap();
-        child.sets(&u);
+        let out = cache.exec(&group, Semantics::Provenance, &inputs).unwrap();
+        let want = child.set_ids(&u, cache.pool());
+        out.star();
+        assert!(child.has_star(), "the group's star reads the child's");
         assert!(!cache.groups_canon.is_empty());
         {
-            // Everything is cold: the real sweep path demotes and batch-
-            // purges the replaced entries' memos.
+            // Everything is cold: the real sweep path demotes both.
             let mut map = cache.map.borrow_mut();
             for slot in map.values() {
                 slot.hot.set(false);
             }
             cache.sweep_exec(&mut map);
         }
-        // The pinned child was replaced, not mutated: our pin still holds
-        // the materialized sets, while the cached entry starts clean and
-        // the address-keyed grouping memos were purged.
-        let replaced = cache.peek(&Query::Input(0)).unwrap();
-        assert!(!Rc::ptr_eq(&child, &replaced));
-        assert!(replaced.sets.get().is_none());
-        assert!(cache.groups_canon.is_empty());
-        assert!(cache.group_parts.is_empty());
-        // Re-derived sets equal the pinned originals.
-        assert_eq!(*replaced.sets(&u), *child.sets(&u));
+        // The cached child is the same result, freed in place, so every
+        // holder sees the channels go; the memos keyed by its address
+        // stay valid and keep serving.
+        let cached = cache.peek(&Query::Input(0)).unwrap();
+        assert!(Rc::ptr_eq(&child, &cached));
+        assert!(child.set_ids.borrow().is_none() && !child.has_star());
+        assert!(!out.has_star());
+        assert!(!cache.groups_canon.is_empty());
+        assert!(!cache.group_parts.is_empty());
+        // Re-derived ids equal the originals.
+        assert_eq!(*child.set_ids(&u, cache.pool()), *want);
+    }
+
+    #[test]
+    fn slot_bytes_charge_derived_channels_once_measured() {
+        let q = Query::Group {
+            src: Box::new(Query::Input(0)),
+            keys: vec![0],
+            agg: AggFunc::Sum,
+            target: 2,
+        };
+        let inputs = [input()];
+        let u = RefUniverse::from_tables(&inputs);
+        let cache = EvalCache::new();
+        let exec = cache.exec(&q, Semantics::Provenance, &inputs).unwrap();
+        let values_only = cache.resident.get();
+        // 2 groups × 2 columns of values, plus the 4 × 4 input.
+        let cells = 2 * 2 + 4 * 4;
+        assert_eq!(values_only, 2 * ENTRY_MEM_BYTES + cells * VALUE_BYTES);
+        exec.set_ids(&u, cache.pool());
+        // Derived after the insert: charged at the next measurement.
+        assert_eq!(cache.resident.get(), values_only);
+        cache.remeasure();
+        let with_ids = cache.resident.get();
+        assert_eq!(with_ids, values_only + cells * SET_ID_BYTES);
+        exec.star();
+        cache.remeasure();
+        assert_eq!(cache.resident.get(), with_ids + cells * EXPR_BYTES);
+        // The side memos are charged too: the group's parts and its
+        // canonical partition.
+        assert!(cache.resident_bytes() > cache.resident.get());
+        // A sweep that demotes both entries releases the derived bytes.
+        {
+            let mut map = cache.map.borrow_mut();
+            for slot in map.values() {
+                slot.hot.set(false);
+            }
+            cache.sweep_exec(&mut map);
+        }
+        assert_eq!(cache.take_counters().cache_demotions, 2);
+        assert_eq!(cache.resident.get(), values_only);
     }
 
     #[test]
@@ -2199,7 +2474,7 @@ mod tests {
         };
         for q in [&probed, &unprobed] {
             let out = cache.exec(q, Semantics::Provenance, &inputs).unwrap();
-            out.sets(&u);
+            out.set_ids(&u, cache.pool());
         }
         // One entry is re-probed (a cache hit bumps its probe count), the
         // other is left at zero probes; both are hot.
@@ -2213,20 +2488,21 @@ mod tests {
         assert!(stats.cache_demotions > 0);
         let kept = cache.peek(&probed).unwrap();
         assert!(
-            kept.sets.get().is_some(),
-            "re-probed entry must keep its derived sets"
+            kept.set_ids.borrow().is_some(),
+            "re-probed entry must keep its derived ids"
         );
         let freed = cache.peek(&unprobed).unwrap();
         assert!(
-            freed.sets.get().is_none(),
+            freed.set_ids.borrow().is_none(),
             "never-probed entry must be demoted"
         );
-        // Demotion is transparent: the sets re-derive identically.
+        // Demotion is transparent: the ids re-derive identically.
         let fresh = EvalCache::new();
         let want = fresh
             .exec(&unprobed, Semantics::Provenance, &inputs)
             .unwrap();
-        assert_eq!(*freed.sets(&u), *want.sets(&u));
+        let sets = |t: &ExecTable, pool: &RefSetPool| t.set_ids(&u, pool).map(|&id| pool.get(id));
+        assert_eq!(sets(&freed, cache.pool()), sets(&want, fresh.pool()));
     }
 
     #[test]

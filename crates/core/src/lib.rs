@@ -12,22 +12,23 @@
 //! * [`exec`] / [`ExecTable`] (`engine`) — the shared columnar operator
 //!   pipeline. Every operator (`group`, `partition`, `arithmetic`,
 //!   `filter`, `sort`, joins) is implemented *once*; an [`ExecTable`]
-//!   carries the concrete values plus optional provenance-term and
-//!   abstract-ref-set side-channels, selected by [`Semantics`];
+//!   carries the concrete values and, at [`Semantics::Provenance`], a
+//!   step record from which its reference-set ids and provenance terms
+//!   derive lazily;
 //! * [`evaluate`] (`eval`) — standard semantics `[[q(T̄)]]`, the values
 //!   channel of the pipeline;
 //! * [`prov_evaluate`] (`prov_eval`) — provenance-tracking semantics
 //!   `[[q(T̄)]]★` (Fig. 9), the star channel;
 //! * [`abstract_evaluate`] (`abstract_eval`) — abstract provenance
-//!   `[[q(T̄)]]◦` (Fig. 11); concrete leaves run through the pipeline's
-//!   ref-set channel. [`ProvenanceAnalyzer`] runs the Def. 3 check on it
+//!   `[[q(T̄)]]◦` (Fig. 11); concrete leaves read the pipeline's lazy
+//!   id channel. [`ProvenanceAnalyzer`] runs the Def. 3 check on it
 //!   through the cached [`sickle_provenance::AnalysisCache::consistent`];
 //! * [`EvalCache`] — memoized engine results keyed by
 //!   `(query, semantics)`, threaded through the search so sibling partial
 //!   queries share inner-subquery evaluations. Eviction is governed by a
 //!   [`CachePolicy`]: deterministic sweeps (cold entries first, in map
 //!   order) with hysteresis, demoting cold or unprobed survivors by
-//!   spilling their derived reference-set channels instead of dropping
+//!   freeing their derived id and star channels instead of dropping
 //!   them; the churn is counted straight into the [`SearchStats`] rows;
 //! * [`Session`] / [`SynthRequest`] / [`SolutionStream`] (`session`) — the
 //!   public front door: a warm, reusable service instance running

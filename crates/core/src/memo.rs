@@ -1,7 +1,7 @@
 //! The bounded memo table behind the engine cache's analysis memos.
 
 use std::borrow::Borrow;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::hash::Hash;
 
 use sickle_provenance::FxMap;
@@ -20,15 +20,20 @@ use sickle_provenance::FxMap;
 /// Lookups borrow the key (`K: Borrow<Q>`), so a hit neither allocates
 /// nor clones a key. Single-threaded (`RefCell`): the engine cache
 /// belongs to one search.
+///
+/// The table also keeps the approximate bytes its entries hold: each
+/// entry's inline size plus the heap bytes its inserter declares.
 #[derive(Debug)]
 pub(crate) struct Memo<K, V, const CAP: usize, P = ()> {
-    map: RefCell<FxMap<K, (P, V)>>,
+    map: RefCell<FxMap<K, (P, V, u64)>>,
+    bytes: Cell<u64>,
 }
 
 impl<K, V, const CAP: usize, P> Default for Memo<K, V, CAP, P> {
     fn default() -> Self {
         Memo {
             map: RefCell::new(FxMap::default()),
+            bytes: Cell::new(0),
         }
     }
 }
@@ -40,17 +45,23 @@ impl<K: Hash + Eq, V, const CAP: usize, P> Memo<K, V, CAP, P> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        self.map.borrow().get(key).map(|(_, v)| read(v))
+        self.map.borrow().get(key).map(|(_, v, _)| read(v))
     }
 
-    /// Inserts an entry whose key holds the address of `pin`, clearing
-    /// the table first if it is full.
-    pub(crate) fn insert_pinned(&self, key: K, pin: P, value: V) {
+    /// Inserts an entry whose key holds the address of `pin` and whose
+    /// value holds `heap_bytes` beyond its inline size, clearing the
+    /// table first if it is full.
+    pub(crate) fn insert_pinned(&self, key: K, pin: P, value: V, heap_bytes: u64) {
         let mut map = self.map.borrow_mut();
         if map.len() >= CAP {
             map.clear();
+            self.bytes.set(0);
         }
-        map.insert(key, (pin, value));
+        let weight = std::mem::size_of::<(K, (P, V, u64))>() as u64 + heap_bytes;
+        if let Some((_, _, old)) = map.insert(key, (pin, value, weight)) {
+            self.bytes.set(self.bytes.get() - old);
+        }
+        self.bytes.set(self.bytes.get() + weight);
     }
 
     /// Removes the entry for `key`, returning whether there was one.
@@ -59,12 +70,16 @@ impl<K: Hash + Eq, V, const CAP: usize, P> Memo<K, V, CAP, P> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        self.map.borrow_mut().remove(key).is_some()
+        let removed = self.map.borrow_mut().remove(key);
+        if let Some((_, _, weight)) = &removed {
+            self.bytes.set(self.bytes.get() - weight);
+        }
+        removed.is_some()
     }
 
-    /// Keeps only the entries whose key satisfies `keep`.
-    pub(crate) fn retain(&self, mut keep: impl FnMut(&K) -> bool) {
-        self.map.borrow_mut().retain(|k, _| keep(k));
+    /// Approximate bytes of the held entries.
+    pub(crate) fn bytes(&self) -> u64 {
+        self.bytes.get()
     }
 
     /// True when the table holds no entry.
@@ -77,7 +92,7 @@ impl<K: Hash + Eq, V, const CAP: usize> Memo<K, V, CAP> {
     /// Inserts an entry keyed by value, clearing the table first if it
     /// is full.
     pub(crate) fn insert(&self, key: K, value: V) {
-        self.insert_pinned(key, (), value);
+        self.insert_pinned(key, (), value, 0);
     }
 }
 
@@ -107,19 +122,38 @@ mod tests {
     }
 
     #[test]
+    fn bytes_follow_the_held_entries() {
+        let memo: Memo<u32, u32, 2> = Memo::default();
+        assert_eq!(memo.bytes(), 0);
+        memo.insert_pinned(1, (), 10, 100);
+        let one = memo.bytes();
+        assert!(one > 100, "inline size plus the declared heap bytes");
+        // Replacing an entry charges only the new weight.
+        memo.insert_pinned(1, (), 11, 100);
+        assert_eq!(memo.bytes(), one);
+        memo.insert(2, 20);
+        assert!(memo.remove(&1));
+        assert_eq!(memo.bytes(), one - 100);
+        // Clearing at the cap releases everything it drops.
+        memo.insert(3, 30);
+        memo.insert(4, 40);
+        assert_eq!(memo.bytes(), one - 100);
+    }
+
+    #[test]
     fn identity_key_stays_valid_while_its_entry_lives() {
         let memo: Memo<usize, &str, 2, Arc<Vec<u8>>> = Memo::default();
         let col = Arc::new(vec![1u8, 2, 3]);
         let addr = Arc::as_ptr(&col) as usize;
         let weak = Arc::downgrade(&col);
-        memo.insert_pinned(addr, col, "col");
+        memo.insert_pinned(addr, col, "col", 3);
         // The caller's handle is gone, but the pin keeps the allocation
         // (and thus its address) alive: the key still names that column.
         assert!(weak.upgrade().is_some());
         assert_eq!(memo.get(&addr, |&v| v), Some("col"));
         // Clearing at the cap drops the pin along with the entry.
-        memo.insert_pinned(1, Arc::new(Vec::new()), "a");
-        memo.insert_pinned(2, Arc::new(Vec::new()), "b");
+        memo.insert_pinned(1, Arc::new(Vec::new()), "a", 0);
+        memo.insert_pinned(2, Arc::new(Vec::new()), "b", 0);
         assert_eq!(memo.get(&addr, |&v| v), None);
         assert!(weak.upgrade().is_none());
     }

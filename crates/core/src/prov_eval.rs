@@ -57,7 +57,7 @@ pub type ProvTable = Grid<Expr>;
 /// # Ok::<(), sickle_core::EvalError>(())
 /// ```
 pub fn prov_evaluate(q: &Query, inputs: &[Table]) -> Result<ProvTable, EvalError> {
-    Ok(exec(Semantics::Provenance, q, inputs)?.star().clone())
+    Ok(Grid::clone(&exec(Semantics::Provenance, q, inputs)?.star()))
 }
 
 /// Evaluates every cell of a provenance table, recovering the concrete

@@ -162,8 +162,26 @@ counters! {
     visited: Count, "visited", live = true;
     /// Partial queries pruned by the analyzer.
     pruned: Count, "pruned", live = true;
-    /// Concrete queries checked against Def. 1.
+    /// Concrete queries checked against Def. 1. Each one ends in exactly
+    /// one of the funnel rows below, or fails to evaluate.
     concrete_checked: Count, "concrete_checked", live = true;
+    /// Funnel: candidates skipped unevaluated because their static column
+    /// arity is below the demonstration's (only analyzers that let such
+    /// sources through, such as `no-prune`, leave any).
+    arity_skipped: Count, "arity_skipped", live = false;
+    /// Funnel: evaluated candidates with fewer rows or columns than the
+    /// demonstration.
+    fit_rejected: Count, "fit_rejected", live = false;
+    /// Funnel: candidates rejected by the Def. 3 prefilter on their exact
+    /// reference sets.
+    prefilter_rejected: Count, "prefilter_rejected", live = false;
+    /// Funnel: prefilter survivors that fail the Def. 1 match.
+    def1_rejected: Count, "def1_rejected", live = false;
+    /// Funnel: candidates accepted by Def. 1 (consistent queries found).
+    accepted: Count, "accepted", live = false;
+    /// Candidate provenance stars built by acceptance: only prefilter
+    /// survivors build one.
+    stars_built: Count, "stars_built", live = false;
     /// Children generated by hole expansion.
     expanded: Count, "expanded", live = false;
     /// Wall-clock time spent (live: time since the request was submitted).
@@ -173,13 +191,16 @@ counters! {
     /// Time spent checking concrete queries against Def. 1 — the sum of
     /// the three acceptance stages below.
     time_concrete: Time, "time_eval_s", live = false;
-    /// Acceptance stage 1: evaluating the candidate (values and
-    /// provenance star channel).
+    /// Acceptance stage 1: evaluating the candidate (values and step
+    /// record) and, for prefilter survivors only, building its
+    /// provenance star.
     time_materialize: Time, "time_materialize_s", live = true;
-    /// Acceptance stage 2: the reference-containment prefilter (Def. 3 on
-    /// exact provenance) over lazily-converted cell sets.
+    /// Acceptance stage 2: the dimension fit, deriving the candidate's
+    /// exact reference-set ids, and the Def. 3 check on them through the
+    /// session's verdict cache.
     time_prefilter: Time, "time_prefilter_s", live = true;
-    /// Acceptance stage 3: the candidate-seeded Def. 1 expression match.
+    /// Acceptance stage 3: the candidate-seeded Def. 1 expression match
+    /// (the seed's derivation included).
     time_match: Time, "time_match_s", live = true;
     /// Time spent expanding holes (domain inference + tree building).
     time_expand: Time, "time_expand_s", live = false;
@@ -192,8 +213,8 @@ counters! {
     join_rows: Count, "join_rows", live = true;
     /// Engine-cache entries dropped entirely by eviction sweeps.
     cache_evictions: Count, "cache_evictions", live = true;
-    /// Engine-cache entries demoted (star-channel spill: derived ref-set
-    /// channels freed, value and star columns kept).
+    /// Engine-cache entries demoted (derived id and star channels freed,
+    /// values and step record kept).
     cache_demotions: Count, "cache_demotions", live = true;
     /// Engine-cache re-evaluations: inserts that recomputed a previously
     /// evicted query (the churn a larger cap or low-water mark reduces).
@@ -204,8 +225,11 @@ counters! {
     /// cache instead of recomputing (set when the run ends).
     reused_verdicts: Count, "reused_verdicts", live = true;
     /// Approximate resident bytes attributable to the run: the shared
-    /// pool and analysis-cache footprint plus the live engine-cache bytes
-    /// (charged − released). Live, it is a gauge the search overwrites.
+    /// pool and analysis-cache footprint plus the engine cache's (its
+    /// entries' values, selection vectors and derived ids and stars, and
+    /// its side memos). Live, it is a gauge the search overwrites; entry
+    /// channels derived since the last sweep are charged when the run
+    /// ends.
     mem_bytes: Bytes, "mem_bytes", live = true;
 }
 

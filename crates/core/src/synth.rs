@@ -29,15 +29,14 @@ use sickle_table::{
 };
 
 use sickle_provenance::{
-    column_candidates, demo_consistent_with_candidates, find_table_match_seeded, match_seed_rows,
-    AnalysisCache, Demo, DemoToken, MatchDims, MatchSeed, RefSet, RefSetPool, RefUniverse,
+    containment_seed, demo_consistent_with_candidates, AnalysisCache, Demo, DemoToken, RefSetPool,
+    RefUniverse,
 };
 
 use crate::abstract_eval::{abstract_evaluate_rc, demo_ref_sets};
 use crate::ast::{PQuery, Pred, Query};
 use crate::engine::{CachePolicy, EvalCache, ExecTable, Semantics};
 use crate::error::SickleError;
-use crate::memo::Memo;
 use crate::session::{CancelToken, SynthRequest};
 use crate::stats::{SearchStats, SharedStats};
 
@@ -227,92 +226,6 @@ pub struct TaskContext {
     /// collision-free fingerprint component of every Def. 3 verdict key,
     /// keeping demos that share the session-wide cache apart.
     pub demo_token: DemoToken,
-    /// Cross-candidate memo of the acceptance prefilter's per-column
-    /// feasibility: (demo column, star column identity) → can the star
-    /// column host the demo column (every demo row embeds into some cell
-    /// of it). Concrete candidates share pass-through star columns by
-    /// `Arc`, so most of each candidate's column-candidate derivation is
-    /// map probes. The entry pins its column `Arc`, keeping the address
-    /// key valid.
-    col_hosts: Memo<(u32, usize), bool, COL_HOSTS_CAP, Arc<Vec<sickle_provenance::Expr>>>,
-}
-
-/// Bound on the prefilter column-feasibility memo.
-const COL_HOSTS_CAP: usize = 16_384;
-
-/// Stars up to this many rows convert column by column through the
-/// cross-candidate memos (`EvalCache::star_col_sets` and
-/// [`TaskContext::col_hosts`]), which pin each column they key by
-/// identity. Taller stars stay out of them, so a large column is never
-/// held past its engine-cache entry's eviction: their cells read the
-/// result's own whole-grid `sets` channel, which lives and dies with the
-/// result, and their column host tests rescan.
-const BULK_COL_ROWS: usize = 128;
-
-/// A candidate's view of its star grid's per-cell reference sets, plus
-/// the memoized column-feasibility test of the acceptance prefilter.
-struct StarSets<'a> {
-    ctx: &'a TaskContext,
-    exec: &'a ExecTable,
-    star: &'a crate::prov_eval::ProvTable,
-    /// Per-column shared conversions, resolved on a column's first probe
-    /// (stars up to [`BULK_COL_ROWS`] rows only).
-    cols: Vec<Option<Arc<Vec<RefSet>>>>,
-}
-
-impl<'a> StarSets<'a> {
-    fn new(
-        ctx: &'a TaskContext,
-        exec: &'a ExecTable,
-        star: &'a crate::prov_eval::ProvTable,
-    ) -> StarSets<'a> {
-        StarSets {
-            ctx,
-            exec,
-            star,
-            cols: vec![None; star.n_cols()],
-        }
-    }
-
-    /// The reference set of star cell `(ti, tj)`, converted on demand.
-    fn cell(&mut self, ti: usize, tj: usize) -> &RefSet {
-        let (ctx, star) = (self.ctx, self.star);
-        if star.n_rows() > BULK_COL_ROWS {
-            return &self.exec.sets(&ctx.universe)[(ti, tj)];
-        }
-        let sets = self.cols[tj]
-            .get_or_insert_with(|| ctx.eval_cache.star_col_sets(star, &ctx.universe, tj));
-        &sets[ti]
-    }
-
-    /// `ref(E[di,dj]) ⊆` the set of star cell `(ti, tj)` — the
-    /// prefilter's compatibility oracle.
-    fn subset_ok(&mut self, di: usize, dj: usize, ti: usize, tj: usize) -> bool {
-        let ctx = self.ctx;
-        ctx.demo_refs[(di, dj)].is_subset_of(self.cell(ti, tj))
-    }
-
-    /// Whether star column `tj` can host demo column `dj` (every demo row
-    /// embeds into some cell of it), memoized by column identity across
-    /// candidates (see [`TaskContext::col_hosts`]) — pass-through columns
-    /// shared between sibling candidates resolve to one map probe. Stars
-    /// over [`BULK_COL_ROWS`] rows are not memoized: the memo would pin
-    /// their columns.
-    fn column_hosts(&mut self, dj: usize, tj: usize) -> bool {
-        let (demo_rows, table_rows) = (self.ctx.demo_refs.n_rows(), self.star.n_rows());
-        if table_rows > BULK_COL_ROWS {
-            return (0..demo_rows)
-                .all(|di| (0..table_rows).any(|ti| self.subset_ok(di, dj, ti, tj)));
-        }
-        let key = (dj as u32, Arc::as_ptr(self.star.column_arc(tj)) as usize);
-        if let Some(v) = self.ctx.col_hosts.get(&key, |&v| v) {
-            return v;
-        }
-        let v = (0..demo_rows).all(|di| (0..table_rows).any(|ti| self.subset_ok(di, dj, ti, tj)));
-        let pin = Arc::clone(self.star.column_arc(tj));
-        self.ctx.col_hosts.insert_pinned(key, pin, v);
-        v
-    }
 }
 
 impl TaskContext {
@@ -363,7 +276,6 @@ impl TaskContext {
             eval_cache: EvalCache::with_pool_and_policy(pool, policy),
             analysis,
             demo_token,
-            col_hosts: Memo::default(),
         }
     }
 
@@ -384,16 +296,16 @@ impl TaskContext {
     }
 
     /// Acceptance of one concrete candidate (Algorithm 1, line 9): does
-    /// `q` realize the demonstration (Def. 1)? Stage 1 materializes the
-    /// candidate's provenance star channel through the engine cache;
+    /// `q` realize the demonstration (Def. 1)? Stage 1 evaluates the
+    /// candidate's values and step record through the engine cache;
     /// stages 2–3 are [`TaskContext::accept_exec`]. Each stage's
-    /// wall-clock is added to its `stats` timer and to `time_concrete`. A
-    /// candidate that fails to evaluate is rejected.
+    /// wall-clock is added to its `stats` timer and to `time_concrete`,
+    /// and the candidate's outcome to its funnel row. A candidate that
+    /// fails to evaluate is rejected.
     ///
     /// # Errors
     ///
-    /// Returns [`SickleError::Internal`] when provenance evaluation yields
-    /// no star channel.
+    /// Same as [`TaskContext::accept_exec`].
     pub fn accept(&self, q: &Query, stats: &mut SearchStats) -> Result<bool, SickleError> {
         let t0 = Instant::now();
         let exec = self
@@ -407,79 +319,69 @@ impl TaskContext {
         }
     }
 
-    /// Acceptance stages 2–3 of an already materialized candidate result.
+    /// Acceptance stages 2–3 of an already evaluated candidate result.
     ///
-    /// Stage 2, the prefilter, is a cheap necessary condition: the
-    /// demonstration's references must embed into the exact per-cell
-    /// reference sets (Def. 3 on exact provenance). Cells convert lazily
-    /// through the cross-candidate star-column memo, and column
-    /// feasibility is memoized by column identity, so pass-through
-    /// columns shared between sibling candidates resolve without touching
-    /// a single cell. Direct matching, not the cross-sibling analysis
-    /// cache: that cache keys its verdicts by interned set ids, and these
-    /// exact sets are derived from the star channel and never interned.
-    /// Candidates do repeat exact-set grids, so a values + sets engine
-    /// level that interns them first could share verdicts (ROADMAP.md,
-    /// "Sets before stars").
+    /// Stage 2, the prefilter, is a cheap necessary condition: after the
+    /// dimension fit, the demonstration's references must embed into the
+    /// result's exact per-cell reference sets (Def. 3). Those come from
+    /// the engine's id channel, derived from the result's step record
+    /// without building any provenance term, and the check is the
+    /// analyzer's own [`AnalysisCache::consistent`]: candidates repeat
+    /// exact id grids, so most verdicts are one map probe.
     ///
-    /// Stage 3 is Def. 1, seeded by the prefilter's surviving column
-    /// candidates and the per-demo-row candidate rows they induce (sound:
-    /// `≺` implies reference containment, so every Def. 1-feasible
-    /// column/row is among the prefilter's candidates). Only prefilter
-    /// survivors pay for the row pass.
+    /// Stage 3 builds the survivor's star (charged to materialization)
+    /// and runs Def. 1, seeded by the columns and rows that can host the
+    /// demonstration under reference containment (sound: `≺` implies
+    /// containment, so every Def. 1-feasible column/row is among them).
+    /// Only prefilter survivors build a star.
     ///
     /// # Errors
     ///
-    /// Returns [`SickleError::Internal`] when `exec` has no star channel
-    /// (it was computed at [`Semantics::Values`]).
+    /// Returns [`SickleError::Internal`] when `exec` was computed at
+    /// [`Semantics::Values`], which records no provenance.
     pub fn accept_exec(
         &self,
         exec: &ExecTable,
         stats: &mut SearchStats,
     ) -> Result<bool, SickleError> {
-        let Some(star) = exec.try_star() else {
+        if exec.semantics() != Semantics::Provenance {
             return Err(SickleError::Internal {
-                message: "acceptance of a result without a provenance star channel".to_string(),
+                message: "acceptance of a result without provenance".to_string(),
             });
-        };
+        }
         let t1 = Instant::now();
-        let dims = MatchDims {
-            demo_rows: self.demo_refs.n_rows(),
-            demo_cols: self.demo_refs.n_cols(),
-            table_rows: star.n_rows(),
-            table_cols: star.n_cols(),
-        };
-        let mut sets = StarSets::new(self, exec, star);
-        let fits = dims.demo_rows <= dims.table_rows && dims.demo_cols <= dims.table_cols;
-        let columns = if fits {
-            column_candidates(dims, |dj, tj| sets.column_hosts(dj, tj))
-        } else {
-            None
-        };
-        let seed = columns
-            .map(|col_candidates| MatchSeed {
-                col_candidates,
-                row_candidates: None,
-            })
-            .filter(|seed| {
-                find_table_match_seeded(dims, seed, &mut |di, dj, ti, tj| {
-                    sets.subset_ok(di, dj, ti, tj)
-                })
-                .is_some()
-            });
-        charge(stats, |s| &mut s.time_prefilter, t1);
-        let Some(mut seed) = seed else {
+        let out = exec.table();
+        let (demo_rows, demo_cols) = (self.demo_ref_ids.n_rows(), self.demo_ref_ids.n_cols());
+        if out.n_rows() < demo_rows || out.n_cols() < demo_cols {
+            charge(stats, |s| &mut s.time_prefilter, t1);
+            stats.fit_rejected += 1;
             return Ok(false);
-        };
+        }
+        let pool = self.pool();
+        let ids = exec.set_ids(&self.universe, pool);
+        let contained = self
+            .analysis
+            .consistent(&self.demo_token, &self.demo_ref_ids, &ids, pool);
+        charge(stats, |s| &mut s.time_prefilter, t1);
+        if !contained {
+            stats.prefilter_rejected += 1;
+            return Ok(false);
+        }
 
         let t2 = Instant::now();
-        seed.row_candidates = Some(match_seed_rows(
-            dims,
-            &seed.col_candidates,
-            &mut |di, dj, ti, tj| sets.subset_ok(di, dj, ti, tj),
-        ));
-        let consistent = demo_consistent_with_candidates(self.demo(), star, &seed).is_some();
-        charge(stats, |s| &mut s.time_match, t2);
+        stats.stars_built += usize::from(!exec.has_star());
+        let star = exec.star();
+        charge(stats, |s| &mut s.time_materialize, t2);
+        let t3 = Instant::now();
+        let consistent = containment_seed(&self.demo_ref_ids, &ids, pool)
+            .and_then(|seed| demo_consistent_with_candidates(self.demo(), &star, &seed))
+            .is_some();
+        charge(stats, |s| &mut s.time_match, t3);
+        if consistent {
+            stats.accepted += 1;
+        } else {
+            stats.def1_rejected += 1;
+        }
         Ok(consistent)
     }
 }
@@ -568,8 +470,8 @@ pub struct SynthResult {
 /// # Errors
 ///
 /// Returns [`SickleError::Internal`] when a search invariant breaks (a
-/// candidate that reports concrete but fails to convert, a provenance
-/// evaluation missing its star channel) — a malformed candidate surfaces
+/// candidate that reports concrete but fails to convert, a candidate
+/// evaluated without provenance) — a malformed candidate surfaces
 /// as a structured error instead of a panic that would kill a warm
 /// service process. Budget expiry is *not* an error (`stats.timed_out`).
 pub(crate) fn run_search(
@@ -646,6 +548,7 @@ pub(crate) fn run_search(
             // here; under `no-prune` it fires and saves the evaluations.
             let demo_cols = ctx.demo_refs.n_cols();
             if pq.n_cols(&ctx.input_arities).is_some_and(|n| n < demo_cols) {
+                stats.arity_skipped += 1;
                 continue;
             }
             let Some(q) = pq.to_concrete() else {
@@ -685,6 +588,9 @@ pub(crate) fn run_search(
     }
 
     stats.elapsed = started.elapsed();
+    // Charge the derived channels built since the engine cache's last
+    // sweep before the final reading.
+    ctx.eval_cache.remeasure();
     drain_cache(&mut stats);
     // Resident bytes at run end: shared structures (pool + analysis
     // memos) plus this run's live engine-cache footprint.

@@ -32,7 +32,9 @@ use std::sync::Mutex;
 
 use sickle_table::Grid;
 
-use crate::matching::{column_candidates, find_table_match_seeded, MatchDims, MatchSeed};
+use crate::matching::{
+    column_candidates, find_table_match_seeded, match_seed_rows, MatchDims, MatchSeed,
+};
 use crate::pool::{FxBuild, FxMap, RefSetPool, SetId};
 use crate::ref_set::RefSet;
 
@@ -274,23 +276,66 @@ fn check(dims: MatchDims, demo: &Grid<SetId>, abs: &Grid<SetId>, pool: &RefSetPo
         (resolve(demo), resolve(abs))
     };
     // Column-major flattening: cell (i, j) lives at j * n_rows + i.
-    let dset = |di: usize, dj: usize| -> &RefSet { &demo_sets[dj * dims.demo_rows + di] };
-    let acol =
-        |tj: usize| -> &[RefSet] { &abs_sets[tj * dims.table_rows..(tj + 1) * dims.table_rows] };
-
-    let Some(col_candidates) = column_candidates(dims, |dj, tj| {
-        (0..dims.demo_rows).all(|di| acol(tj).iter().any(|t| dset(di, dj).is_subset_of(t)))
-    }) else {
+    let subset = |di: usize, dj: usize, ti: usize, tj: usize| {
+        demo_sets[dj * dims.demo_rows + di].is_subset_of(&abs_sets[tj * dims.table_rows + ti])
+    };
+    let Some(col_candidates) = containment_columns(dims, &subset) else {
         return false;
     };
     let seed = MatchSeed {
         col_candidates,
         row_candidates: None,
     };
-    find_table_match_seeded(dims, &seed, &mut |di, dj, ti, tj| {
-        dset(di, dj).is_subset_of(&acol(tj)[ti])
+    find_table_match_seeded(dims, &seed, &mut |di, dj, ti, tj| subset(di, dj, ti, tj)).is_some()
+}
+
+/// The table columns that can host each demo column under the cell
+/// containment test `subset(di, dj, ti, tj)` ([`column_candidates`]).
+fn containment_columns(
+    dims: MatchDims,
+    subset: &impl Fn(usize, usize, usize, usize) -> bool,
+) -> Option<Vec<Vec<usize>>> {
+    column_candidates(dims, |dj, tj| {
+        (0..dims.demo_rows).all(|di| (0..dims.table_rows).any(|ti| subset(di, dj, ti, tj)))
     })
-    .is_some()
+}
+
+/// The [`MatchSeed`] of reference containment between a demonstration
+/// and an *exact* id grid (a concrete result's cell sets): the table
+/// columns that can host each demo column and the candidate rows of each
+/// demo row they induce. `None` when some demo column has no host (or
+/// the demo does not fit). Seeds the Def. 1 match of a candidate that
+/// passed [`AnalysisCache::consistent`] (see
+/// [`crate::demo_consistent_with_candidates`]).
+pub fn containment_seed(
+    demo: &Grid<SetId>,
+    table: &Grid<SetId>,
+    pool: &RefSetPool,
+) -> Option<MatchSeed> {
+    let dims = MatchDims {
+        demo_rows: demo.n_rows(),
+        demo_cols: demo.n_cols(),
+        table_rows: table.n_rows(),
+        table_cols: table.n_cols(),
+    };
+    if dims.demo_rows > dims.table_rows || dims.demo_cols > dims.table_cols {
+        return None;
+    }
+    // No matcher runs here (the work is polynomial), so the store guard
+    // is held throughout instead of cloning the cells out.
+    let store = pool.store();
+    let subset = |di: usize, dj: usize, ti: usize, tj: usize| {
+        let (d, t) = (demo[(di, dj)], table[(ti, tj)]);
+        d == t || store[d.raw() as usize].is_subset_of(&store[t.raw() as usize])
+    };
+    let col_candidates = containment_columns(dims, &subset)?;
+    let row_candidates = match_seed_rows(dims, &col_candidates, &mut |di, dj, ti, tj| {
+        subset(di, dj, ti, tj)
+    });
+    Some(MatchSeed {
+        col_candidates,
+        row_candidates: Some(row_candidates),
+    })
 }
 
 #[cfg(test)]
@@ -388,6 +433,33 @@ mod tests {
         // once, then hits.
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (2, 2));
+    }
+
+    /// The containment seed lists exactly the hosting columns and rows.
+    #[test]
+    fn containment_seed_lists_hosting_columns_and_rows() {
+        let (u, pool) = setup();
+        let r = |i: usize, j: usize| CellRef::new(0, i, j);
+        let demo = grid(&pool, &u, &[&[&[r(0, 0)], &[r(0, 1), r(1, 1)]]]);
+        // Column 0 hosts demo column 0 in row 0 only, column 1 hosts demo
+        // column 1 in both rows, column 2 hosts nothing.
+        let table = grid(
+            &pool,
+            &u,
+            &[
+                &[&[r(0, 0)], &[r(0, 1), r(1, 1)], &[r(0, 2)]],
+                &[&[r(1, 0)], &[r(0, 1), r(1, 1), r(2, 1)], &[r(1, 2)]],
+            ],
+        );
+        let seed = containment_seed(&demo, &table, &pool).expect("both demo columns hosted");
+        assert_eq!(seed.col_candidates, vec![vec![0], vec![1]]);
+        assert_eq!(seed.row_candidates, Some(vec![vec![true, false]]));
+        // No column hosts demo column 1 once column 1 loses r(1, 1).
+        let short = grid(&pool, &u, &[&[&[r(0, 0)], &[r(0, 1)], &[r(0, 2)]]]);
+        assert!(containment_seed(&demo, &short, &pool).is_none());
+        // A table narrower than the demo has no seed.
+        let narrow = grid(&pool, &u, &[&[&[r(0, 0), r(0, 1), r(1, 1)]]]);
+        assert!(containment_seed(&demo, &narrow, &pool).is_none());
     }
 
     /// Tables at or above the size gate go through the verdict memo.

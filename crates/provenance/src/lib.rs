@@ -55,7 +55,7 @@ mod matching;
 mod pool;
 mod ref_set;
 
-pub use analysis::{AnalysisCache, AnalysisCacheStats, DemoToken};
+pub use analysis::{containment_seed, AnalysisCache, AnalysisCacheStats, DemoToken};
 pub use consistency::{demo_consistent, demo_consistent_with_candidates, expr_consistent};
 pub use demo::{parse_expr, Demo, DemoExpr, ParseError};
 pub use expr::{CellRef, Expr, FuncName, RefTerm};

@@ -213,24 +213,7 @@ impl RefSetPool {
     /// fold, and a single intern of the result — bulk unions (column
     /// unions of the abstract broadcasts) are the common shape.
     pub fn union_slice(&self, ids: &[SetId]) -> SetId {
-        let mut acc: Option<RefSet> = None;
-        {
-            let sets = self.sets.read().expect("pool store lock");
-            for &id in ids {
-                if id == SetId::EMPTY {
-                    continue;
-                }
-                let s = &sets[id.0 as usize];
-                match &mut acc {
-                    None => acc = Some(s.clone()),
-                    Some(a) => a.union_with(s),
-                }
-            }
-        }
-        match acc {
-            None => SetId::EMPTY,
-            Some(a) => self.intern(a),
-        }
+        self.union_of(ids.iter().copied())
     }
 
     /// Unions `ids[r]` over the given row indices (the per-group union of
@@ -240,23 +223,54 @@ impl RefSetPool {
     ///
     /// Panics if any row index is out of bounds for `ids`.
     pub fn union_rows(&self, ids: &[SetId], rows: &[usize]) -> SetId {
+        self.union_of(rows.iter().map(|&r| ids[r]))
+    }
+
+    /// The running unions of `ids[r]` over `rows`, in order: element `k`
+    /// unions the first `k + 1` rows (the window prefixes of `cumsum`).
+    /// One store-lock acquisition per row, and one intern per growth.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any row index is out of bounds for `ids`.
+    pub fn prefix_unions(&self, ids: &[SetId], rows: &[usize]) -> Vec<SetId> {
+        let mut acc = SetId::EMPTY;
+        rows.iter()
+            .map(|&r| {
+                acc = self.union_of([acc, ids[r]]);
+                acc
+            })
+            .collect()
+    }
+
+    /// The union of `ids`. The union of at most one distinct non-empty
+    /// set is that set's own id, found without hashing or interning.
+    fn union_of(&self, ids: impl IntoIterator<Item = SetId>) -> SetId {
+        let mut first = SetId::EMPTY;
         let mut acc: Option<RefSet> = None;
         {
             let sets = self.sets.read().expect("pool store lock");
-            for &r in rows {
-                let id = ids[r];
-                if id == SetId::EMPTY {
+            for id in ids {
+                if id == SetId::EMPTY || id == first {
+                    continue;
+                }
+                if first == SetId::EMPTY {
+                    first = id;
                     continue;
                 }
                 let s = &sets[id.0 as usize];
                 match &mut acc {
-                    None => acc = Some(s.clone()),
+                    None => {
+                        let mut a = sets[first.0 as usize].clone();
+                        a.union_with(s);
+                        acc = Some(a);
+                    }
                     Some(a) => a.union_with(s),
                 }
             }
         }
         match acc {
-            None => SetId::EMPTY,
+            None => first,
             Some(a) => self.intern(a),
         }
     }
@@ -317,6 +331,21 @@ mod tests {
         assert!(!pool.get(ab).is_subset_of(&pool.get(a)));
         // Either operand order returns the identical id.
         assert_eq!(pool.union_slice(&[b, a]), ab);
+    }
+
+    #[test]
+    fn prefix_unions_grow_row_by_row() {
+        let u = universe();
+        let pool = RefSetPool::new();
+        let r = |i: usize| pool.intern_refs(&u, [CellRef::new(0, i, 0)]);
+        let col = vec![r(0), SetId::EMPTY, r(1), r(0)];
+        let prefixes = pool.prefix_unions(&col, &[3, 1, 2, 0]);
+        assert_eq!(prefixes[0], r(0));
+        assert_eq!(prefixes[1], r(0), "an empty row adds nothing");
+        assert_eq!(prefixes[2], pool.union_slice(&[r(0), r(1)]));
+        assert_eq!(prefixes[3], prefixes[2], "a repeated set adds nothing");
+        assert_eq!(pool.union_rows(&col, &[0, 3]), r(0));
+        assert!(pool.prefix_unions(&col, &[]).is_empty());
     }
 
     #[test]

@@ -1,58 +1,79 @@
 //! The search's acceptance path (`TaskContext::accept`: materialization,
-//! the dimension fit, Def. 3 prefilter over column candidates, seeded
-//! Def. 1 match) against the blind check on real search frontiers: an
-//! uncached provenance evaluation, blind `find_table_match` reference
-//! containment, then blind `demo_consistent`. Every candidate must get the
-//! same verdict from both, including candidates too narrow or too short to
-//! host the demonstration.
+//! the dimension fit, the cached Def. 3 prefilter on the lazily derived
+//! exact ids, seeded Def. 1 match) against the blind check on real search
+//! frontiers: an uncached provenance evaluation, blind `find_table_match`
+//! reference containment over sets converted from the star, then blind
+//! `demo_consistent`. Every candidate must get the same verdict from
+//! both, including candidates too narrow or too short to host the
+//! demonstration. The cached prefilter verdict must equal direct
+//! matching, cold and on a hit, and a candidate the prefilter rejects
+//! must never build its star.
 
 use sickle_benchmarks::{all_benchmarks, frontier_candidates};
 use sickle_core::{exec, Pred, Query, SearchStats, Semantics, SynthConfig, SynthTask, TaskContext};
-use sickle_provenance::{demo_consistent, find_table_match, Demo, MatchDims};
-use sickle_table::{AggFunc, CmpOp, Table, Value};
+use sickle_provenance::{demo_consistent, find_table_match, Demo, MatchDims, RefSet};
+use sickle_table::{AggFunc, CmpOp, Grid, Table, Value};
 
 /// Frontier candidates replayed per task (the search's own visit order).
 const CANDIDATES: usize = 300;
 
-/// Largest star the acceptance path still converts column by column
-/// through its cross-candidate memos; taller stars take the result-local
-/// whole-grid branch.
-const BULK_COL_ROWS: usize = 128;
-
-/// The blind acceptance verdict of `q`, plus the row count of its result
-/// (0 when it fails to evaluate).
-fn blind_verdict(ctx: &TaskContext, q: &Query) -> (bool, usize) {
-    let Ok(result) = exec(Semantics::Provenance, q, ctx.inputs()) else {
-        return (false, 0);
-    };
-    let star = result.star();
-    let sets = result.sets(&ctx.universe);
+/// Direct reference containment of the demonstration in `sets`.
+fn contained(ctx: &TaskContext, sets: &Grid<RefSet>) -> bool {
     let dims = MatchDims {
         demo_rows: ctx.demo_refs.n_rows(),
         demo_cols: ctx.demo_refs.n_cols(),
-        table_rows: star.n_rows(),
-        table_cols: star.n_cols(),
+        table_rows: sets.n_rows(),
+        table_cols: sets.n_cols(),
     };
-    let contained = find_table_match(dims, &mut |di, dj, ti, tj| {
+    find_table_match(dims, &mut |di, dj, ti, tj| {
         ctx.demo_refs[(di, dj)].is_subset_of(&sets[(ti, tj)])
     })
-    .is_some();
+    .is_some()
+}
+
+/// The blind verdicts of `q`: reference containment over the star's
+/// converted sets, then acceptance; plus the row count of its result
+/// (all `false`/0 when it fails to evaluate).
+fn blind_verdict(ctx: &TaskContext, q: &Query) -> (bool, bool, usize) {
+    let Ok(result) = exec(Semantics::Provenance, q, ctx.inputs()) else {
+        return (false, false, 0);
+    };
+    let star = result.star();
+    let sets = star.map_columns(|col| ctx.universe.column_sets(col));
+    let contained = contained(ctx, &sets);
     (
-        contained && demo_consistent(ctx.demo(), star).is_some(),
+        contained,
+        contained && demo_consistent(ctx.demo(), &star).is_some(),
         star.n_rows(),
     )
 }
 
+/// What a cross-check saw.
+#[derive(Debug, Default)]
+struct Seen {
+    accepted: usize,
+    rejected: usize,
+    tallest: usize,
+    /// Cached prefilter verdicts checked against direct matching, by
+    /// verdict.
+    prefilter: [usize; 2],
+    /// Prefilter rejects that held no star before acceptance ran.
+    starless_rejects: usize,
+}
+
 /// Runs every frontier candidate of `task`, then `extra`, then `misfits`
 /// (which must be rejected), through both paths, asserting equal
-/// verdicts. Returns (accepted, rejected, tallest result rows).
+/// verdicts. For every candidate that fits the demonstration, the
+/// session's cached Def. 3 verdict on its exact ids must equal direct
+/// matching, cold and on a hit; a candidate the prefilter rejects must
+/// not build its star.
 fn cross_check(
     name: &str,
     task: SynthTask,
     config: &SynthConfig,
     extra: Option<Query>,
     misfits: &[Query],
-) -> (usize, usize, usize) {
+) -> Seen {
     let ctx = TaskContext::new(task);
     let mut candidates = frontier_candidates(&ctx, config, CANDIDATES, 20_000);
     assert!(!candidates.is_empty(), "{name}: empty frontier");
@@ -60,23 +81,59 @@ fn cross_check(
     let first_misfit = candidates.len();
     candidates.extend_from_slice(misfits);
     let mut stats = SearchStats::default();
-    let (mut accepted, mut tallest) = (0, 0);
+    let mut seen = Seen::default();
+    let hits_before = ctx.analysis.stats().hits;
     for (i, q) in candidates.iter().enumerate() {
+        let (blind_contained, blind, rows) = blind_verdict(&ctx, q);
+        let cached = ctx
+            .eval_cache
+            .exec(q, Semantics::Provenance, ctx.inputs())
+            .ok();
+        let had_star = cached.as_ref().is_some_and(|c| c.has_star());
+        let before = stats;
         let staged = ctx
             .accept(q, &mut stats)
             .unwrap_or_else(|e| panic!("{name}: {q}: {e}"));
-        let (blind, rows) = blind_verdict(&ctx, q);
         assert_eq!(staged, blind, "{name}: verdicts differ on {q}");
         assert!(i < first_misfit || !staged, "{name}: misfit {q} accepted");
-        accepted += usize::from(staged);
-        tallest = tallest.max(rows);
+        seen.accepted += usize::from(staged);
+        seen.tallest = seen.tallest.max(rows);
+        let Some(cached) = cached else { continue };
+        if stats.prefilter_rejected > before.prefilter_rejected {
+            assert!(!blind_contained, "{name}: prefilter rejected {q}");
+            assert_eq!(cached.has_star(), had_star, "{name}: {q} built its star");
+            assert_eq!(stats.stars_built, before.stars_built);
+            seen.starless_rejects += usize::from(!had_star);
+        }
+        if stats.fit_rejected == before.fit_rejected {
+            let ids = cached.set_ids(&ctx.universe, ctx.pool());
+            for round in ["cold", "hit"] {
+                let verdict =
+                    ctx.analysis
+                        .consistent(&ctx.demo_token, &ctx.demo_ref_ids, &ids, ctx.pool());
+                assert_eq!(verdict, blind_contained, "{name}: {round} prefilter on {q}");
+            }
+            seen.prefilter[usize::from(blind_contained)] += 1;
+        }
     }
-    // Every acceptance stage ran and was charged to its timer.
+    seen.rejected = candidates.len() - seen.accepted;
+    assert!(
+        ctx.analysis.stats().hits > hits_before,
+        "{name}: no prefilter verdict was served from the cache"
+    );
+    // Every acceptance stage ran and was charged to its timer, and every
+    // candidate landed in exactly one funnel row (all of them evaluate).
     assert_eq!(
         stats.time_concrete,
         stats.time_materialize + stats.time_prefilter + stats.time_match
     );
-    (accepted, candidates.len() - accepted, tallest)
+    assert_eq!(
+        stats.fit_rejected + stats.prefilter_rejected + stats.def1_rejected + stats.accepted,
+        candidates.len(),
+        "{name}: {stats:?}"
+    );
+    assert_eq!(stats.stars_built, stats.def1_rejected + stats.accepted);
+    seen
 }
 
 /// Two candidates whose results cannot host `task`'s demonstration, so
@@ -121,17 +178,19 @@ fn check_suite_task(id: usize, inputs: usize) {
     let (task, _) = b.task(2022).expect("benchmark demo generates");
     assert_eq!(task.inputs.len(), inputs);
     let misfits = misfits(&task);
-    let (accepted, rejected, _) = cross_check(
+    let seen = cross_check(
         b.name,
         task,
         &b.config(),
         Some(b.ground_truth.clone()),
         &misfits,
     );
+    assert!(seen.accepted > 0 && seen.rejected > 0, "{seen:?}");
     assert!(
-        accepted > 0 && rejected > 0,
-        "{accepted} accepted, {rejected} rejected"
+        seen.prefilter[0] > 0 && seen.prefilter[1] > 0,
+        "both prefilter verdicts: {seen:?}"
     );
+    assert!(seen.starless_rejects > 0, "{seen:?}");
 }
 
 #[test]
@@ -145,7 +204,8 @@ fn join_suite_task_agrees_with_blind_check() {
 }
 
 /// A 150-row input: windows and arithmetic keep every row, so their
-/// stars exceed the bulk-conversion threshold.
+/// results are tall, and the input's 300 cells take the reference sets
+/// past their 128 inline bits.
 #[test]
 fn stars_over_the_bulk_threshold_agree_with_blind_check() {
     let rows = (0..150)
@@ -159,16 +219,14 @@ fn stars_over_the_bulk_threshold_agree_with_blind_check() {
     ])
     .expect("demo parses");
     let config = SynthConfig::default().with_max_depth(2);
-    let (accepted, rejected, tallest) = cross_check(
+    let seen = cross_check(
         "window sum",
         SynthTask::new(vec![table], demo),
         &config,
         None,
         &[],
     );
-    assert!(tallest > BULK_COL_ROWS, "tallest result has {tallest} rows");
-    assert!(
-        accepted > 0 && rejected > 0,
-        "{accepted} accepted, {rejected} rejected"
-    );
+    assert!(seen.tallest > 128, "{seen:?}");
+    assert!(seen.accepted > 0 && seen.rejected > 0, "{seen:?}");
+    assert!(seen.prefilter[0] > 0 && seen.prefilter[1] > 0, "{seen:?}");
 }

@@ -8,9 +8,18 @@
 
 use sickle_benchmarks::{all_benchmarks, frontier_candidates};
 use sickle_core::{
-    Budget, CachePolicy, SearchStats, Semantics, Session, SynthRequest, SynthResult, TaskContext,
-    Unit,
+    Budget, CachePolicy, ExecTable, SearchStats, Semantics, Session, SynthRequest, SynthResult,
+    TaskContext, Unit,
 };
+use sickle_provenance::RefSet;
+use sickle_table::Grid;
+
+/// The reference sets of `exec`'s cells, read through `ctx`'s lazy id
+/// channel.
+fn sets(ctx: &TaskContext, exec: &ExecTable) -> Grid<RefSet> {
+    exec.set_ids(&ctx.universe, ctx.pool())
+        .map(|&id| ctx.pool().get(id))
+}
 
 /// Property: under a tiny cap with retention-mode spilling (constant
 /// sweeping, eviction *and* demotion), every candidate's value table,
@@ -34,7 +43,8 @@ fn spilled_and_evicted_entries_reverify_byte_identically() {
     let churn = TaskContext::with_policy(task, policy);
 
     // Two rounds: round two re-probes entries that round one demoted
-    // (set re-conversion) or evicted (full re-evaluation).
+    // (lazy re-derivation of ids and star) or evicted (full
+    // re-evaluation).
     for round in 0..2 {
         for (i, q) in candidates.iter().enumerate() {
             let want = reference
@@ -56,8 +66,8 @@ fn spilled_and_evicted_entries_reverify_byte_identically() {
                         "star diverged on candidate {i} round {round}"
                     );
                     assert_eq!(
-                        want.sets(&reference.universe),
-                        got.sets(&churn.universe),
+                        sets(&reference, &want),
+                        sets(&churn, &got),
                         "derived sets diverged on candidate {i} round {round}"
                     );
                 }
@@ -81,9 +91,9 @@ fn spilled_and_evicted_entries_reverify_byte_identically() {
 /// Benefit-aware demotion: under the *default* low-water mark (cap/2 —
 /// not the retention mode the test above forces), a sweep now also
 /// demotes surviving entries that were never re-probed since the last
-/// sweep (probe frequency zero), so star-channel spilling pays off under
-/// the default policy too. The spill must stay transparent: every
-/// candidate — including ones revisited after their sets were spilled —
+/// sweep (probe frequency zero), so freeing derived channels pays off
+/// under the default policy too. The spill must stay transparent: every
+/// candidate — including ones revisited after their ids were freed —
 /// re-verifies byte-identically against a never-evicted cache.
 #[test]
 fn benefit_aware_demotion_spills_under_default_low_water() {
@@ -122,8 +132,8 @@ fn benefit_aware_demotion_spills_under_default_low_water() {
                         "star diverged on candidate {i} round {round}"
                     );
                     assert_eq!(
-                        want.sets(&reference.universe),
-                        got.sets(&churn.universe),
+                        sets(&reference, &want),
+                        sets(&churn, &got),
                         "derived sets diverged on candidate {i} round {round}"
                     );
                 }

@@ -7,13 +7,15 @@
 //! * Property 1/2: the abstract semantics over-approximates the provenance
 //!   of every instantiation, so a consistent query is never pruned
 //!   (Def. 3 soundness) — again on random pairs and the full suite;
-//! * the engine's ref-set channel agrees exactly with `ref(·)` collection
-//!   over the star channel;
+//! * the engine's lazily derived id channel agrees exactly with `ref(·)`
+//!   collection over the star channel, and its lazy star with an
+//!   uncached provenance evaluation — on random pairs and on every
+//!   frontier candidate of the 80 suite tasks;
 //! * demonstrations generated from a provenance table are always accepted
 //!   by the `≺` rules (truncation and permutation preserve consistency);
 //! * surface syntax round-trips through the parser.
 
-use sickle_benchmarks::{all_benchmarks, demo_expr_of, rng::Rng};
+use sickle_benchmarks::{all_benchmarks, demo_expr_of, frontier_candidates, rng::Rng};
 use sickle_core::{
     abstract_evaluate, concretize, demo_ref_sets, evaluate, prov_evaluate, AbsTable, EvalCache,
     PQuery, Pred, Query, Semantics,
@@ -246,7 +248,7 @@ fn abstraction_is_sound_on_random_queries() {
     }
 }
 
-/// The engine's directly-computed ref-set channel must agree exactly with
+/// The engine's lazily derived id channel must agree exactly with
 /// collecting `ref(·)` over the star channel, on every random query, and
 /// so must the direct term walk `set_of` on every cell (checked against
 /// sets grown one `insert` at a time, too). Each query also
@@ -263,11 +265,17 @@ fn engine_sets_channel_matches_star_refs() {
         let wide = Table::from_grid(Grid::from_rows(rows.collect()).expect("rectangular"));
         for inputs in [[t], [wide]] {
             let universe = RefUniverse::from_tables(&inputs);
+            let pool = RefSetPool::new();
             let Ok(exec) = sickle_core::exec(Semantics::Provenance, &q, &inputs) else {
                 continue;
             };
+            let ids = exec.set_ids(&universe, &pool);
             let from_star = exec.star().map(|e| universe.set_from(e.refs()));
-            assert_eq!(*exec.sets(&universe), from_star, "seed {seed}: query {q}");
+            assert_eq!(
+                ids.map(|&id| pool.get(id)),
+                from_star,
+                "seed {seed}: query {q}"
+            );
             let from_walk = exec.star().map(|e| universe.set_of(e));
             assert_eq!(from_walk, from_star, "seed {seed}: query {q}");
             let inserted = exec.star().map(|e| {
@@ -278,6 +286,44 @@ fn engine_sets_channel_matches_star_refs() {
             assert_eq!(from_walk, inserted, "seed {seed}: query {q}");
         }
     }
+}
+
+/// Frontier visits replayed per suite task by
+/// [`lazy_channels_match_on_every_suite_frontier_candidate`].
+const FRONTIER_VISITS: usize = 1_000;
+
+/// On every concrete candidate of the first [`FRONTIER_VISITS`] search
+/// visits of all 80 suite tasks, evaluated through the search's own
+/// engine cache (children shared, derived one node at a time): the lazy
+/// id grid equals interning `universe.column_sets` of the candidate's
+/// star, and the lazy star equals an uncached `prov_evaluate`.
+#[test]
+fn lazy_channels_match_on_every_suite_frontier_candidate() {
+    let mut checked = 0;
+    for b in all_benchmarks() {
+        let (task, _) = b.task(2022).expect("suite demo generates");
+        let ctx = sickle_core::TaskContext::new(task);
+        let pool = ctx.pool();
+        for q in frontier_candidates(&ctx, &b.config(), usize::MAX, FRONTIER_VISITS) {
+            let Ok(exec) = ctx.eval_cache.exec(&q, Semantics::Provenance, ctx.inputs()) else {
+                continue;
+            };
+            let ids = exec.set_ids(&ctx.universe, pool);
+            let star = exec.star();
+            let from_star = star.map_columns(|col| {
+                ctx.universe
+                    .column_sets(col)
+                    .into_iter()
+                    .map(|s| pool.intern(s))
+                    .collect()
+            });
+            assert_eq!(*ids, from_star, "task {}: ids of {q}", b.id);
+            let uncached = prov_evaluate(&q, ctx.inputs()).expect("evaluates uncached");
+            assert_eq!(*star, uncached, "task {}: star of {q}", b.id);
+            checked += 1;
+        }
+    }
+    assert!(checked > 10_000, "only {checked} candidates checked");
 }
 
 /// Demonstrations generated from provenance cells are accepted by ≺:
