@@ -326,8 +326,8 @@ fn main() {
         let gq = group_query();
         let pq = depth2_partial();
         let legacy = time_best(5, || legacy::abstract_depth2(&gq, &[0], &inputs, &universe));
-        // Fresh cache per iteration: the per-PQuery memo would otherwise
-        // turn every timed run after the first into a pure cache hit.
+        // Fresh cache per iteration: the subtree memos would otherwise
+        // serve every timed run after the first its concrete `group`.
         let new = time_best(5, || {
             abstract_evaluate(&pq, &inputs, &universe, &EvalCache::new()).unwrap()
         });

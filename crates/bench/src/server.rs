@@ -25,8 +25,8 @@
 //!   poisoned request yields an `internal` error response and closes its
 //!   connection; the server keeps serving everyone else.
 //! * **Hangup detection** — streamed-event write failures and an EOF
-//!   probe between events both trip the request's `CancelToken`, so a
-//!   client that disappears never burns a full search.
+//!   probe once per poll tick both trip the request's `CancelToken`, so
+//!   a client that disappears never burns a full search.
 //! * **Input bound** — request lines are capped at
 //!   [`ServerConfig::max_line_bytes`] (`SICKLE_MAX_LINE_BYTES`, default
 //!   8 MiB); oversized lines are drained and rejected with a structured
@@ -45,6 +45,7 @@
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -62,6 +63,10 @@ use crate::wire::{bad_json_response, error_response, finish_response, progress_j
 /// Poll granularity of the serving loops: read timeouts, watchdog checks
 /// and shutdown checks all tick at this rate.
 const POLL: Duration = Duration::from_millis(100);
+
+/// Longest wait of the accept loop between shutdown checks. A connection
+/// ends the wait at once.
+const ACCEPT_TICK: Duration = Duration::from_millis(25);
 
 /// Write timeout on client sockets: a client that stops reading must
 /// surface as a write error (tripping cancellation), not wedge the
@@ -484,6 +489,41 @@ impl Listener {
         match self {
             Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
             Listener::Unix(l, _) => l.accept().map(|(s, _)| Conn::Unix(s)),
+        }
+    }
+
+    /// Blocks until a connection is ready to accept, `timeout` passes or
+    /// a signal interrupts the wait, whichever comes first: `poll(2)` on
+    /// the listening socket, declared against the libc std links.
+    fn wait_acceptable(&self, timeout: Duration) {
+        #[repr(C)]
+        struct PollFd {
+            fd: i32,
+            events: i16,
+            revents: i16,
+        }
+        #[cfg(target_os = "linux")]
+        type NFds = std::ffi::c_ulong;
+        #[cfg(not(target_os = "linux"))]
+        type NFds = std::ffi::c_uint;
+        extern "C" {
+            fn poll(fds: *mut PollFd, nfds: NFds, timeout_ms: i32) -> i32;
+        }
+        const POLLIN: i16 = 1;
+        let mut fd = PollFd {
+            fd: match self {
+                Listener::Tcp(l) => l.as_raw_fd(),
+                Listener::Unix(l, _) => l.as_raw_fd(),
+            },
+            events: POLLIN,
+            revents: 0,
+        };
+        let timeout_ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+        // SAFETY: `fd` is one valid `pollfd` that outlives the call, and
+        // the listener keeps its descriptor open. The outcome needs no
+        // check: the caller retries `accept` either way.
+        unsafe {
+            poll(&mut fd, 1, timeout_ms);
         }
     }
 }
@@ -1096,6 +1136,9 @@ fn run_admitted(
     let mut client_gone = false;
     let mut mem_killed = false;
     let mut next_pressure_check = t0;
+    // The first liveness check waits one tick, so a request answered
+    // within `POLL` never pays the hangup probe's read timeout.
+    let mut next_liveness_check = t0 + POLL;
     let outcome = loop {
         let now = Instant::now();
         // Hard watermark (or an injected oom@analyze): cancel the search
@@ -1117,6 +1160,24 @@ fn run_admitted(
                     shared.sessions.total_bytes()
                 ));
                 continue;
+            }
+        }
+        // Drain and hangup, checked on every pass at most once per poll
+        // tick: a search that streams solutions faster than `POLL` never
+        // times out a wait, so a check only on quiet gaps would miss them.
+        if canceled_at.is_none() && now >= next_liveness_check {
+            next_liveness_check = now + POLL;
+            if shared.is_shutdown() {
+                stream.cancel();
+                canceled_at = Some(now);
+                cancel_reason = "server shutting down";
+                log(format_args!("drain: in-flight search canceled"));
+            } else if hangup() {
+                client_gone = true;
+                stream.cancel();
+                canceled_at = Some(now);
+                cancel_reason = "client hung up";
+                log(format_args!("client hung up; search canceled"));
             }
         }
         let until = match canceled_at {
@@ -1262,7 +1323,7 @@ fn run_admitted(
                     Outcome::KeepOpen
                 };
             }
-            StreamWait::Event(_) => {}
+            StreamWait::Event(_) | StreamWait::TimedOut => {}
             StreamWait::Ended => {
                 let e = SickleError::Internal {
                     message: "synthesis worker terminated without a result".to_string(),
@@ -1276,22 +1337,6 @@ fn run_admitted(
                     Outcome::KeepOpen
                 };
             }
-            StreamWait::TimedOut => {
-                if canceled_at.is_none() {
-                    if shared.is_shutdown() {
-                        stream.cancel();
-                        canceled_at = Some(Instant::now());
-                        cancel_reason = "server shutting down";
-                        log(format_args!("drain: in-flight search canceled"));
-                    } else if hangup() {
-                        client_gone = true;
-                        stream.cancel();
-                        canceled_at = Some(Instant::now());
-                        cancel_reason = "client hung up";
-                        log(format_args!("client hung up; search canceled"));
-                    }
-                }
-            }
         }
     };
     shared.tokens.deregister(token_id);
@@ -1300,7 +1345,7 @@ fn run_admitted(
 
 /// Serves one connection (or the stdio pair): bounded line reads, one
 /// request at a time through [`serve_line`]. `hangup_probe` is consulted
-/// between search events to detect a vanished client (socket
+/// once per [`POLL`] tick of a search to detect a vanished client (socket
 /// connections pass an EOF probe; stdio passes `|_| false`).
 fn connection_loop<R: BufRead>(
     shared: &Shared,
@@ -1479,12 +1524,12 @@ impl Server {
                     handles.retain(|h| !h.is_finished());
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
+                    self.listener.wait_acceptable(ACCEPT_TICK);
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => {
                     log(format_args!("accept failed: {e}"));
-                    std::thread::sleep(Duration::from_millis(25));
+                    std::thread::sleep(ACCEPT_TICK);
                 }
             }
         }

@@ -76,12 +76,13 @@ pub fn abstract_evaluate(
     universe: &RefUniverse,
     cache: &EvalCache,
 ) -> Result<AbsTable, EvalError> {
-    abstract_evaluate_rc(pq, inputs, universe, cache).map(|rc| (*rc).clone())
+    abstract_node(pq, inputs, universe, cache)
 }
 
-/// Memoized evaluator sharing whole abstract tables between the many
-/// sibling queries that contain identical subtrees; prefer this in hot
-/// paths (it avoids cloning the result grid).
+/// [`abstract_evaluate`] behind an `Rc`, the form the analyzers hold.
+/// The root of `pq` is computed outside the cache's abstract store: the
+/// search analyzes each partial query once, so only its proper subtrees,
+/// which sibling queries share, are looked up and stored.
 ///
 /// # Errors
 ///
@@ -92,11 +93,21 @@ pub fn abstract_evaluate_rc(
     universe: &RefUniverse,
     cache: &EvalCache,
 ) -> Result<Rc<AbsTable>, EvalError> {
+    abstract_node(pq, inputs, universe, cache).map(Rc::new)
+}
+
+/// The abstract table of a proper subtree, shared through the cache's
+/// abstract store by the sibling queries that contain it.
+fn abstract_subtree(
+    pq: &PQuery,
+    inputs: &[Table],
+    universe: &RefUniverse,
+    cache: &EvalCache,
+) -> Result<Rc<AbsTable>, EvalError> {
     if let Some(hit) = cache.abs_get(pq) {
         return Ok(hit);
     }
-    let computed = abstract_evaluate_uncached(pq, inputs, universe, cache)?;
-    let rc = Rc::new(computed);
+    let rc = Rc::new(abstract_node(pq, inputs, universe, cache)?);
     cache.abs_put(pq, Rc::clone(&rc));
     Ok(rc)
 }
@@ -108,7 +119,9 @@ fn broadcast_rows(row: &[SetId], n_rows: usize) -> Grid<SetId> {
     Grid::from_columns(row.iter().map(|&s| Arc::new(vec![s; n_rows])).collect())
 }
 
-fn abstract_evaluate_uncached(
+/// Applies `pq`'s own abstract rule to its children's tables, which come
+/// through [`abstract_subtree`].
+fn abstract_node(
     pq: &PQuery,
     inputs: &[Table],
     universe: &RefUniverse,
@@ -133,14 +146,14 @@ fn abstract_evaluate_uncached(
         // filter/sort with a hole do not create cells: propagate (columns
         // shared, not copied).
         PQuery::Filter { src, .. } | PQuery::Sort { src, .. } => {
-            let child = abstract_evaluate_rc(src, inputs, universe, cache)?;
+            let child = abstract_subtree(src, inputs, universe, cache)?;
             Ok(AbsTable {
                 sets: child.sets.clone(),
                 concrete: None,
             })
         }
         PQuery::Proj { src, cols } => {
-            let child = abstract_evaluate_rc(src, inputs, universe, cache)?;
+            let child = abstract_subtree(src, inputs, universe, cache)?;
             let sets = match cols {
                 Some(cols) => {
                     check_cols(cols, child.sets.n_cols(), "proj")?;
@@ -154,16 +167,16 @@ fn abstract_evaluate_uncached(
             })
         }
         PQuery::Join { left, right } => {
-            let l = abstract_evaluate_rc(left, inputs, universe, cache)?;
-            let r = abstract_evaluate_rc(right, inputs, universe, cache)?;
+            let l = abstract_subtree(left, inputs, universe, cache)?;
+            let r = abstract_subtree(right, inputs, universe, cache)?;
             Ok(AbsTable {
                 sets: cross_sets(&l.sets, &r.sets),
                 concrete: None,
             })
         }
         PQuery::LeftJoin { left, right, .. } => {
-            let l = abstract_evaluate_rc(left, inputs, universe, cache)?;
-            let r = abstract_evaluate_rc(right, inputs, universe, cache)?;
+            let l = abstract_subtree(left, inputs, universe, cache)?;
+            let r = abstract_subtree(right, inputs, universe, cache)?;
             let crossed = cross_sets(&l.sets, &r.sets);
             // Unmatched left rows padded with empty provenance.
             let padded = l.sets.hcat(&broadcast_rows(
@@ -176,7 +189,7 @@ fn abstract_evaluate_uncached(
             })
         }
         PQuery::Group { src, keys, agg } => {
-            let child = abstract_evaluate_rc(src, inputs, universe, cache)?;
+            let child = abstract_subtree(src, inputs, universe, cache)?;
             let n_rows = child.sets.n_rows();
             let n_cols = child.sets.n_cols();
             match keys {
@@ -245,7 +258,7 @@ fn abstract_evaluate_uncached(
             }
         }
         PQuery::Partition { src, keys, func } => {
-            let child = abstract_evaluate_rc(src, inputs, universe, cache)?;
+            let child = abstract_subtree(src, inputs, universe, cache)?;
             let n_rows = child.sets.n_rows();
             let n_cols = child.sets.n_cols();
             let new_col: Vec<SetId> = match keys {
@@ -295,7 +308,7 @@ fn abstract_evaluate_uncached(
             })
         }
         PQuery::Arith { src, func } => {
-            let child = abstract_evaluate_rc(src, inputs, universe, cache)?;
+            let child = abstract_subtree(src, inputs, universe, cache)?;
             let n_cols = child.sets.n_cols();
             let arg_cols: Vec<usize> = match func {
                 // Medium: only the argument columns flow in.
@@ -614,6 +627,69 @@ mod tests {
         assert_eq!(new.len(), 5); // the five cells of row 3
         assert!(new.contains(&u, CellRef::new(0, 2, 0)));
         assert!(!new.contains(&u, CellRef::new(0, 3, 0)));
+    }
+
+    /// The proper subtrees of `pq` that abstract evaluation visits: a
+    /// concrete subtree's own subtrees go to the engine instead.
+    fn proper_subtrees(pq: &PQuery) -> Vec<&PQuery> {
+        if pq.is_concrete() {
+            return vec![];
+        }
+        let children: Vec<&PQuery> = match pq {
+            PQuery::Input(_) => vec![],
+            PQuery::Join { left, right } | PQuery::LeftJoin { left, right, .. } => {
+                vec![left, right]
+            }
+            PQuery::Filter { src, .. }
+            | PQuery::Sort { src, .. }
+            | PQuery::Proj { src, .. }
+            | PQuery::Group { src, .. }
+            | PQuery::Partition { src, .. }
+            | PQuery::Arith { src, .. } => vec![src],
+        };
+        children
+            .into_iter()
+            .flat_map(|c| std::iter::once(c).chain(proper_subtrees(c)))
+            .collect()
+    }
+
+    #[test]
+    fn root_is_computed_outside_the_abstract_store() {
+        let dims = Table::new(["c"], vec![vec![Value::from("A")]]).unwrap();
+        let inputs = [enrollment(), dims];
+        let u = RefUniverse::from_tables(&inputs);
+        let strong = PQuery::Partition {
+            src: Box::new(PQuery::Group {
+                src: Box::new(PQuery::Input(0)),
+                keys: Some(vec![0, 1]),
+                agg: Some((AggFunc::Sum, 3)),
+            }),
+            keys: Some(vec![0]),
+            func: None,
+        };
+        let left_join = PQuery::Proj {
+            src: Box::new(PQuery::LeftJoin {
+                left: Box::new(PQuery::Input(0)),
+                right: Box::new(PQuery::Input(1)),
+                pred: None,
+            }),
+            cols: None,
+        };
+        for pq in [q_b(), strong, left_join] {
+            // One pool, so equal sets have equal ids on both sides.
+            let pool = Arc::new(RefSetPool::new());
+            let rooted = EvalCache::with_pool_and_policy(Arc::clone(&pool), Default::default());
+            let stored = EvalCache::with_pool_and_policy(Arc::clone(&pool), Default::default());
+            let got = abstract_evaluate_rc(&pq, &inputs, &u, &rooted).unwrap();
+            // The memoized path every proper subtree takes, root included.
+            let want = abstract_subtree(&pq, &inputs, &u, &stored).unwrap();
+            assert_eq!(got.sets, want.sets, "{pq}");
+            assert!(stored.abs_get(&pq).is_some(), "{pq}");
+            assert!(rooted.abs_get(&pq).is_none(), "{pq}: root stored");
+            for sub in proper_subtrees(&pq) {
+                assert!(rooted.abs_get(sub).is_some(), "{pq}: {sub} not stored");
+            }
+        }
     }
 
     #[test]

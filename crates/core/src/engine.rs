@@ -32,7 +32,9 @@
 //! id channel, the concrete leaves of `abstract_evaluate`. [`EvalCache`]
 //! memoizes engine results keyed by `(query, semantics)` so skeleton
 //! refinement reuses inner-subquery evaluations across sibling
-//! expansions.
+//! expansions. It stores only subqueries: the search checks each
+//! candidate once, so [`EvalCache::exec_root`] evaluates the candidate
+//! itself outside the store.
 //!
 //! The pipeline also fuses `filter ∘ join`: the cross product is never
 //! materialized — a selection-vector pair is built from the predicate and
@@ -41,7 +43,7 @@
 use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::Rc;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use sickle_table::{
     cross_selection, group_rows_by_keys, AggFunc, AnalyticFunc, ArithExpr, CmpOp, Grid, Table,
@@ -1074,7 +1076,11 @@ fn check_pred(pred: &Pred, arity: usize, operator: &'static str) -> Result<(), E
 /// concrete subquery (e.g. the instantiated inner `group`); caching its
 /// engine evaluation makes the per-node analysis cost proportional to the
 /// *abstract* part of the query only. One cache is threaded through the
-/// whole search by [`crate::TaskContext`].
+/// whole search by [`crate::TaskContext`]. Only what siblings share is
+/// stored: the root of each visit (a candidate under acceptance, or a
+/// partial query under analysis) is computed outside both stores
+/// ([`EvalCache::exec_root`], [`crate::abstract_evaluate_rc`]), since no
+/// visit is repeated and no root would ever be read back.
 #[derive(Debug, Default)]
 pub struct EvalCache {
     /// Per-query slot indexed by semantics level
@@ -1156,9 +1162,10 @@ struct ExecSlot {
     hot: Cell<bool>,
     /// Cache-hit count since the last sweep (halved by each sweep): the
     /// reuse-frequency signal of the benefit-aware demotion trigger. An
-    /// entry that was inserted but never re-probed has paid for derived
-    /// channels nobody consumed — the sweep frees them regardless of the
-    /// hot bit.
+    /// entry that was inserted but never re-probed since (a subquery
+    /// whose siblings are done, now that roots are not stored) holds
+    /// derived channels nobody consumed — the sweep frees them
+    /// regardless of the hot bit.
     probes: Cell<u32>,
     /// Bytes charged against this slot when it was last measured
     /// ([`ExecSlot::measure`]): a fixed per-entry overhead plus what its
@@ -1225,9 +1232,10 @@ impl Default for CachePolicy {
     fn default() -> CachePolicy {
         CachePolicy {
             cap: EXEC_CACHE_CAP,
-            // Measured on the join-heavy suite tasks, a low-water mark
-            // of 3/4·cap costs ~60% extra peak RSS over cap/2, so the
-            // larger retained set is an explicit opt-in.
+            // The store holds subqueries only, and no suite search fills
+            // this cap (0 evictions on all 80 tasks at 20k visits), so
+            // the low-water mark matters at reduced caps: the server's
+            // soft watermark raises it to 3/4 of a quartered cap.
             low_water: EXEC_CACHE_CAP / 2,
         }
     }
@@ -1571,6 +1579,61 @@ impl EvalCache {
                 }
             }
         }
+        let (computed, step) = self.compute(q, sem, inputs)?;
+        // Store under the level actually computed (equals `sem` now that
+        // children are narrowed, but derive it rather than assume).
+        let actual = computed.semantics();
+        // A re-insert of a previously evicted query is a churn-induced
+        // re-evaluation. Consumed *before* this insert's own sweep runs:
+        // the sweep can evict this query's stale lower-level slot, and
+        // that eviction happened after the computation — counting it
+        // would charge churn for work it did not cause. The emptiness
+        // guard keeps the no-churn common case free of a second full-AST
+        // hash.
+        if !self.evicted.is_empty() && self.evicted.remove(&self.hasher.hash_one(q)) {
+            let mut counters = self.counters.borrow_mut();
+            counters.cache_reevals += 1;
+            counters.cache_reeval_time += step;
+        }
+        let rc = Rc::new(computed);
+        let mut map = self.map.borrow_mut();
+        if map.len() >= self.policy.cap {
+            self.sweep_exec(&mut map);
+        }
+        let slot = map.entry(q.clone()).or_default();
+        slot.value[actual as usize] = Some(Rc::clone(&rc));
+        slot.hot.set(true);
+        let now = slot.measure();
+        self.resident
+            .set(self.resident.get().saturating_sub(slot.bytes.get()) + now);
+        slot.bytes.set(now);
+        Ok(rc)
+    }
+
+    /// Provenance-level evaluation of the root of one search visit: its
+    /// proper subqueries go through [`EvalCache::exec`], its own operator
+    /// runs exactly as there, but the result is neither probed for nor
+    /// stored. The search visits each candidate once, so a root entry
+    /// would never be read back; siblings share only the subqueries.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`EvalCache::exec`].
+    pub fn exec_root(&self, q: &Query, inputs: &[Table]) -> Result<ExecTable, EvalError> {
+        self.compute(q, Semantics::Provenance, inputs)
+            .map(|(computed, _)| computed)
+    }
+
+    /// Evaluates `q`'s own operator over its children, which are resolved
+    /// through [`EvalCache::exec`], and returns the result with the time
+    /// the operator step took (children excluded). Join results are added
+    /// to the join counters.
+    fn compute(
+        &self,
+        q: &Query,
+        sem: Semantics,
+        inputs: &[Table],
+    ) -> Result<(ExecTable, Duration), EvalError> {
         // Evaluate one operator level at a time so shared subqueries hit
         // the cache instead of being re-evaluated per leaf; `filter ∘ join`
         // fuses into a selection-vector pass. A child served from a
@@ -1645,38 +1708,11 @@ impl EvalCache {
             counters.join_rows += computed.values.n_rows();
             counters.time_join += step;
         }
-        // Store under the level actually computed (equals `sem` now that
-        // children are narrowed, but derive it rather than assume).
-        let actual = computed.semantics();
         debug_assert!(
-            actual >= sem,
+            computed.semantics() >= sem,
             "pipeline produced fewer channels than requested"
         );
-        // A re-insert of a previously evicted query is a churn-induced
-        // re-evaluation. Consumed *before* this insert's own sweep runs:
-        // the sweep can evict this query's stale lower-level slot, and
-        // that eviction happened after the computation — counting it
-        // would charge churn for work it did not cause. The emptiness
-        // guard keeps the no-churn common case free of a second full-AST
-        // hash.
-        if !self.evicted.is_empty() && self.evicted.remove(&self.hasher.hash_one(q)) {
-            let mut counters = self.counters.borrow_mut();
-            counters.cache_reevals += 1;
-            counters.cache_reeval_time += step;
-        }
-        let rc = Rc::new(computed);
-        let mut map = self.map.borrow_mut();
-        if map.len() >= self.policy.cap {
-            self.sweep_exec(&mut map);
-        }
-        let slot = map.entry(q.clone()).or_default();
-        slot.value[actual as usize] = Some(Rc::clone(&rc));
-        slot.hot.set(true);
-        let now = slot.measure();
-        self.resident
-            .set(self.resident.get().saturating_sub(slot.bytes.get()) + now);
-        slot.bytes.set(now);
-        Ok(rc)
+        Ok((computed, step))
     }
 
     /// Probes the cache for `q` at any semantics level without computing
@@ -2156,6 +2192,104 @@ mod tests {
             after_left.time_join > after_join.time_join,
             "{after_left:?}"
         );
+    }
+
+    /// One query per operator kind over [`input`] (with itself as the
+    /// second table of the joins), each over a subquery where it has one.
+    fn one_per_operator() -> Vec<Query> {
+        let input = || Box::new(Query::Input(0));
+        let city_a = Pred::ColConst(0, CmpOp::Eq, "A".into());
+        let join = || {
+            Box::new(Query::Join {
+                left: Box::new(Query::Filter {
+                    src: input(),
+                    pred: city_a.clone(),
+                }),
+                right: input(),
+            })
+        };
+        let group = Query::Group {
+            src: input(),
+            keys: vec![0],
+            agg: AggFunc::Sum,
+            target: 2,
+        };
+        vec![
+            Query::Input(0),
+            Query::Filter {
+                src: input(),
+                pred: city_a.clone(),
+            },
+            // Fused: the inner join is never evaluated on its own.
+            Query::Filter {
+                src: join(),
+                pred: Pred::ColCmp(0, CmpOp::Eq, 4),
+            },
+            *join(),
+            Query::LeftJoin {
+                left: input(),
+                right: Box::new(group.clone()),
+                pred: Pred::ColCmp(0, CmpOp::Eq, 4),
+            },
+            Query::Proj {
+                src: Box::new(group.clone()),
+                cols: vec![1, 0],
+            },
+            Query::Sort {
+                src: Box::new(group.clone()),
+                cols: vec![1],
+                asc: false,
+            },
+            group,
+            Query::Partition {
+                src: input(),
+                keys: vec![0],
+                func: AnalyticFunc::CumSum,
+                target: 2,
+            },
+            Query::Arith {
+                src: input(),
+                func: ArithExpr::bin(ArithOp::Div, ArithExpr::Param(0), ArithExpr::Param(1)),
+                cols: vec![2, 3],
+            },
+        ]
+    }
+
+    #[test]
+    fn root_evaluation_matches_exec_and_stores_only_subqueries() {
+        let inputs = [input()];
+        let u = RefUniverse::from_tables(&inputs);
+        for q in one_per_operator() {
+            // One pool, so equal sets have equal ids on both sides.
+            let pool = Arc::new(RefSetPool::new());
+            let stored = EvalCache::with_pool_and_policy(Arc::clone(&pool), CachePolicy::default());
+            let rooted = EvalCache::with_pool_and_policy(Arc::clone(&pool), CachePolicy::default());
+            let want = stored.exec(&q, Semantics::Provenance, &inputs).unwrap();
+            let got = rooted.exec_root(&q, &inputs).unwrap();
+            assert_eq!(got.table().grid(), want.table().grid(), "{q}");
+            assert_eq!(got.set_ids(&u, &pool), want.set_ids(&u, &pool), "{q}");
+            assert_eq!(got.star(), want.star(), "{q}");
+            assert_eq!(
+                rooted.take_counters().join_rows,
+                stored.take_counters().join_rows,
+                "{q}"
+            );
+            // The root stays out of the store; every subquery `exec`
+            // stored is there.
+            assert!(rooted.peek(&q).is_none(), "{q} was stored");
+            let subqueries: Vec<Query> = stored
+                .map
+                .borrow()
+                .keys()
+                .filter(|k| **k != q)
+                .cloned()
+                .collect();
+            assert_eq!(rooted.len(), subqueries.len(), "{q}");
+            assert_eq!(rooted.is_empty(), q == Query::Input(0), "{q}");
+            for sub in &subqueries {
+                assert!(rooted.peek(sub).is_some(), "{q}: {sub} missing");
+            }
+        }
     }
 
     /// Eight distinct one-operator queries over [`input`].

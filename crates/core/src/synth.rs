@@ -297,7 +297,9 @@ impl TaskContext {
 
     /// Acceptance of one concrete candidate (Algorithm 1, line 9): does
     /// `q` realize the demonstration (Def. 1)? Stage 1 evaluates the
-    /// candidate's values and step record through the engine cache;
+    /// candidate's values and step record, its subqueries through the
+    /// engine cache and the candidate itself outside it
+    /// ([`EvalCache::exec_root`]: the search checks each candidate once);
     /// stages 2–3 are [`TaskContext::accept_exec`]. Each stage's
     /// wall-clock is added to its `stats` timer and to `time_concrete`,
     /// and the candidate's outcome to its funnel row. A candidate that
@@ -308,10 +310,7 @@ impl TaskContext {
     /// Same as [`TaskContext::accept_exec`].
     pub fn accept(&self, q: &Query, stats: &mut SearchStats) -> Result<bool, SickleError> {
         let t0 = Instant::now();
-        let exec = self
-            .eval_cache
-            .exec(q, Semantics::Provenance, self.inputs())
-            .ok();
+        let exec = self.eval_cache.exec_root(q, self.inputs()).ok();
         charge(stats, |s| &mut s.time_materialize, t0);
         match exec {
             Some(exec) => self.accept_exec(&exec, stats),
@@ -1553,9 +1552,11 @@ mod tests {
             crate::CachePolicy::default().with_cap(8),
         );
         assert_eq!(ctx.eval_cache.policy().cap, 8);
+        // Depth 2: the store holds subqueries only, and a depth-1 search
+        // stores nothing but its input, so it could never fill the cap.
         let res = search(
             &ctx,
-            &request(&ctx, 1, Budget::default().with_max_solutions(1)),
+            &request(&ctx, 2, Budget::default().with_max_solutions(10)),
         );
         assert!(!res.solutions.is_empty());
         // A cap this small must have swept, and every row the cache

@@ -7,7 +7,9 @@
 //! both, including candidates too narrow or too short to host the
 //! demonstration. The cached prefilter verdict must equal direct
 //! matching, cold and on a hit, and a candidate the prefilter rejects
-//! must never build its star.
+//! must never build its star. `accept` evaluates the candidate itself
+//! outside the engine cache; its verdict must equal `accept_exec` on the
+//! cached evaluation.
 
 use sickle_benchmarks::{all_benchmarks, frontier_candidates};
 use sickle_core::{exec, Pred, Query, SearchStats, Semantics, SynthConfig, SynthTask, TaskContext};
@@ -63,7 +65,8 @@ struct Seen {
 
 /// Runs every frontier candidate of `task`, then `extra`, then `misfits`
 /// (which must be rejected), through both paths, asserting equal
-/// verdicts. For every candidate that fits the demonstration, the
+/// verdicts. `accept` must agree with `accept_exec` on the cached
+/// evaluation. For every candidate that fits the demonstration, the
 /// session's cached Def. 3 verdict on its exact ids must equal direct
 /// matching, cold and on a hit; a candidate the prefilter rejects must
 /// not build its star.
@@ -99,10 +102,16 @@ fn cross_check(
         seen.accepted += usize::from(staged);
         seen.tallest = seen.tallest.max(rows);
         let Some(cached) = cached else { continue };
+        let mut cached_stats = SearchStats::default();
+        let via_cache = ctx
+            .accept_exec(&cached, &mut cached_stats)
+            .unwrap_or_else(|e| panic!("{name}: {q}: {e}"));
+        assert_eq!(via_cache, staged, "{name}: accept_exec differs on {q}");
         if stats.prefilter_rejected > before.prefilter_rejected {
             assert!(!blind_contained, "{name}: prefilter rejected {q}");
             assert_eq!(cached.has_star(), had_star, "{name}: {q} built its star");
             assert_eq!(stats.stars_built, before.stars_built);
+            assert_eq!(cached_stats.stars_built, 0, "{name}: {q} built its star");
             seen.starless_rejects += usize::from(!had_star);
         }
         if stats.fit_rejected == before.fit_rejected {

@@ -212,6 +212,21 @@ fn join_tasks_under_churn_are_transparent_and_count_exactly() {
     }
 }
 
+/// The engine cache stores only subqueries (each candidate and each
+/// analyzed partial query is evaluated outside it), so a default-policy
+/// solve of the join task 54 never fills the default cap: nothing is
+/// evicted, demoted or re-evaluated.
+#[test]
+fn default_policy_join_solve_never_sweeps() {
+    let suite = all_benchmarks();
+    let b = suite.iter().find(|b| b.id == 54).expect("task 54 exists");
+    let res = solve_with_policy(b, CachePolicy::default());
+    assert_eq!(res.stats.visited, 6_000, "{:?}", res.stats);
+    assert_eq!(res.stats.cache_evictions, 0, "{:?}", res.stats);
+    assert_eq!(res.stats.cache_demotions, 0, "{:?}", res.stats);
+    assert_eq!(res.stats.cache_reevals, 0, "{:?}", res.stats);
+}
+
 /// The engine cache is pure memoization: a run at a drastically small
 /// cap must visit and check exactly what an uncapped run does, and find
 /// the same solutions (eviction changes what is recomputed, never a
