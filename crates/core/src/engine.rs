@@ -34,7 +34,11 @@
 //! refinement reuses inner-subquery evaluations across sibling
 //! expansions. It stores only subqueries: the search checks each
 //! candidate once, so [`EvalCache::exec_root`] evaluates the candidate
-//! itself outside the store.
+//! itself outside the store. Row partitions, which both the `group` and
+//! `partition` operators and the strong abstract rules read, are
+//! memoized by the identity of their key value columns: siblings share
+//! unchanged columns by `Arc`, so each distinct set of key columns is
+//! grouped once ([`EvalCache::groups_of`]).
 //!
 //! The pipeline also fuses `filter ∘ join`: the cross product is never
 //! materialized — a selection-vector pair is built from the predicate and
@@ -1105,20 +1109,28 @@ pub struct EvalCache {
     /// [`EvalCache::parts_probe`] buffer): the [`GroupParts`] of a
     /// `group` operator depend on the child and keys only, so every
     /// sibling aggregation choice shares one, and with it the key
-    /// columns' values, ids and star terms. Holding the partition here
-    /// lets sibling `group` candidates skip [`EvalCache::groups_of`]:
-    /// recomputing it per candidate made the benchmark's `suite`
-    /// workload 5–8% slower (`pass_norm_s`, 2-vCPU x86-64 VM).
+    /// columns' values, ids and star terms. The partition itself would
+    /// cost only a [`EvalCache::key_groups`] probe; this memo stays for
+    /// the shared key values, ids and stars.
     group_parts: Memo<Box<[usize]>, Rc<GroupParts>, COLUMN_MEMO_CAP, Rc<ExecTable>>,
     /// Probe buffer of [`EvalCache::group_parts`], reused so a hit does
     /// not allocate.
     parts_probe: RefCell<Vec<usize>>,
-    /// Canonicalization of row partitions by content, per concrete
-    /// result (pinned): different key subsets frequently induce the
-    /// *same* partition (a key column constant within groups adds
-    /// nothing), and handing back one shared `Rc` per distinct partition
-    /// lets the per-group union memo hit across them.
-    groups_canon: Memo<(usize, Groups), Groups, MEMO_CAP, Rc<ExecTable>>,
+    /// Row-partition memo keyed by `[row count, key value column
+    /// identities…]` (the entry pins the columns): a partition depends
+    /// on the key columns' contents alone, and sibling results share
+    /// their unchanged columns by `Arc`, so a partition is computed once
+    /// per distinct set of key columns rather than once per result.
+    key_groups: Memo<Box<[usize]>, Groups, MEMO_CAP, KeyColumns>,
+    /// Probe buffer of [`EvalCache::key_groups`], reused so a hit does
+    /// not allocate.
+    groups_probe: RefCell<Vec<usize>>,
+    /// Canonicalization of row partitions by content, across results:
+    /// different key subsets frequently induce the *same* partition (a
+    /// key column constant within groups adds nothing), and handing back
+    /// one shared `Rc` per distinct partition lets the per-group union
+    /// memo hit across them. Keyed by content, so it pins nothing.
+    groups_canon: Memo<Groups, Groups, MEMO_CAP>,
     /// Per-group column unions keyed by (column identity, groups
     /// identity), the inner loop of the strong rules. Pins both.
     group_unions: Memo<(usize, usize), SetColumn, MEMO_CAP, (SetColumn, Groups)>,
@@ -1148,6 +1160,9 @@ pub struct EvalCache {
 
 /// A shared row partition (`group_rows_by_keys` output).
 type Groups = Rc<Vec<Vec<usize>>>;
+
+/// The key value columns a [`EvalCache::key_groups`] entry pins.
+type KeyColumns = Box<[Arc<Vec<Value>>]>;
 
 /// A shared column of interned reference-set ids.
 type SetColumn = Arc<Vec<SetId>>;
@@ -1289,8 +1304,8 @@ fn second_chance_sweep<K, V>(map: &mut FxMap<K, Warm<V>>, cap: usize) {
     });
 }
 
-/// Bound on the identity-keyed analysis memos (column unions, partition
-/// canonicalization, per-group unions).
+/// Bound on the analysis memos (column unions, partitions by key
+/// columns, partition canonicalization, per-group unions).
 const MEMO_CAP: usize = 16_384;
 
 /// Bound on the grouping-skeleton memo. Much lower than [`MEMO_CAP`]:
@@ -1347,6 +1362,7 @@ impl EvalCache {
         self.resident.get()
             + self.col_unions.bytes()
             + self.group_parts.bytes()
+            + self.key_groups.bytes()
             + self.groups_canon.bytes()
             + self.group_unions.bytes()
             + self.evicted.bytes()
@@ -1493,9 +1509,10 @@ impl EvalCache {
     }
 
     /// Engine step for a `partition` operator through the shared grouping
-    /// memo: the row partition is canonicalized per (child, content) and
-    /// shared across every sibling (function, target) choice — only the
-    /// window column is built per candidate. Output is identical to
+    /// memo: the row partition is looked up by key columns
+    /// ([`EvalCache::groups_of`]) and shared across every sibling
+    /// (function, target) choice — only the window column is built per
+    /// candidate. Output is identical to
     /// [`exec_step`] on a `partition` query.
     fn exec_partition_shared(
         &self,
@@ -1510,22 +1527,45 @@ impl EvalCache {
         Ok(partition_over(sem, child, groups, keys, func, target))
     }
 
-    /// The row partition of a concrete engine result by `keys`,
+    /// The row partition of a concrete engine result by `keys`, through
+    /// the key-column memo ([`EvalCache::key_groups`]) and, on a miss,
     /// canonicalized by content (see [`EvalCache::groups_canon`]): key
-    /// subsets that induce the same partition get the same `Rc`.
-    pub(crate) fn groups_of(&self, conc: &Rc<ExecTable>, keys: &[usize]) -> Groups {
-        let probe = (
-            Rc::as_ptr(conc) as usize,
-            Rc::new(group_rows_by_keys(conc.values.grid(), keys)),
+    /// subsets that induce one partition get the same `Rc`, whichever
+    /// result they are reached through.
+    pub(crate) fn groups_of(&self, conc: &ExecTable, keys: &[usize]) -> Groups {
+        let grid = conc.values.grid();
+        let mut probe = self.groups_probe.borrow_mut();
+        probe.clear();
+        probe.push(grid.n_rows());
+        probe.extend(
+            keys.iter()
+                .map(|&k| Arc::as_ptr(grid.column_arc(k)) as usize),
         );
-        if let Some(canon) = self.groups_canon.get(&probe, Rc::clone) {
-            return canon;
+        if let Some(groups) = self.key_groups.get(probe.as_slice(), Rc::clone) {
+            return groups;
         }
-        let groups = Rc::clone(&probe.1);
-        // One row index per row, plus one vector header per group.
-        let heap = (8 * conc.values.n_rows() + 24 * groups.len()) as u64;
-        self.groups_canon
-            .insert_pinned(probe, Rc::clone(conc), Rc::clone(&groups), heap);
+        let fresh = Rc::new(group_rows_by_keys(grid, keys));
+        let groups = match self.groups_canon.get(&fresh, Rc::clone) {
+            Some(canon) => canon,
+            None => {
+                // One row index per row, plus one vector header per group.
+                let heap = (8 * grid.n_rows() + 24 * fresh.len()) as u64;
+                self.groups_canon
+                    .insert_pinned(Rc::clone(&fresh), (), Rc::clone(&fresh), heap);
+                fresh
+            }
+        };
+        let pins = keys
+            .iter()
+            .map(|&k| Arc::clone(grid.column_arc(k)))
+            .collect();
+        // The probe key (row count, one address per key) and the pins.
+        self.key_groups.insert_pinned(
+            probe.as_slice().into(),
+            pins,
+            Rc::clone(&groups),
+            16 * keys.len() as u64 + 8,
+        );
         groups
     }
 
@@ -2030,6 +2070,36 @@ mod tests {
         assert!(Rc::ptr_eq(&by_city, &cache.groups_of(&conc, &[3])));
         assert!(Rc::ptr_eq(&by_city, &cache.groups_of(&conc, &[0, 3])));
         assert!(!Rc::ptr_eq(&by_city, &cache.groups_of(&conc, &[1])));
+        // Sibling results share the input's value columns, so grouping
+        // either of them by those columns hands back the same partition,
+        // equal to grouping that result from scratch.
+        let window = |func, target| Query::Partition {
+            src: Box::new(Query::Input(0)),
+            keys: vec![0],
+            func,
+            target,
+        };
+        let sum = cache
+            .exec(
+                &window(AnalyticFunc::Agg(AggFunc::Sum), 2),
+                Semantics::Provenance,
+                &inputs,
+            )
+            .unwrap();
+        let max = cache
+            .exec(
+                &window(AnalyticFunc::Agg(AggFunc::Max), 1),
+                Semantics::Provenance,
+                &inputs,
+            )
+            .unwrap();
+        for keys in [&[0][..], &[3]] {
+            for sibling in [&sum, &max] {
+                let groups = cache.groups_of(sibling, keys);
+                assert!(Rc::ptr_eq(&by_city, &groups), "{keys:?}");
+                assert_eq!(*groups, group_rows_by_keys(sibling.table().grid(), keys));
+            }
+        }
     }
 
     #[test]
@@ -2428,9 +2498,10 @@ mod tests {
             .unwrap();
         let out = cache.exec(&group, Semantics::Provenance, &inputs).unwrap();
         let want = child.set_ids(&u, cache.pool());
+        let groups = cache.groups_of(&child, &[0]);
         out.star();
         assert!(child.has_star(), "the group's star reads the child's");
-        assert!(!cache.groups_canon.is_empty());
+        assert!(!cache.key_groups.is_empty());
         {
             // Everything is cold: the real sweep path demotes both.
             let mut map = cache.map.borrow_mut();
@@ -2446,8 +2517,9 @@ mod tests {
         assert!(Rc::ptr_eq(&child, &cached));
         assert!(child.set_ids.borrow().is_none() && !child.has_star());
         assert!(!out.has_star());
-        assert!(!cache.groups_canon.is_empty());
+        assert!(!cache.key_groups.is_empty());
         assert!(!cache.group_parts.is_empty());
+        assert!(Rc::ptr_eq(&groups, &cache.groups_of(&child, &[0])));
         // Re-derived ids equal the originals.
         assert_eq!(*child.set_ids(&u, cache.pool()), *want);
     }

@@ -26,7 +26,7 @@
 
 use std::cell::Cell;
 use std::fmt;
-use std::hash::BuildHasher;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -60,13 +60,38 @@ fn entry_bytes(n_ids: usize) -> usize {
 /// Key of the verdict memo: the demo fingerprint plus the abstract
 /// table's interned contents. (`n_cols` is implied by
 /// `ids.len() / n_rows`.)
-#[derive(PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq)]
 struct GridKey {
+    /// Hash of the other three fields, computed once when the key is
+    /// built: it picks the shard and is all the map hashes.
+    hash: u64,
     /// Fingerprint of the demonstration the verdict was computed against.
     demo: u64,
     n_rows: u32,
     /// Column-major flattening of the id grid.
     ids: Box<[SetId]>,
+}
+
+impl GridKey {
+    fn new(hasher: &FxBuild, demo: u64, abs: &Grid<SetId>) -> GridKey {
+        let mut ids = Vec::with_capacity(abs.n_rows() * abs.n_cols());
+        for c in 0..abs.n_cols() {
+            ids.extend_from_slice(abs.column(c));
+        }
+        let n_rows = abs.n_rows() as u32;
+        GridKey {
+            hash: hasher.hash_one((demo, n_rows, ids.as_slice())),
+            demo,
+            n_rows,
+            ids: ids.into_boxed_slice(),
+        }
+    }
+}
+
+impl Hash for GridKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
 }
 
 /// Key of the demo registry: the demo id-grid as `n_rows` plus its
@@ -204,14 +229,8 @@ impl AnalysisCache {
         if dims.table_rows * dims.table_cols < MEMO_MIN_CELLS {
             return check(dims, demo, abs, pool);
         }
-        let key = GridKey {
-            demo: token.demo,
-            n_rows: abs.n_rows() as u32,
-            ids: (0..abs.n_cols())
-                .flat_map(|c| abs.column(c).iter().copied())
-                .collect(),
-        };
-        let shard = (self.hasher.hash_one(&key) as usize) & (SHARDS - 1);
+        let key = GridKey::new(&self.hasher, token.demo, abs);
+        let shard = (key.hash as usize) & (SHARDS - 1);
         if let Some(&v) = self.verdicts[shard]
             .lock()
             .expect("analysis verdict lock")
@@ -533,6 +552,67 @@ mod tests {
         let token = cache.register_demo(&demo);
         let abs: Grid<SetId> = Grid::empty(2);
         assert!(cache.consistent(&token, &demo, &abs, &pool));
+    }
+
+    /// The verdict key hashes once but compares everything: one id
+    /// flattening under two shapes, and one grid under two demos, each
+    /// get their own verdict, equal to direct matching cold and on a hit.
+    #[test]
+    fn verdict_keys_tell_shapes_and_demos_apart() {
+        let (u, pool) = setup();
+        let cache = AnalysisCache::new();
+        let r = |i: usize, j: usize| CellRef::new(0, i, j);
+        // 64 column-major ids (≥ MEMO_MIN_CELLS): {r(0,0)} at 0,
+        // {r(1,1)} at 4, a set hosting neither everywhere else. As 16 × 4
+        // the two sit in one column on two rows; as 4 × 16, in one row
+        // on two columns.
+        let ids: Vec<SetId> = (0..64)
+            .map(|f| match f {
+                0 => pool.intern_refs(&u, [r(0, 0)]),
+                4 => pool.intern_refs(&u, [r(1, 1)]),
+                _ => pool.intern_refs(&u, [r(3, 2)]),
+            })
+            .collect();
+        let shaped = |n_rows: usize| {
+            Grid::from_columns(
+                ids.chunks(n_rows)
+                    .map(|c| std::sync::Arc::new(c.to_vec()))
+                    .collect(),
+            )
+        };
+        let (tall, wide) = (shaped(16), shaped(4));
+        // One row of the two references, and one column of them.
+        let across = grid(&pool, &u, &[&[&[r(0, 0)], &[r(1, 1)]]]);
+        let down = grid(&pool, &u, &[&[&[r(0, 0)]], &[&[r(1, 1)]]]);
+        let cases = [
+            (&across, &tall, false),
+            (&across, &wide, true),
+            (&down, &tall, true),
+            (&down, &wide, false),
+        ];
+        let tokens: Vec<DemoToken> = cases
+            .iter()
+            .map(|(demo, ..)| cache.register_demo(demo))
+            .collect();
+        assert_ne!(tokens[0], tokens[2]);
+        for round in 0..2 {
+            for ((demo, abs, want), token) in cases.iter().zip(&tokens) {
+                let dims = MatchDims {
+                    demo_rows: demo.n_rows(),
+                    demo_cols: demo.n_cols(),
+                    table_rows: abs.n_rows(),
+                    table_cols: abs.n_cols(),
+                };
+                assert_eq!(check(dims, demo, abs, &pool), *want);
+                assert_eq!(
+                    cache.consistent(token, demo, abs, &pool),
+                    *want,
+                    "round {round}"
+                );
+            }
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (4, 4));
     }
 
     /// The fingerprint correctness gate: two demonstrations sharing one
