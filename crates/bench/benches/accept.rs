@@ -1,8 +1,9 @@
 //! Micro-benchmarks of the concrete acceptance path: the staged,
 //! candidate-seeded pipeline the search runs ([`TaskContext::accept`]:
-//! evaluation of values and step record over cached subqueries → exact
-//! ids derived without provenance terms → cached Def. 3 prefilter → star
-//! for survivors only → seeded, pre-keyed Def. 1 matching) vs the blind path
+//! evaluation of values and step record over cached subqueries → column
+//! heads gate → exact ids derived without provenance terms → cached Def. 3
+//! prefilter → star for survivors only → seeded, pre-keyed Def. 1
+//! matching) vs the blind path
 //! (uncached evaluation with its star → whole-grid set conversion of the
 //! star → blind prefilter → blind `demo_consistent` restart).
 //!

@@ -7,6 +7,7 @@
 
 use std::fmt;
 
+use sickle_provenance::{ColumnHeads, FuncName};
 use sickle_table::{AggFunc, AnalyticFunc, ArithExpr, CmpOp, Value};
 
 /// A filter / join predicate `p` (Fig. 7).
@@ -190,6 +191,70 @@ impl Query {
             Query::Group { keys, .. } => keys.len() + 1,
             Query::Partition { src, .. } | Query::Arith { src, .. } => {
                 src.n_cols(input_arities) + 1
+            }
+        }
+    }
+
+    /// Every output column's [`ColumnHeads`] given the arities of the
+    /// input tables: what the column's provenance cells (`[[q]]★`) can
+    /// show at their top level, from the operators alone. Inputs are
+    /// references; `filter`, `sort` and `proj` keep their source's; `join`
+    /// concatenates both sides, and `left_join` also adds constants on its
+    /// right side (the null padding, whether or not a row is padded);
+    /// `group` keeps its key columns' and adds the aggregate; `partition`
+    /// adds its window function (`sum` for `cumsum`); `arithmetic` adds
+    /// its template's root: the operator, a constant for a literal, or the
+    /// argument column's heads for a bare parameter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a column index is out of range, as evaluation would fail.
+    pub fn column_heads(&self, input_arities: &[usize]) -> Vec<ColumnHeads> {
+        match self {
+            Query::Input(k) => vec![ColumnHeads::REF; input_arities[*k]],
+            Query::Filter { src, .. } | Query::Sort { src, .. } => src.column_heads(input_arities),
+            Query::Proj { src, cols } => {
+                let heads = src.column_heads(input_arities);
+                cols.iter().map(|&c| heads[c]).collect()
+            }
+            Query::Join { left, right } => {
+                let mut heads = left.column_heads(input_arities);
+                heads.extend(right.column_heads(input_arities));
+                heads
+            }
+            Query::LeftJoin { left, right, .. } => {
+                let mut heads = left.column_heads(input_arities);
+                let padded = right.column_heads(input_arities).into_iter();
+                heads.extend(padded.map(|h| h.union(ColumnHeads::CONST)));
+                heads
+            }
+            Query::Group { src, keys, agg, .. } => {
+                // Key cells are `group{…}` of the source's cells.
+                let heads = src.column_heads(input_arities);
+                let mut out: Vec<_> = keys.iter().map(|&k| heads[k]).collect();
+                out.push(ColumnHeads::apply(FuncName::Agg(*agg)));
+                out
+            }
+            Query::Partition { src, func, .. } => {
+                let head = match func {
+                    AnalyticFunc::Agg(a) => FuncName::Agg(*a),
+                    AnalyticFunc::CumSum => FuncName::Agg(AggFunc::Sum),
+                    AnalyticFunc::Rank => FuncName::Rank,
+                    AnalyticFunc::DenseRank => FuncName::DenseRank,
+                };
+                let mut heads = src.column_heads(input_arities);
+                heads.push(ColumnHeads::apply(head));
+                heads
+            }
+            Query::Arith { src, func, cols } => {
+                let mut heads = src.column_heads(input_arities);
+                let root = match func {
+                    ArithExpr::Param(i) => heads[cols[*i]],
+                    ArithExpr::Lit(_) => ColumnHeads::CONST,
+                    ArithExpr::Bin(op, ..) => ColumnHeads::apply(FuncName::Op(*op)),
+                };
+                heads.push(root);
+                heads
             }
         }
     }
@@ -615,5 +680,151 @@ mod tests {
         assert_eq!(p.max_col(), Some(1));
         assert_eq!(Pred::True.max_col(), None);
         assert!(Pred::True.eval(&row));
+    }
+
+    fn heads_input() -> sickle_table::Table {
+        sickle_table::Table::new(
+            ["city", "quarter", "enrolled", "pop"],
+            vec![
+                vec!["A".into(), 1.into(), 30.into(), 100.into()],
+                vec!["A".into(), 2.into(), 20.into(), 100.into()],
+                vec!["B".into(), 1.into(), 10.into(), 50.into()],
+                vec!["B".into(), 2.into(), 40.into(), 50.into()],
+            ],
+        )
+        .unwrap()
+    }
+
+    /// `q`'s static column heads over [`heads_input`], checked to contain
+    /// the summary of every cell of its evaluated star.
+    fn heads_of(q: &Query) -> Vec<ColumnHeads> {
+        let inputs = [heads_input()];
+        let heads = q.column_heads(&[4]);
+        let out = crate::engine::exec(crate::engine::Semantics::Provenance, q, &inputs).unwrap();
+        assert_eq!(heads.len(), q.n_cols(&[4]), "{q}");
+        for (j, col) in out.star().columns().enumerate() {
+            for e in col.iter() {
+                assert!(
+                    heads[j].contains(ColumnHeads::of(e)),
+                    "{q}: column {j} misses {e}"
+                );
+            }
+        }
+        heads
+    }
+
+    fn head(f: FuncName) -> ColumnHeads {
+        ColumnHeads::apply(f)
+    }
+
+    fn window(src: Query, func: AnalyticFunc) -> Query {
+        Query::Partition {
+            src: Box::new(src),
+            keys: vec![0],
+            func,
+            target: 2,
+        }
+    }
+
+    #[test]
+    fn heads_of_row_moving_operators_follow_their_sources() {
+        let refs = vec![ColumnHeads::REF; 4];
+        let cumsum = window(Query::Input(0), AnalyticFunc::CumSum);
+        let sum = head(FuncName::Agg(AggFunc::Sum));
+        assert_eq!(heads_of(&Query::Input(0)), refs);
+        let filter = Query::Filter {
+            src: Box::new(cumsum.clone()),
+            pred: Pred::ColConst(2, CmpOp::Gt, Value::Int(15)),
+        };
+        let sorted = Query::Sort {
+            src: Box::new(cumsum.clone()),
+            cols: vec![4],
+            asc: false,
+        };
+        for q in [&filter, &sorted] {
+            assert_eq!(heads_of(q), [&refs[..], &[sum]].concat(), "{q}");
+        }
+        let proj = Query::Proj {
+            src: Box::new(cumsum.clone()),
+            cols: vec![4, 1],
+        };
+        assert_eq!(heads_of(&proj), [sum, ColumnHeads::REF]);
+        // An inner join concatenates both sides; a left join adds
+        // constants (its null padding) on the right side, whether or not
+        // a row is padded.
+        let join = Query::Join {
+            left: Box::new(Query::Input(0)),
+            right: Box::new(cumsum),
+        };
+        assert_eq!(heads_of(&join), [&refs[..], &refs[..], &[sum]].concat());
+        let or_null = ColumnHeads::REF.union(ColumnHeads::CONST);
+        for pad in [Value::Int(30), Value::Int(0)] {
+            let left_join = Query::LeftJoin {
+                left: Box::new(Query::Input(0)),
+                right: Box::new(Query::Input(0)),
+                pred: Pred::And(
+                    Box::new(Pred::ColCmp(0, CmpOp::Eq, 4)),
+                    Box::new(Pred::ColConst(6, CmpOp::Gt, pad)),
+                ),
+            };
+            assert_eq!(
+                heads_of(&left_join),
+                [refs.clone(), vec![or_null; 4]].concat()
+            );
+        }
+    }
+
+    #[test]
+    fn heads_of_windows_and_groups_add_their_function() {
+        for (func, want) in [
+            (AnalyticFunc::CumSum, FuncName::Agg(AggFunc::Sum)),
+            (AnalyticFunc::Rank, FuncName::Rank),
+            (AnalyticFunc::DenseRank, FuncName::DenseRank),
+            (AnalyticFunc::Agg(AggFunc::Avg), FuncName::Agg(AggFunc::Avg)),
+        ] {
+            let heads = heads_of(&window(Query::Input(0), func));
+            assert_eq!(heads.len(), 5);
+            assert_eq!(heads[4], head(want), "{func:?}");
+        }
+        // Group keys keep the source's heads (key cells are `group{…}` of
+        // the source's cells); the aggregate adds its own head.
+        let q = Query::Group {
+            src: Box::new(window(Query::Input(0), AnalyticFunc::Rank)),
+            keys: vec![0, 4],
+            agg: AggFunc::Max,
+            target: 2,
+        };
+        assert_eq!(
+            heads_of(&q),
+            [
+                ColumnHeads::REF,
+                head(FuncName::Rank),
+                head(FuncName::Agg(AggFunc::Max))
+            ]
+        );
+    }
+
+    #[test]
+    fn heads_of_arithmetic_are_its_template_root() {
+        use sickle_table::ArithOp;
+        let arith = |func| Query::Arith {
+            src: Box::new(window(Query::Input(0), AnalyticFunc::DenseRank)),
+            func,
+            cols: vec![3, 4],
+        };
+        let div = ArithExpr::bin(ArithOp::Div, ArithExpr::Param(0), ArithExpr::Param(1));
+        for (func, want) in [
+            // A bare parameter is its argument column's cells.
+            (ArithExpr::Param(1), head(FuncName::DenseRank)),
+            (ArithExpr::Param(0), ColumnHeads::REF),
+            (ArithExpr::lit(100.0), ColumnHeads::CONST),
+            (div.clone(), head(FuncName::Op(ArithOp::Div))),
+            (
+                ArithExpr::bin(ArithOp::Mul, div, ArithExpr::lit(100.0)),
+                head(FuncName::Op(ArithOp::Mul)),
+            ),
+        ] {
+            assert_eq!(heads_of(&arith(func.clone()))[5], want, "{func:?}");
+        }
     }
 }

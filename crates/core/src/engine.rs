@@ -236,6 +236,11 @@ impl ExecTable {
         self.star.borrow().is_some()
     }
 
+    /// Whether the id channel is held, as [`ExecTable::has_star`].
+    pub fn has_ids(&self) -> bool {
+        self.set_ids.borrow().is_some()
+    }
+
     /// Every cell's exact reference set (`ref` of the star cell),
     /// interned into `pool`: derived from the step record and the
     /// children's ids on first use and memoized, without building a
@@ -282,11 +287,7 @@ impl ExecTable {
             }
             _ => 0,
         } as u64;
-        let ids = if self.set_ids.borrow().is_some() {
-            SET_ID_BYTES
-        } else {
-            0
-        };
+        let ids = if self.has_ids() { SET_ID_BYTES } else { 0 };
         let star = if self.has_star() { EXPR_BYTES } else { 0 };
         cells.saturating_mul(VALUE_BYTES + ids + star) + sel
     }
@@ -2473,7 +2474,7 @@ mod tests {
         let demoted = cache.peek(&q).expect("entry stays cached");
         assert!(Rc::ptr_eq(&demoted, &exec));
         assert!(!demoted.has_star(), "star must be freed");
-        assert!(demoted.set_ids.borrow().is_none(), "ids must be freed");
+        assert!(!demoted.has_ids(), "ids must be freed");
         assert_eq!(*demoted.table(), values_before);
         let ids = demoted.set_ids(&u, cache.pool());
         assert_eq!(ids.map(|&id| cache.pool().get(id)), ref_ids);
@@ -2515,7 +2516,7 @@ mod tests {
         // stay valid and keep serving.
         let cached = cache.peek(&Query::Input(0)).unwrap();
         assert!(Rc::ptr_eq(&child, &cached));
-        assert!(child.set_ids.borrow().is_none() && !child.has_star());
+        assert!(!child.has_ids() && !child.has_star());
         assert!(!out.has_star());
         assert!(!cache.key_groups.is_empty());
         assert!(!cache.group_parts.is_empty());
@@ -2693,15 +2694,9 @@ mod tests {
         assert_eq!(stats.cache_evictions, 0);
         assert!(stats.cache_demotions > 0);
         let kept = cache.peek(&probed).unwrap();
-        assert!(
-            kept.set_ids.borrow().is_some(),
-            "re-probed entry must keep its derived ids"
-        );
+        assert!(kept.has_ids(), "re-probed entry must keep its derived ids");
         let freed = cache.peek(&unprobed).unwrap();
-        assert!(
-            freed.set_ids.borrow().is_none(),
-            "never-probed entry must be demoted"
-        );
+        assert!(!freed.has_ids(), "never-probed entry must be demoted");
         // Demotion is transparent: the ids re-derive identically.
         let fresh = EvalCache::new();
         let want = fresh

@@ -172,15 +172,20 @@ counters! {
     /// Funnel: evaluated candidates with fewer rows or columns than the
     /// demonstration.
     fit_rejected: Count, "fit_rejected", live = false;
-    /// Funnel: candidates rejected by the Def. 3 prefilter on their exact
-    /// reference sets.
+    /// Funnel: fitting candidates rejected by the heads gate: some demo
+    /// column has no result column whose function heads, references and
+    /// constants cover what its cells need. They derive no reference-set
+    /// ids and build no star.
+    heads_rejected: Count, "heads_rejected", live = false;
+    /// Funnel: heads-gate survivors rejected by the Def. 3 prefilter on
+    /// their exact reference sets.
     prefilter_rejected: Count, "prefilter_rejected", live = false;
     /// Funnel: prefilter survivors that fail the Def. 1 match.
     def1_rejected: Count, "def1_rejected", live = false;
     /// Funnel: candidates accepted by Def. 1 (consistent queries found).
     accepted: Count, "accepted", live = false;
-    /// Candidate provenance stars built by acceptance: only prefilter
-    /// survivors build one.
+    /// Candidate provenance stars built by acceptance: only survivors of
+    /// the heads gate and the prefilter build one.
     stars_built: Count, "stars_built", live = false;
     /// Children generated by hole expansion.
     expanded: Count, "expanded", live = false;
@@ -195,9 +200,9 @@ counters! {
     /// record) and, for prefilter survivors only, building its
     /// provenance star.
     time_materialize: Time, "time_materialize_s", live = true;
-    /// Acceptance stage 2: the dimension fit, deriving the candidate's
-    /// exact reference-set ids, and the Def. 3 check on them through the
-    /// session's verdict cache.
+    /// Acceptance stage 2: the dimension fit, the heads gate on the
+    /// candidate's static column heads, deriving its exact reference-set ids,
+    /// and the Def. 3 check on them through the session's verdict cache.
     time_prefilter: Time, "time_prefilter_s", live = true;
     /// Acceptance stage 3: the candidate-seeded Def. 1 expression match
     /// (the seed's derivation included).

@@ -29,8 +29,8 @@ use sickle_table::{
 };
 
 use sickle_provenance::{
-    containment_seed, demo_consistent_with_candidates, AnalysisCache, Demo, DemoToken, RefSetPool,
-    RefUniverse,
+    containment_seed, demo_consistent_with_candidates, AnalysisCache, ColumnHeads, Demo, DemoToken,
+    RefSetPool, RefUniverse,
 };
 
 use crate::abstract_eval::{abstract_evaluate_rc, demo_ref_sets};
@@ -214,6 +214,9 @@ pub struct TaskContext {
     /// The demo reference sets interned in the search's pool
     /// ([`TaskContext::pool`]) — the id-side key of every analysis memo.
     pub demo_ref_ids: sickle_table::Grid<sickle_provenance::SetId>,
+    /// What each demo column needs of the result column hosting it
+    /// ([`ColumnHeads::demo_columns`]): the acceptance heads gate.
+    pub demo_heads: Vec<ColumnHeads>,
     /// Constants available to filter predicates.
     pub constants: Vec<Value>,
     /// Memoized precise evaluations of concrete subqueries (also owns the
@@ -266,12 +269,14 @@ impl TaskContext {
         constants.sort();
         constants.dedup();
         let demo_token = analysis.register_demo(&demo_ref_ids);
+        let demo_heads = ColumnHeads::demo_columns(&task.demo);
         TaskContext {
             task,
             input_arities,
             universe,
             demo_refs,
             demo_ref_ids,
+            demo_heads,
             constants,
             eval_cache: EvalCache::with_pool_and_policy(pool, policy),
             analysis,
@@ -313,26 +318,35 @@ impl TaskContext {
         let exec = self.eval_cache.exec_root(q, self.inputs()).ok();
         charge(stats, |s| &mut s.time_materialize, t0);
         match exec {
-            Some(exec) => self.accept_exec(&exec, stats),
+            Some(exec) => self.accept_exec(q, &exec, stats),
             None => Ok(false),
         }
     }
 
-    /// Acceptance stages 2–3 of an already evaluated candidate result.
+    /// Acceptance stages 2–3 of candidate `q`, already evaluated to
+    /// `exec`.
     ///
-    /// Stage 2, the prefilter, is a cheap necessary condition: after the
-    /// dimension fit, the demonstration's references must embed into the
-    /// result's exact per-cell reference sets (Def. 3). Those come from
-    /// the engine's id channel, derived from the result's step record
-    /// without building any provenance term, and the check is the
-    /// analyzer's own [`AnalysisCache::consistent`]: candidates repeat
+    /// Stage 2, the prefilter, is a chain of cheap necessary conditions.
+    /// After the dimension fit comes the heads gate: every demo column
+    /// needs a result column whose [`ColumnHeads`] hold what its cells
+    /// need ([`ColumnHeads::hosts_all`]). It is sound because `e ≺ e★`
+    /// matches an application only to one of the same function and a
+    /// reference or constant only to a reference or constant, and a
+    /// column's summary contains every cell's, so a candidate the gate
+    /// rejects has no Def. 1 witness. The heads come from `q`'s operators
+    /// ([`Query::column_heads`]), so a candidate the gate rejects derives
+    /// neither ids nor a star. Then the demonstration's references must
+    /// embed into the result's exact per-cell reference sets (Def. 3).
+    /// Those come from the engine's id channel, derived from the result's
+    /// step record without building any provenance term, and the check is
+    /// the analyzer's own [`AnalysisCache::consistent`]: candidates repeat
     /// exact id grids, so most verdicts are one map probe.
     ///
     /// Stage 3 builds the survivor's star (charged to materialization)
     /// and runs Def. 1, seeded by the columns and rows that can host the
     /// demonstration under reference containment (sound: `≺` implies
     /// containment, so every Def. 1-feasible column/row is among them).
-    /// Only prefilter survivors build a star.
+    /// Only survivors of the heads gate and the prefilter build a star.
     ///
     /// # Errors
     ///
@@ -340,6 +354,7 @@ impl TaskContext {
     /// [`Semantics::Values`], which records no provenance.
     pub fn accept_exec(
         &self,
+        q: &Query,
         exec: &ExecTable,
         stats: &mut SearchStats,
     ) -> Result<bool, SickleError> {
@@ -354,6 +369,11 @@ impl TaskContext {
         if out.n_rows() < demo_rows || out.n_cols() < demo_cols {
             charge(stats, |s| &mut s.time_prefilter, t1);
             stats.fit_rejected += 1;
+            return Ok(false);
+        }
+        if !ColumnHeads::hosts_all(&q.column_heads(&self.input_arities), &self.demo_heads) {
+            charge(stats, |s| &mut s.time_prefilter, t1);
+            stats.heads_rejected += 1;
             return Ok(false);
         }
         let pool = self.pool();

@@ -193,7 +193,8 @@ pub fn demo_consistent_with_candidates(
 // Structural pre-keys
 // ---------------------------------------------------------------------------
 
-/// Head-symbol bit for the pre-key masks (11 function symbols fit a u16).
+/// Bit of a function head in a [`ColumnHeads`] mask (11 function symbols,
+/// then the reference and constant bits, fit a u16).
 fn head_bit(f: FuncName) -> u16 {
     use sickle_table::{AggFunc, ArithOp};
     let shift = match f {
@@ -212,17 +213,80 @@ fn head_bit(f: FuncName) -> u16 {
     1 << shift
 }
 
-/// Structural summary of a star cell: which head symbols appear at the
-/// cell's top level (looking through `group{…}` members, which the `≺`
-/// group rule also looks through), the largest argument list among them,
-/// and whether a bare reference / constant is reachable. A necessary
-/// condition for `e ≺ e★`, checked before the full recursion.
+/// What can stand at the top level of a star cell, or of any cell of a
+/// column: the heads of its function applications, looking through
+/// `group{…}` members (the `≺` group rule looks through them too), and
+/// whether a bare reference or a constant can appear.
+///
+/// Under `≺` a demo application matches only an application of the same
+/// function, and a demo reference or constant only a reference or
+/// constant, so a star cell generalizes a demo cell only when the cell's
+/// summary contains what the demo cell needs. A column's summary is the
+/// union of its cells'; a query's columns get theirs statically, from
+/// the operators alone, without evaluating anything.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ColumnHeads(u16);
+
+impl ColumnHeads {
+    /// A bare reference.
+    pub const REF: ColumnHeads = ColumnHeads(1 << 11);
+    /// A bare constant (null padding included).
+    pub const CONST: ColumnHeads = ColumnHeads(1 << 12);
+
+    /// An application of `f`.
+    pub fn apply(f: FuncName) -> ColumnHeads {
+        ColumnHeads(head_bit(f))
+    }
+
+    /// The summary of one star cell.
+    pub fn of(star: &Expr) -> ColumnHeads {
+        StarKey::of(star).heads
+    }
+
+    /// What each demo column needs of the result column hosting it: the
+    /// union of what its cells need.
+    pub fn demo_columns(demo: &Demo) -> Vec<ColumnHeads> {
+        (0..demo.n_cols())
+            .map(|j| {
+                (0..demo.n_rows()).fold(ColumnHeads::default(), |acc, i| {
+                    acc.union(DemoKey::of(demo.cell(i, j)).needs)
+                })
+            })
+            .collect()
+    }
+
+    /// Everything either summary holds.
+    #[must_use]
+    pub fn union(self, other: ColumnHeads) -> ColumnHeads {
+        ColumnHeads(self.0 | other.0)
+    }
+
+    /// Whether everything `other` holds is in `self`.
+    pub fn contains(self, other: ColumnHeads) -> bool {
+        other.0 & !self.0 == 0
+    }
+
+    /// Whether every demo column, needing `demo[dj]`
+    /// ([`ColumnHeads::demo_columns`]), has a result column among `table`
+    /// whose summary contains what it needs.
+    ///
+    /// Sound as a gate before Def. 1: `e ≺ e★` implies that `e★`'s
+    /// summary contains what `e` needs, and a column's summary contains
+    /// every one of its cells', so a Def. 1 witness maps each demo column
+    /// to a column that passes this test.
+    pub fn hosts_all(table: &[ColumnHeads], demo: &[ColumnHeads]) -> bool {
+        demo.iter()
+            .all(|&need| table.iter().any(|h| h.contains(need)))
+    }
+}
+
+/// Structural summary of a star cell: its [`ColumnHeads`] and the largest
+/// argument list among its top-level applications. A necessary condition
+/// for `e ≺ e★`, checked before the full recursion.
 #[derive(Debug, Clone, Copy, Default)]
 struct StarKey {
-    heads: u16,
+    heads: ColumnHeads,
     max_args: u32,
-    has_ref: bool,
-    has_const: bool,
 }
 
 impl StarKey {
@@ -234,10 +298,10 @@ impl StarKey {
 
     fn scan(&mut self, star: &Expr) {
         match star {
-            Expr::Const(_) => self.has_const = true,
-            Expr::Ref(_) => self.has_ref = true,
+            Expr::Const(_) => self.heads = self.heads.union(ColumnHeads::CONST),
+            Expr::Ref(_) => self.heads = self.heads.union(ColumnHeads::REF),
             Expr::Apply(f, args) => {
-                self.heads |= head_bit(*f);
+                self.heads = self.heads.union(ColumnHeads::apply(*f));
                 self.max_args = self.max_args.max(args.len() as u32);
             }
             Expr::Group(members) => members.iter().for_each(|m| self.scan(m)),
@@ -245,24 +309,28 @@ impl StarKey {
     }
 }
 
-/// The demo-cell side of the pre-key check.
+/// The demo-cell side of the pre-key check: constants need a star
+/// constant, references a star reference, applications the same head
+/// with at least `min_args` arguments (all through groups).
 #[derive(Debug, Clone, Copy)]
-enum DemoKey {
-    /// Constants match only star constants (through groups).
-    Const,
-    /// References match only star references (through groups).
-    Ref,
-    /// Applications need the same head and at least `min_args` arguments.
-    Apply { head: u16, min_args: u32 },
+struct DemoKey {
+    needs: ColumnHeads,
+    min_args: u32,
 }
 
 impl DemoKey {
     fn of(e: &DemoExpr) -> DemoKey {
         match e {
-            DemoExpr::Const(_) => DemoKey::Const,
-            DemoExpr::Ref(_) => DemoKey::Ref,
-            DemoExpr::Apply { func, args, .. } => DemoKey::Apply {
-                head: head_bit(*func),
+            DemoExpr::Const(_) => DemoKey {
+                needs: ColumnHeads::CONST,
+                min_args: 0,
+            },
+            DemoExpr::Ref(_) => DemoKey {
+                needs: ColumnHeads::REF,
+                min_args: 0,
+            },
+            DemoExpr::Apply { func, args, .. } => DemoKey {
+                needs: ColumnHeads::apply(*func),
                 // Both complete and partial applications provide at least
                 // `args.len()` arguments to place (partial may omit more).
                 min_args: args.len() as u32,
@@ -271,11 +339,7 @@ impl DemoKey {
     }
 
     fn compatible(self, sk: StarKey) -> bool {
-        match self {
-            DemoKey::Const => sk.has_const,
-            DemoKey::Ref => sk.has_ref,
-            DemoKey::Apply { head, min_args } => sk.heads & head != 0 && min_args <= sk.max_args,
-        }
+        sk.heads.contains(self.needs) && self.min_args <= sk.max_args
     }
 }
 
@@ -495,6 +559,48 @@ mod tests {
         ]);
         let d = parse_expr("sum(T[1,2], T[3,2])").unwrap();
         assert!(expr_consistent(&d, &s));
+    }
+
+    /// A star cell's summary holds what every demo cell it generalizes
+    /// needs, and a table hosts a demo only when each demo column has a
+    /// column whose summary holds what all of that column's cells need.
+    #[test]
+    fn column_heads_host_demo_columns_holding_every_need() {
+        let avg = |args: Vec<Expr>| Expr::apply(FuncName::Agg(AggFunc::Avg), args);
+        let cells = [
+            (r(0, 0), "T[1,1]"),
+            (Expr::group(vec![r(0, 0), r(1, 0)]), "T[2,1]"),
+            (sum(vec![r(0, 1), r(1, 1)]), "sum(T[1,2], ...)"),
+            (Expr::Const(Value::Int(7)), "7"),
+        ];
+        for (star, src) in &cells {
+            let demo = parse_expr(src).unwrap();
+            assert!(expr_consistent(&demo, star), "{src}");
+            assert!(ColumnHeads::of(star).contains(DemoKey::of(&demo).needs));
+        }
+        let demo = Demo::parse(&[&["T[1,1]", "sum(T[1,2], ...)"], &["8", "T[1,2]"]]).unwrap();
+        let needs = ColumnHeads::demo_columns(&demo);
+        let sum_head = ColumnHeads::apply(FuncName::Agg(AggFunc::Sum));
+        assert_eq!(
+            needs,
+            [
+                ColumnHeads::REF.union(ColumnHeads::CONST),
+                sum_head.union(ColumnHeads::REF),
+            ]
+        );
+        // Column 0 holds references and padding constants, column 1 only
+        // `sum`, column 2 `sum` and references (through a group).
+        let table = [
+            ColumnHeads::REF.union(ColumnHeads::CONST),
+            sum_head,
+            ColumnHeads::of(&Expr::group(vec![r(0, 1), sum(vec![r(1, 1), r(2, 1)])])),
+        ];
+        assert!(ColumnHeads::hosts_all(&table, &needs));
+        // Without column 2 no column holds both `sum` and references; an
+        // `avg` column cannot host a `sum` one either.
+        assert!(!ColumnHeads::hosts_all(&table[..2], &needs));
+        let avg_col = ColumnHeads::of(&avg(vec![r(0, 1)])).union(ColumnHeads::REF);
+        assert!(!ColumnHeads::hosts_all(&[table[0], avg_col], &needs));
     }
 
     /// The edge cases above must survive the candidate-seeded, pre-keyed

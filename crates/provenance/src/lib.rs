@@ -12,6 +12,9 @@
 //!   expressions `f♦(…)`, plus a spreadsheet-formula parser ([`parse_expr`]);
 //! * [`expr_consistent`] — the generalization relation `e ≺ e★` (Fig. 10);
 //! * [`demo_consistent`] — table-level provenance consistency (Def. 1);
+//! * [`ColumnHeads`] — the function heads, references and constants a
+//!   column's cells can show, and whether they let a table host every
+//!   demo column (a necessary condition for `≺`);
 //! * [`RefUniverse`] / [`RefSet`] — bitset reference sets used by the
 //!   abstract provenance analysis (Fig. 11 / Def. 3), inline for small
 //!   universes and copy-on-write shared beyond;
@@ -56,7 +59,9 @@ mod pool;
 mod ref_set;
 
 pub use analysis::{containment_seed, AnalysisCache, AnalysisCacheStats, DemoToken};
-pub use consistency::{demo_consistent, demo_consistent_with_candidates, expr_consistent};
+pub use consistency::{
+    demo_consistent, demo_consistent_with_candidates, expr_consistent, ColumnHeads,
+};
 pub use demo::{parse_expr, Demo, DemoExpr, ParseError};
 pub use expr::{CellRef, Expr, FuncName, RefTerm};
 pub use matching::{

@@ -1,12 +1,14 @@
 //! The search's acceptance path (`TaskContext::accept`: materialization,
-//! the dimension fit, the cached Def. 3 prefilter on the lazily derived
-//! exact ids, seeded Def. 1 match) against the blind check on real search
-//! frontiers: an uncached provenance evaluation, blind `find_table_match`
-//! reference containment over sets converted from the star, then blind
+//! the dimension fit, the heads gate on the query's static column heads,
+//! the cached Def. 3 prefilter on the lazily derived exact ids, seeded
+//! Def. 1 match) against the blind check on real search frontiers: an
+//! uncached provenance evaluation, blind `find_table_match` reference
+//! containment over sets converted from the star, then blind
 //! `demo_consistent`. Every candidate must get the same verdict from
 //! both, including candidates too narrow or too short to host the
 //! demonstration. The cached prefilter verdict must equal direct
-//! matching, cold and on a hit, and a candidate the prefilter rejects
+//! matching, cold and on a hit; a candidate the heads gate rejects must
+//! derive neither its ids nor its star, and one the prefilter rejects
 //! must never build its star. `accept` evaluates the candidate itself
 //! outside the engine cache; its verdict must equal `accept_exec` on the
 //! cached evaluation.
@@ -61,6 +63,8 @@ struct Seen {
     prefilter: [usize; 2],
     /// Prefilter rejects that held no star before acceptance ran.
     starless_rejects: usize,
+    /// Heads-gate rejects that held no ids before acceptance ran.
+    idless_rejects: usize,
 }
 
 /// Runs every frontier candidate of `task`, then `extra`, then `misfits`
@@ -68,8 +72,9 @@ struct Seen {
 /// verdicts. `accept` must agree with `accept_exec` on the cached
 /// evaluation. For every candidate that fits the demonstration, the
 /// session's cached Def. 3 verdict on its exact ids must equal direct
-/// matching, cold and on a hit; a candidate the prefilter rejects must
-/// not build its star.
+/// matching, cold and on a hit; a candidate the heads gate rejects must
+/// derive neither ids nor a star, and one the prefilter rejects must not
+/// build its star.
 fn cross_check(
     name: &str,
     task: SynthTask,
@@ -93,6 +98,7 @@ fn cross_check(
             .exec(q, Semantics::Provenance, ctx.inputs())
             .ok();
         let had_star = cached.as_ref().is_some_and(|c| c.has_star());
+        let had_ids = cached.as_ref().is_some_and(|c| c.has_ids());
         let before = stats;
         let staged = ctx
             .accept(q, &mut stats)
@@ -104,9 +110,17 @@ fn cross_check(
         let Some(cached) = cached else { continue };
         let mut cached_stats = SearchStats::default();
         let via_cache = ctx
-            .accept_exec(&cached, &mut cached_stats)
+            .accept_exec(q, &cached, &mut cached_stats)
             .unwrap_or_else(|e| panic!("{name}: {q}: {e}"));
         assert_eq!(via_cache, staged, "{name}: accept_exec differs on {q}");
+        if stats.heads_rejected > before.heads_rejected {
+            assert_eq!(cached_stats.heads_rejected, 1, "{name}: {q}");
+            assert_eq!(cached.has_ids(), had_ids, "{name}: {q} derived its ids");
+            assert_eq!(cached.has_star(), had_star, "{name}: {q} built its star");
+            assert_eq!(stats.stars_built, before.stars_built);
+            assert_eq!(cached_stats.stars_built, 0, "{name}: {q} built its star");
+            seen.idless_rejects += usize::from(!had_ids);
+        }
         if stats.prefilter_rejected > before.prefilter_rejected {
             assert!(!blind_contained, "{name}: prefilter rejected {q}");
             assert_eq!(cached.has_star(), had_star, "{name}: {q} built its star");
@@ -137,7 +151,11 @@ fn cross_check(
         stats.time_materialize + stats.time_prefilter + stats.time_match
     );
     assert_eq!(
-        stats.fit_rejected + stats.prefilter_rejected + stats.def1_rejected + stats.accepted,
+        stats.fit_rejected
+            + stats.heads_rejected
+            + stats.prefilter_rejected
+            + stats.def1_rejected
+            + stats.accepted,
         candidates.len(),
         "{name}: {stats:?}"
     );
@@ -179,7 +197,7 @@ fn misfits(task: &SynthTask) -> [Query; 2] {
 /// Cross-checks suite task `id` over its frontier plus its ground truth
 /// (which realizes the demonstration by construction, so the task sees
 /// both verdicts) and its [`misfits`]; `inputs` is the task's input count.
-fn check_suite_task(id: usize, inputs: usize) {
+fn check_suite_task(id: usize, inputs: usize) -> Seen {
     let b = all_benchmarks()
         .into_iter()
         .find(|b| b.id == id)
@@ -199,7 +217,8 @@ fn check_suite_task(id: usize, inputs: usize) {
         seen.prefilter[0] > 0 && seen.prefilter[1] > 0,
         "both prefilter verdicts: {seen:?}"
     );
-    assert!(seen.starless_rejects > 0, "{seen:?}");
+    assert!(seen.idless_rejects > 0, "{seen:?}");
+    seen
 }
 
 #[test]
@@ -210,6 +229,15 @@ fn one_table_suite_task_agrees_with_blind_check() {
 #[test]
 fn join_suite_task_agrees_with_blind_check() {
     check_suite_task(54, 2);
+}
+
+/// On tasks 8 and 54 the heads gate rejects every candidate that fails
+/// Def. 3, so the prefilter's own rejects are checked on join task 63,
+/// whose frontier reaches them.
+#[test]
+fn prefilter_rejects_build_no_star() {
+    let seen = check_suite_task(63, 2);
+    assert!(seen.starless_rejects > 0, "{seen:?}");
 }
 
 /// A 150-row input: windows and arithmetic keep every row, so their

@@ -10,7 +10,10 @@
 //! * the engine's lazily derived id channel agrees exactly with `ref(·)`
 //!   collection over the star channel, and its lazy star with an
 //!   uncached provenance evaluation — on random pairs and on every
-//!   frontier candidate of the 80 suite tasks;
+//!   frontier candidate of the 80 suite tasks, where each column's static
+//!   heads also contain every star cell's summary;
+//! * the acceptance heads gate admits every ground truth, and each Def. 1
+//!   witness column's heads hold what its demo column needs;
 //! * demonstrations generated from a provenance table are always accepted
 //!   by the `≺` rules (truncation and permutation preserve consistency);
 //! * surface syntax round-trips through the parser.
@@ -21,7 +24,8 @@ use sickle_core::{
     PQuery, Pred, Query, Semantics,
 };
 use sickle_provenance::{
-    expr_consistent, parse_expr, AnalysisCache, Demo, RefSet, RefSetPool, RefUniverse, SetId,
+    demo_consistent, expr_consistent, parse_expr, AnalysisCache, ColumnHeads, Demo, RefSet,
+    RefSetPool, RefUniverse, SetId,
 };
 use sickle_table::{AggFunc, AnalyticFunc, ArithExpr, ArithOp, CmpOp, Grid, Table, Value};
 
@@ -296,7 +300,9 @@ const FRONTIER_VISITS: usize = 1_000;
 /// visits of all 80 suite tasks, evaluated through the search's own
 /// engine cache (children shared, derived one node at a time): the lazy
 /// id grid equals interning `universe.column_sets` of the candidate's
-/// star, and the lazy star equals an uncached `prov_evaluate`.
+/// star, the lazy star equals an uncached `prov_evaluate`, and each
+/// column's static heads ([`Query::column_heads`]) contain the summary of
+/// every one of its star cells.
 #[test]
 fn lazy_channels_match_on_every_suite_frontier_candidate() {
     let mut checked = 0;
@@ -308,8 +314,18 @@ fn lazy_channels_match_on_every_suite_frontier_candidate() {
             let Ok(exec) = ctx.eval_cache.exec(&q, Semantics::Provenance, ctx.inputs()) else {
                 continue;
             };
+            let heads = q.column_heads(&ctx.input_arities);
             let ids = exec.set_ids(&ctx.universe, pool);
             let star = exec.star();
+            for (j, col) in star.columns().enumerate() {
+                for e in col.iter() {
+                    assert!(
+                        heads[j].contains(ColumnHeads::of(e)),
+                        "task {}: column {j} heads of {q} miss {e}",
+                        b.id
+                    );
+                }
+            }
             let from_star = star.map_columns(|col| {
                 ctx.universe
                     .column_sets(col)
@@ -434,6 +450,37 @@ fn suite_semantics_agree_on_all_80_ground_truths() {
             b.id,
             b.name
         );
+    }
+}
+
+/// The acceptance heads gate is sound on the suite: every ground truth
+/// passes it, and each demo column's Def. 1 witness column has static
+/// heads holding what that demo column needs.
+#[test]
+fn heads_gate_admits_all_80_ground_truths() {
+    for b in all_benchmarks() {
+        let (task, _) = b.task(2022).expect("suite demo generates");
+        let ctx = sickle_core::TaskContext::new(task);
+        let heads = b.ground_truth.column_heads(&ctx.input_arities);
+        assert!(
+            ColumnHeads::hosts_all(&heads, &ctx.demo_heads),
+            "benchmark {}: heads gate rejects",
+            b.id
+        );
+        let star = ctx
+            .eval_cache
+            .exec(&b.ground_truth, Semantics::Provenance, ctx.inputs())
+            .unwrap_or_else(|e| panic!("benchmark {}: {e}", b.id))
+            .star();
+        let witness = demo_consistent(ctx.demo(), &star)
+            .unwrap_or_else(|| panic!("benchmark {}: ground truth fails Def. 1", b.id));
+        for (dj, &tj) in witness.col_map.iter().enumerate() {
+            assert!(
+                heads[tj].contains(ctx.demo_heads[dj]),
+                "benchmark {}: column {dj}",
+                b.id
+            );
+        }
     }
 }
 
